@@ -14,6 +14,7 @@ single machine-parseable line ``code=<code>, msg=<text>`` on stderr).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import shlex
@@ -125,18 +126,6 @@ def _write_json(path: Path, doc: dict, subcommand: str, argv: list[str], device_
     _atomic_write(path, json.dumps({"provenance": prov, **doc}, indent=2) + "\n")
 
 
-def _workers(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("QPMCASCADE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise DomainError(f"QPMCASCADE_THREADS={env!r} is not an integer") from None
-    return os.cpu_count() or 1
-
-
 def _load_device_arg(args) -> TwoStepDevice:
     return load_device(args.device)
 
@@ -146,22 +135,15 @@ def _load_device_arg(args) -> TwoStepDevice:
 
 def _cmd_map(args, argv) -> int:
     device = _load_device_arg(args)
-    pm = phasematch_map(
-        device.step1, device.step2, device.signal, args.t, args.pump, workers=_workers(args)
-    )
-    rows = []
-    for i, temp in enumerate(pm.temperature_C):
-        for j, pump in enumerate(pm.pump_nm):
-            rows.append(
-                f"{float(temp)!r},{float(pump)!r},"
-                f"{float(pm.step1[i, j])!r},{float(pm.step2[i, j])!r}"
-            )
-    _write_csv(
-        args.output,
-        "temperature_C,pump_nm,transfer_step1,transfer_step2",
-        rows,
-        _provenance_lines("map", argv, device.source_sha256),
-    )
+    pm = phasematch_map(device.step1, device.step2, device.signal, args.t, args.pump)
+    cells = itertools.product(pm.temperature_C.tolist(), pm.pump_nm.tolist())
+    rows = [
+        f"{temp!r},{pump!r},{t1!r},{t2!r}"
+        for (temp, pump), t1, t2 in zip(cells, map(float, pm.step1.flat), map(float, pm.step2.flat))
+    ]
+    prov = _provenance_lines("map", argv, device.source_sha256)
+    prov.insert(len(prov) - 1, f"masked_cells={json.dumps(pm.masked, sort_keys=True)}")
+    _write_csv(args.output, "temperature_C,pump_nm,transfer_step1,transfer_step2", rows, prov)
     return 0
 
 
@@ -344,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", type=Path, required=True, help="artifact path")
         if device:
             p.add_argument("--device", type=Path, required=True, help="device JSON file")
-        p.add_argument("--threads", type=int, default=None, help="worker threads (1 = serial)")
 
     p = sub.add_parser("map", help="phase-matching heatmap over (T, pump)")
     add_common(p)

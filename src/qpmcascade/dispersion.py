@@ -25,6 +25,9 @@ The module also defines the effective-index provider abstraction: a
 provider maps (wavelength, temperature, transverse mode number) to one
 refractive index.  Bulk and offset-corrected providers live here; the
 mode-solver-backed provider is in :mod:`qpmcascade.modesolver`.
+
+Index evaluation broadcasts over arrays of wavelength (nm) and temperature;
+see :func:`qpmcascade.errors.screen` for invalid inputs.
 """
 
 from __future__ import annotations
@@ -37,35 +40,44 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .errors import CapabilityError, MaterialFileError, NumericError, RangeError
+import numpy as np
+
+from .errors import CapabilityError, MaterialFileError, NumericError, RangeError, is_array, screen
 from .spectral import Wavelength
 
+# The forms are elementwise arithmetic, written with products rather than
+# powers so that scalar and array evaluations round identically.
 
-def _n2_jundt1997(coeff: Mapping[str, float], lam_um: float, temp_C: float) -> float:
+
+def _n2_jundt1997(coeff: Mapping[str, float], lam_um, temp_C):
     f = (temp_C - 24.5) * (temp_C + 570.82)
     lam2 = lam_um * lam_um
+    pole = coeff["a3"] + coeff["b3"] * f
     return (
         coeff["a1"]
         + coeff["b1"] * f
-        + (coeff["a2"] + coeff["b2"] * f) / (lam2 - (coeff["a3"] + coeff["b3"] * f) ** 2)
-        + (coeff["a4"] + coeff["b4"] * f) / (lam2 - coeff["a5"] ** 2)
+        + (coeff["a2"] + coeff["b2"] * f) / (lam2 - pole * pole)
+        + (coeff["a4"] + coeff["b4"] * f) / (lam2 - coeff["a5"] * coeff["a5"])
         - coeff["a6"] * lam2
     )
 
 
-def _n2_kelvin2_pole(coeff: Mapping[str, float], lam_um: float, temp_C: float) -> float:
-    k2 = (temp_C + 273.15) ** 2
+def _n2_kelvin2_pole(coeff: Mapping[str, float], lam_um, temp_C):
+    kelvin = temp_C + 273.15
+    k2 = kelvin * kelvin
     lam2 = lam_um * lam_um
+    pole = coeff["C"] + coeff["cT"] * k2
     return (
         coeff["A"]
-        + (coeff["B"] + coeff["bT"] * k2) / (lam2 - (coeff["C"] + coeff["cT"] * k2) ** 2)
-        + coeff["E"] / (lam2 - coeff["F"] ** 2)
+        + (coeff["B"] + coeff["bT"] * k2) / (lam2 - pole * pole)
+        + coeff["E"] / (lam2 - coeff["F"] * coeff["F"])
         + coeff["D"] * lam2
     )
 
 
-def _n2_constant(coeff: Mapping[str, float], lam_um: float, temp_C: float) -> float:
-    return coeff["n2"]
+def _n2_constant(coeff: Mapping[str, float], lam_um, temp_C):
+    # Broadcasts like the other forms; NaN inputs stay NaN.
+    return coeff["n2"] + 0.0 * (lam_um + temp_C)
 
 
 TEMPERATURE_FORMS: Mapping[str, Callable[[Mapping[str, float], float, float], float]] = {
@@ -118,33 +130,52 @@ class SellmeierModel:
         object.__setattr__(self, "wavelength_range_um", tuple(self.wavelength_range_um))
         object.__setattr__(self, "temperature_range_C", tuple(self.temperature_range_C))
 
-    def index_unchecked(self, lam_um: float, temp_C: float) -> float:
+    def index_unchecked(self, lam_um, temp_C):
         """Evaluate the raw formula without range validation (used for
-        finite-difference probes a hair outside the declared ranges)."""
-        n2 = TEMPERATURE_FORMS[self.temperature_form](self.coefficients, lam_um, temp_C)
-        if not (n2 > 0.0 and math.isfinite(n2)):
-            raise NumericError(
-                f"material {self.name!r}: n^2 = {n2!r} at lam={lam_um} um, T={temp_C} C"
-            )
-        return math.sqrt(n2)
+        finite-difference probes a hair outside the declared ranges).
+        Elementwise on arrays; NaN inputs give NaN, any other invalid n^2
+        raises :class:`NumericError`."""
+        form = TEMPERATURE_FORMS[self.temperature_form]
+        if not (is_array(lam_um) or is_array(temp_C)):
+            n2 = form(self.coefficients, lam_um, temp_C)
+            if not (n2 > 0.0 and math.isfinite(n2)):
+                raise NumericError(
+                    f"material {self.name!r}: n^2 = {n2!r} at lam={lam_um} um, T={temp_C} C"
+                )
+            return math.sqrt(n2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            n2 = form(self.coefficients, lam_um, temp_C)
+        if np.any(~((n2 > 0.0) & np.isfinite(n2)) & ~np.isnan(lam_um + temp_C)):
+            raise NumericError(f"material {self.name!r}: n^2 not positive and finite at some (lam, T)")
+        return np.sqrt(n2)
 
 
-def sellmeier_index(model: SellmeierModel, lam: Wavelength, temp_C: float) -> float:
+def _in_range(model: SellmeierModel, quantity: str, value, low: float, high: float):
+    """``value`` checked against [low, high], as ``screen`` does."""
+    if is_array(value):
+        return screen(value, (low <= value) & (value <= high), f"{model.name} {quantity}", None)
+    if not low <= value <= high:
+        raise RangeError(f"{model.name} {quantity}", value, low, high)
+    return value
+
+
+def sellmeier_index(model: SellmeierModel, lam, temp_C):
     """Refractive index at (lam, T), validated against the declared ranges.
 
-    Raises :class:`RangeError` naming the violated bound, and
+    ``lam`` is a :class:`Wavelength` or wavelengths in nm, broadcast
+    against ``temp_C``.  A scalar call raises :class:`RangeError` naming
+    the violated bound; an array call masks it (NaN).  Both raise
     :class:`NumericError` if the formula yields an index outside (1, 4),
     which indicates a broken coefficient table.
     """
-    lam_um = lam.um
-    lo, hi = model.wavelength_range_um
-    if not (lo <= lam_um <= hi):
-        raise RangeError(f"{model.name} wavelength_um", lam_um, lo, hi)
-    tlo, thi = model.temperature_range_C
-    if not (tlo <= temp_C <= thi):
-        raise RangeError(f"{model.name} temperature_C", temp_C, tlo, thi)
+    lam_um = (lam.nm if isinstance(lam, Wavelength) else lam) * 1e-3
+    if is_array(lam_um) or is_array(temp_C):
+        lam_um, temp_C = np.asarray(lam_um, float), np.asarray(temp_C, float)
+    lam_um = _in_range(model, "wavelength_um", lam_um, *model.wavelength_range_um)
+    temp_C = _in_range(model, "temperature_C", temp_C, *model.temperature_range_C)
     n = model.index_unchecked(lam_um, temp_C)
-    if not (1.0 < n < 4.0):
+    bad = (n <= 1.0) | (n >= 4.0)  # masked (NaN) elements are not bad
+    if bad.any() if is_array(bad) else bad:
         raise NumericError(
             f"material {model.name!r}: index {n} outside (1, 4) at "
             f"lam={lam_um} um, T={temp_C} C"
@@ -164,16 +195,12 @@ def group_and_phase_terms(
     n = sellmeier_index(model, lam, temp_C)
     lam_um = lam.um
     h_lam = lam_um * rel_step
-    dn_dlam_um = (
-        model.index_unchecked(lam_um + h_lam, temp_C)
-        - model.index_unchecked(lam_um - h_lam, temp_C)
-    ) / (2.0 * h_lam)
     h_t = max(abs(temp_C), 1.0) * rel_step
-    dn_dt = (
-        model.index_unchecked(lam_um, temp_C + h_t)
-        - model.index_unchecked(lam_um, temp_C - h_t)
-    ) / (2.0 * h_t)
-    return {"n": n, "dn_dlam_per_nm": dn_dlam_um * 1e-3, "dn_dT_per_C": dn_dt}
+    lam_up, lam_down, t_up, t_down = model.index_unchecked(
+        lam_um + np.array([h_lam, -h_lam, 0.0, 0.0]), temp_C + np.array([0.0, 0.0, h_t, -h_t])
+    ).tolist()
+    dn_dlam_um = (lam_up - lam_down) / (2.0 * h_lam)
+    return {"n": n, "dn_dlam_per_nm": dn_dlam_um * 1e-3, "dn_dT_per_C": (t_up - t_down) / (2.0 * h_t)}
 
 
 class BulkIndexProvider:
@@ -188,7 +215,7 @@ class BulkIndexProvider:
     def __init__(self, model: SellmeierModel):
         self.model = model
 
-    def effective_index(self, lam: Wavelength, temp_C: float, mode: int = 1) -> float:
+    def effective_index(self, lam, temp_C, mode: int = 1):
         if mode != 1:
             raise CapabilityError(
                 f"{type(self).__name__} supports mode 1 only, got mode {mode}"
@@ -212,7 +239,7 @@ class OffsetIndexProvider:
         self.model = model
         self.delta_n = float(delta_n)
 
-    def effective_index(self, lam: Wavelength, temp_C: float, mode: int = 1) -> float:
+    def effective_index(self, lam, temp_C, mode: int = 1):
         if mode != 1:
             raise CapabilityError(
                 f"{type(self).__name__} supports mode 1 only, got mode {mode}"
@@ -223,8 +250,9 @@ class OffsetIndexProvider:
         return f"OffsetIndexProvider({self.model.name!r}, delta_n={self.delta_n!r})"
 
 
-def effective_index(provider, lam: Wavelength, temp_C: float, mode: int = 1) -> float:
-    """Evaluate any index provider; see the provider classes for semantics."""
+def effective_index(provider, lam, temp_C, mode: int = 1):
+    """Evaluate any index provider; each takes ``lam`` and ``temp_C`` as
+    :func:`sellmeier_index` does."""
     return provider.effective_index(lam, temp_C, mode=mode)
 
 

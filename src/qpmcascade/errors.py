@@ -1,10 +1,18 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and its array counterpart.
 
 Every error carries a short machine-readable ``code`` so the CLI can emit
-single-line diagnostics of the form ``code=<code>, msg=<text>``.
+single-line diagnostics of the form ``code=<code>, msg=<text>``.  Where a
+scalar evaluation raises, an array evaluation masks the element with NaN
+instead (:func:`screen`), and :func:`masked_cells` can record why.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Callable
+
+import numpy as np
 
 
 class ConverterError(Exception):
@@ -78,3 +86,42 @@ class RankDeficiencyError(NumericError):
     """The normal matrix of a least-squares problem is singular."""
 
     code = "rank_deficiency"
+
+
+# The reasons of the current masked_cells block, if one is open.
+_MASK_LOG: ContextVar[list | None] = ContextVar("qpmcascade_mask_log", default=None)
+
+
+@contextmanager
+def masked_cells():
+    """Collect ``(reason, mask)``, in evaluation order, for each array
+    evaluation inside the block that masks elements.  ``reason`` is what
+    the scalar evaluation raises: the violated range quantity (e.g.
+    ``"lithium_niobate_e temperature_C"``) or another error's code."""
+    log: list[tuple[str, np.ndarray]] = []
+    token = _MASK_LOG.set(log)
+    try:
+        yield log
+    finally:
+        _MASK_LOG.reset(token)
+
+
+def is_array(value) -> bool:
+    """Whether ``value`` takes the array path (any numpy array, even 0-d)."""
+    return isinstance(value, np.ndarray)
+
+
+def screen(values, valid, reason: str, error: Callable[[], ConverterError] | None):
+    """``values`` where ``valid`` holds.
+
+    On scalars an invalid value raises ``error()``; on arrays invalid
+    elements become NaN and the mask is recorded under ``reason``.
+    """
+    if not (is_array(values) or is_array(valid)):
+        if not valid:
+            raise error()
+        return values
+    log = _MASK_LOG.get()
+    if log is not None and not np.all(valid):
+        log.append((reason, np.logical_not(valid)))
+    return np.where(valid, values, np.nan)

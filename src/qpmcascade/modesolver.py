@@ -27,11 +27,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
-import scipy.sparse.linalg as sparse_linalg
 
 from .dispersion import SellmeierModel, sellmeier_index
-from .errors import CapabilityError, DomainError, NumericError
+from .errors import CapabilityError, DomainError, NumericError, RangeError, is_array, screen
 from .spectral import Wavelength
 
 # Seed for the deterministic ARPACK starting vector; fixed so identical
@@ -134,7 +132,9 @@ def index_map(geometry: WaveguideGeometry, lam: Wavelength, temp_C: float) -> tu
     return np.sqrt(n2), x, y, n_core, max(n_sub, n_sup)
 
 
-def _helmholtz_matrix(n: np.ndarray, hx: float, hy: float, k0: float) -> sparse.csr_matrix:
+def _helmholtz_matrix(n: np.ndarray, hx: float, hy: float, k0: float):
+    import scipy.sparse as sparse  # deferred: only eigen-solves need it
+
     ny, nx = n.shape
     inv_hx2 = 1.0 / (hx * hx)
     inv_hy2 = 1.0 / (hy * hy)
@@ -161,6 +161,8 @@ def solve_modes(
     returned.  Raises :class:`NumericError` if the eigensolver fails to
     converge or a solution violates the residual contract.
     """
+    import scipy.sparse.linalg as sparse_linalg  # deferred: only eigen-solves need it
+
     if count < 1:
         raise DomainError("count must be >= 1")
     n, x, y, n_core, n_clad = index_map(geometry, lam, temp_C)
@@ -312,7 +314,8 @@ class ModeSolverIndexProvider:
     ``default_mode`` selects which eigenmode this provider reports when the
     caller does not ask for a specific one; this is how higher-order-mode
     conversion branches are wired into the phase-matching engine.  Results
-    are cached per (wavelength, temperature, mode).
+    are cached per (wavelength, temperature, mode); an array query looks
+    up each element and masks (NaN) those a scalar query would raise on.
     """
 
     kind = "modesolver"
@@ -324,22 +327,38 @@ class ModeSolverIndexProvider:
         self.default_mode = default_mode
         self._cache: dict[tuple[float, float, int], float] = {}
 
-    def effective_index(self, lam: Wavelength, temp_C: float, mode: int | None = None) -> float:
+    def effective_index(self, lam, temp_C, mode: int | None = None):
         mode = self.default_mode if mode is None else mode
         if mode < 1:
             raise CapabilityError(f"mode numbers start at 1, got {mode}")
-        key = (lam.nm, temp_C, mode)
+        lam_nm = lam.nm if isinstance(lam, Wavelength) else lam
+        if not (is_array(lam_nm) or is_array(temp_C)):
+            return self._lookup(float(lam_nm), float(temp_C), mode)
+        lam_nm, temp_C = np.broadcast_arrays(np.asarray(lam_nm, float), np.asarray(temp_C, float))
+        out = np.empty(lam_nm.shape)
+        why = np.full(lam_nm.shape, "", dtype=object)
+        for i in np.ndindex(out.shape):
+            try:
+                out[i] = self._lookup(float(lam_nm[i]), float(temp_C[i]), mode)
+            except (DomainError, CapabilityError) as exc:
+                why[i] = exc.quantity if isinstance(exc, RangeError) else exc.code
+        for reason in dict.fromkeys(why[why != ""]):
+            out = screen(out, why != reason, reason, None)
+        return out
+
+    def _lookup(self, lam_nm: float, temp_C: float, mode: int) -> float:
+        key = (lam_nm, temp_C, mode)
         if key not in self._cache:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ModeShortfallWarning)
-                solutions = solve_modes(self.geometry, lam, temp_C, count=mode)
+                solutions = solve_modes(self.geometry, Wavelength(lam_nm), temp_C, count=mode)
             if len(solutions) < mode:
                 raise CapabilityError(
                     f"geometry guides only {len(solutions)} mode(s) at "
-                    f"{lam.nm} nm, {temp_C} C; mode {mode} unavailable"
+                    f"{lam_nm} nm, {temp_C} C; mode {mode} unavailable"
                 )
             for sol in solutions:
-                self._cache[(lam.nm, temp_C, sol.mode_index)] = sol.n_eff
+                self._cache[(lam_nm, temp_C, sol.mode_index)] = sol.n_eff
         return self._cache[key]
 
     def __repr__(self):

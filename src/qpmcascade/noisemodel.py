@@ -29,10 +29,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import spectral
 from .conversion import Spectrum
-from .errors import CapabilityError, DomainError, RangeError
-from .qpm import ProcessSpec, SectionSpec, _bisect_root, _scan_for_bracket, phase_mismatch
-from .spectral import Wavelength, sfg_output, shg_output
+from .errors import DomainError
+from .qpm import SectionSpec, _first_roots, delta_k
+from .spectral import ProcessKind, Wavelength, sfg_output, shg_output
 
 # Second radiation constant h*c/kB in um*K.
 C2_UM_K = 14387.7688
@@ -118,22 +119,17 @@ def planck_weight(lam: Wavelength, temperature_K: float, band_center: Wavelength
     return radiance(lam.um) / radiance(band_center.um)
 
 
-def thermal_sfg_mismatch(
-    section: SectionSpec, pump: Wavelength, output_nm: float, temp_C: float | None = None
-) -> float:
+def thermal_sfg_mismatch(section: SectionSpec, pump: Wavelength, output_nm, temp_C=None):
     """delta_k (rad/mm) of pump + thermal driver SFG on this grating.
 
     The mid-infrared driver wavelength is eliminated through energy
-    conservation per output wavelength: 1/driver = 1/output - 1/pump,
-    which requires output < pump.
+    conservation per output wavelength: 1/driver = 1/output - 1/pump, the
+    DFG of output and pump, which requires output < pump.  Broadcasts like
+    :func:`qpmcascade.qpm.delta_k`.
     """
-    if output_nm >= pump.nm:
-        raise DomainError(
-            f"SFG output ({output_nm} nm) must be shorter than the pump ({pump.nm} nm)"
-        )
-    driver = Wavelength(1.0 / (1.0 / output_nm - 1.0 / pump.nm))
-    process = ProcessSpec.sfg(driver, pump, section)
-    return phase_mismatch(process, temp_C=temp_C)
+    driver_nm = spectral.output_nm(ProcessKind.DFG, output_nm, pump.nm)
+    temp = section.temperature_C if temp_C is None else temp_C
+    return delta_k(ProcessKind.SFG, driver_nm, pump.nm, temp, section)
 
 
 def solve_thermal_sfg_output(
@@ -144,20 +140,16 @@ def solve_thermal_sfg_output(
     scan_points: int = 281,
 ) -> float | None:
     """Phase-matched thermal-SFG output wavelength inside the window, or None."""
-
-    def mismatch_at(out_nm: float) -> float:
-        return thermal_sfg_mismatch(section, pump, out_nm, temp_C=temp_C)
-
     hi = min(window_nm[1], pump.nm * (1.0 - 1e-9))
     if hi <= window_nm[0]:
         return None
-    bracket = _scan_for_bracket(mismatch_at, window_nm[0], hi, scan_points)
-    if bracket is None:
-        return None
-    lo, hi_b, f_lo, f_hi = bracket
-    if lo == hi_b:
-        return lo
-    return _bisect_root(mismatch_at, lo, hi_b, f_lo, f_hi)
+    root = float(
+        _first_roots(
+            lambda out_nm: thermal_sfg_mismatch(section, pump, out_nm, temp_C),
+            np.linspace(window_nm[0], hi, scan_points),
+        )
+    )
+    return None if math.isnan(root) else root
 
 
 def thermal_sfg_lineshape(
@@ -258,10 +250,7 @@ def enumerate_parasitics(
                 power_law=2,
             )
         )
-    try:
-        thermal_nm = solve_thermal_sfg_output(step2, pump, window_nm, temp_C=temp_C)
-    except (RangeError, CapabilityError):
-        thermal_nm = None
+    thermal_nm = solve_thermal_sfg_output(step2, pump, window_nm, temp_C=temp_C)
     if thermal_nm is not None:
         driver_nm = 1.0 / (1.0 / thermal_nm - 1.0 / pump.nm)
         out = sfg_output(Wavelength(driver_nm), pump)

@@ -10,25 +10,21 @@ Sign conventions (collinear, scalar, all quantities per millimeter):
 With normal dispersion both bulk mismatches are positive, so a positive
 poling period always exists.  Conversion is proportional to
 sinc^2(delta_k * L / 2) and peaks at delta_k = 0.
+
+Every mismatch is one broadcast expression, :func:`delta_k`; maps and
+root scans are array calls into it, scalar entry points scalar calls.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    CapabilityError,
-    DesignError,
-    DomainError,
-    NoSolutionError,
-    RangeError,
-)
-from .spectral import ProcessKind, Wavelength, dfg_target, energy_residual, process_output
+from .errors import DesignError, DomainError, NoSolutionError, is_array, masked_cells, screen
+from .spectral import ProcessKind, Wavelength, dfg_target, energy_residual, output_nm, process_output
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,11 +35,10 @@ TARGET_WINDOW_NM = (1480.0, 1620.0)
 
 _ENERGY_TOL = 1e-9
 
-
-def wavevector(provider, lam: Wavelength, temp_C: float) -> float:
-    """k = 2*pi*n_eff/lam in rad/mm."""
-    n = provider.effective_index(lam, temp_C)
-    return TWO_PI * n * 1e6 / lam.nm
+# Points of each bracket-narrowing scan of a root solve, and the relative
+# bracket width at which the root is interpolated.
+_ZOOM_POINTS = 33
+_ROOT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -123,9 +118,27 @@ class ProcessSpec:
     def dfg(cls, lam_signal: Wavelength, lam_pump: Wavelength, section: SectionSpec) -> "ProcessSpec":
         return cls.for_kind(ProcessKind.DFG, lam_signal, lam_pump, section)
 
-    @classmethod
-    def sfg(cls, lam_a: Wavelength, lam_b: Wavelength, section: SectionSpec) -> "ProcessSpec":
-        return cls.for_kind(ProcessKind.SFG, lam_a, lam_b, section)
+
+
+def delta_k(kind: ProcessKind, lam_in, lam_pump, temp_C, section: SectionSpec):
+    """delta_k in rad/mm of a process on ``section``.
+
+    ``lam_in`` and ``lam_pump`` are wavelengths in nm; they broadcast
+    against ``temp_C``.  The output wavelength is recomputed from them, so
+    the evaluated triple always conserves energy.  A scalar call returns a
+    float and raises on an invalid input; an array call masks it (NaN).
+    """
+    if is_array(lam_in) or is_array(lam_pump) or is_array(temp_C):
+        lam_in, lam_pump, temp_C = (np.asarray(v, dtype=float) for v in (lam_in, lam_pump, temp_C))
+    lam_out = output_nm(kind, lam_in, lam_pump)
+    n_eff = section.index_provider.effective_index
+    k_in, k_out, k_pump = (
+        TWO_PI * n_eff(lam, temp_C) * 1e6 / lam for lam in (lam_in, lam_out, lam_pump)
+    )
+    grating = TWO_PI * section.qpm_order * 1e3 / section.period_um_at(temp_C)
+    if kind is ProcessKind.DFG:
+        return k_in - k_out - k_pump - grating
+    return k_out - k_in - k_pump - grating
 
 
 def phase_mismatch(
@@ -141,40 +154,18 @@ def phase_mismatch(
     section = process.section
     temp = section.temperature_C if temp_C is None else temp_C
     pump = process.lam_pump if lam_pump is None else lam_pump
-    lam_out = process_output(process.kind, process.lam_in, pump)
-    provider = section.index_provider
-    k_in = wavevector(provider, process.lam_in, temp)
-    k_out = wavevector(provider, lam_out, temp)
-    k_pump = wavevector(provider, pump, temp)
-    grating = TWO_PI * section.qpm_order * 1e3 / section.period_um_at(temp)
-    if process.kind is ProcessKind.DFG:
-        return k_in - k_out - k_pump - grating
-    return k_out - k_in - k_pump - grating
+    return delta_k(process.kind, process.lam_in.nm, pump.nm, temp, section)
 
 
-def qpm_transfer(delta_k_per_mm: float, length_mm: float) -> float:
-    """Normalized transfer sinc^2(delta_k * L / 2), with sinc(0) = 1."""
+def qpm_transfer(delta_k_per_mm, length_mm: float):
+    """Normalized transfer sinc^2(delta_k * L / 2), with sinc(0) = 1.
+
+    Elementwise on an array of mismatches; NaN stays NaN.
+    """
     if not length_mm > 0:
         raise DomainError("length must be positive")
-    x = 0.5 * delta_k_per_mm * length_mm
-    return float(np.sinc(x / math.pi) ** 2)
-
-
-def bulk_mismatch(
-    kind: ProcessKind,
-    lam_in: Wavelength,
-    lam_pump: Wavelength,
-    temp_C: float,
-    provider,
-) -> float:
-    """Phase mismatch without any grating contribution, rad/mm."""
-    lam_out = process_output(kind, lam_in, lam_pump)
-    k_in = wavevector(provider, lam_in, temp_C)
-    k_out = wavevector(provider, lam_out, temp_C)
-    k_pump = wavevector(provider, lam_pump, temp_C)
-    if kind is ProcessKind.DFG:
-        return k_in - k_out - k_pump
-    return k_out - k_in - k_pump
+    s = np.sinc(0.5 * delta_k_per_mm * length_mm / math.pi)
+    return s * s if is_array(s) else float(s * s)
 
 
 def solve_poling_period(
@@ -187,10 +178,12 @@ def solve_poling_period(
 ) -> float:
     """Poling period (um) that phase-matches the process at (T, pump).
 
-    Raises :class:`DesignError` when the bulk mismatch has the wrong sign
-    for a positive period.
+    The bulk mismatch is the delta_k of an unpoled section (infinite
+    period, no grating vector).  Raises :class:`DesignError` when it has
+    the wrong sign for a positive period.
     """
-    bulk = bulk_mismatch(kind, lam_in, lam_pump, temp_C, provider)
+    unpoled = SectionSpec("step1", 1.0, math.inf, temp_C, provider)
+    bulk = delta_k(kind, lam_in.nm, lam_pump.nm, temp_C, unpoled)
     if bulk <= 0.0:
         raise DesignError(
             f"bulk mismatch {bulk:.6g} rad/mm is not positive; "
@@ -221,76 +214,41 @@ def section_with_solved_period(
     )
 
 
-def _bisect_root(
-    func: Callable[[float], float],
-    lo: float,
-    hi: float,
-    f_lo: float,
-    f_hi: float,
-    tol: float = 1e-9,
-) -> float:
-    """Bisection to float spacing, then guarded secant polish.
+def _brackets(x, f):
+    """The first root bracket of each row of a scan: (lo, hi, f_lo, f_hi).
 
-    Assumes a sign change on [lo, hi].  Deterministic.
+    A bracket is the first scan point where f is exactly zero (lo == hi)
+    or the first pair of consecutive finite values of opposite sign.
+    Rows without one get NaN.
     """
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    a, b, fa, fb = lo, hi, f_lo, f_hi
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
-            break
-        fm = func(mid)
-        if fm == 0.0:
-            return mid
-        if (fa < 0.0) != (fm < 0.0):
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    root, f_root = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
-    # Secant polish: accept steps only while they shrink |f|.
-    x0, f0, x1, f1 = a, fa, b, fb
-    for _ in range(8):
-        if f1 == f0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not (min(a, b) <= x2 <= max(a, b)):
-            break
-        f2 = func(x2)
-        if abs(f2) >= abs(f_root):
-            break
-        root, f_root = x2, f2
-        x0, f0, x1, f1 = x1, f1, x2, f2
-        if abs(f_root) < tol:
-            break
-    return root
+    finite = np.isfinite(f)
+    event = f == 0.0
+    event[..., 1:] |= finite[..., :-1] & finite[..., 1:] & ((f[..., :-1] < 0.0) != (f[..., 1:] < 0.0))
+    hi = np.argmax(event, axis=-1)[..., None]
+    lo = np.where(np.take_along_axis(f, hi, -1) == 0.0, hi, hi - 1)  # hi >= 1 at a sign change
+
+    def pick(a, i):
+        taken = np.take_along_axis(np.broadcast_to(a, f.shape), i, -1)[..., 0]
+        return np.where(event.any(axis=-1), taken, np.nan)
+
+    return pick(x, lo), pick(x, hi), pick(f, lo), pick(f, hi)
 
 
-def _scan_for_bracket(
-    func: Callable[[float], float], lo: float, hi: float, points: int
-) -> tuple[float, float, float, float] | None:
-    """First sign-change bracket on a uniform scan, lowest abscissa first.
+def _first_roots(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Lowest root of ``func`` on the scan ``x``, per row, NaN where none.
 
-    Grid points where ``func`` raises a domain/range error are skipped;
-    brackets require two consecutive valid evaluations.
+    ``func`` maps an array of abscissae to the mismatch, one row per
+    problem (a 1-D scan is a single problem).  The first bracket of each
+    row (see :func:`_brackets`) is narrowed by further array scans of
+    ``func`` until it is ``_ROOT_RTOL`` relative wide, then the root is
+    interpolated linearly inside it.
     """
-    grid = np.linspace(lo, hi, points)
-    prev_x: float | None = None
-    prev_f: float | None = None
-    for x in grid:
-        try:
-            f = func(float(x))
-        except (DomainError, RangeError, CapabilityError):
-            prev_x, prev_f = None, None
-            continue
-        if f == 0.0:
-            return float(x), float(x), 0.0, 0.0
-        if prev_f is not None and (prev_f < 0.0) != (f < 0.0):
-            return prev_x, float(x), prev_f, f
-        prev_x, prev_f = float(x), f
-    return None
+    lo, hi, f_lo, f_hi = _brackets(x, func(x))
+    while np.any(hi - lo > _ROOT_RTOL * np.abs(hi)):
+        grid = np.linspace(lo, hi, _ZOOM_POINTS, axis=-1)
+        lo, hi, f_lo, f_hi = _brackets(grid, func(grid))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(lo == hi, lo, lo - f_lo * (hi - lo) / (f_hi - f_lo))
 
 
 def solve_phasematched_pump(
@@ -308,21 +266,18 @@ def solve_phasematched_pump(
     window when no sign change exists.
     """
     temp = section.temperature_C if temp_C is None else temp_C
-    process = ProcessSpec.for_kind(kind, lam_in, Wavelength(window_nm[1]), section)
-
-    def mismatch_at(pump_nm: float) -> float:
-        return phase_mismatch(process, temp_C=temp, lam_pump=Wavelength(pump_nm))
-
-    bracket = _scan_for_bracket(mismatch_at, window_nm[0], window_nm[1], scan_points)
-    if bracket is None:
+    root = float(
+        _first_roots(
+            lambda pump: delta_k(kind, lam_in.nm, pump, temp, section),
+            np.linspace(window_nm[0], window_nm[1], scan_points),
+        )
+    )
+    if math.isnan(root):
         raise NoSolutionError(
             f"no phase-matched pump for {kind.value} of {lam_in.nm} nm at "
             f"{temp} C inside window [{window_nm[0]}, {window_nm[1]}] nm"
         )
-    lo, hi, f_lo, f_hi = bracket
-    if lo == hi:
-        return Wavelength(lo)
-    return Wavelength(_bisect_root(mismatch_at, lo, hi, f_lo, f_hi))
+    return Wavelength(root)
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,12 +286,15 @@ class PhaseMatchMap:
 
     Entries are sinc^2 transfers in [0, 1]; cells where a provider range
     was violated hold NaN (missing) rather than aborting the map.
+    ``masked`` counts those cells per step, keyed by the violated range
+    quantity (or the error code of another invalid input).
     """
 
     temperature_C: np.ndarray
     pump_nm: np.ndarray
     step1: np.ndarray
     step2: np.ndarray
+    masked: Mapping[str, Mapping[str, int]]
 
     def __post_init__(self):
         n_t, n_p = len(self.temperature_C), len(self.pump_nm)
@@ -344,29 +302,17 @@ class PhaseMatchMap:
             raise DomainError("map matrices must be shaped (len(T), len(pump))")
 
 
-def _map_row(
-    step1: SectionSpec,
-    step2: SectionSpec,
-    signal: Wavelength,
-    temp: float,
-    pumps: Sequence[float],
-) -> tuple[np.ndarray, np.ndarray]:
-    row1 = np.full(len(pumps), np.nan)
-    row2 = np.full(len(pumps), np.nan)
-    for j, pump_nm in enumerate(pumps):
-        pump = Wavelength(pump_nm)
-        try:
-            p1 = ProcessSpec.dfg(signal, pump, step1)
-            row1[j] = qpm_transfer(phase_mismatch(p1, temp_C=temp), step1.length_mm)
-        except (DomainError, RangeError, CapabilityError):
-            pass
-        try:
-            mid = dfg_target(signal, pump)
-            p2 = ProcessSpec.dfg(mid, pump, step2)
-            row2[j] = qpm_transfer(phase_mismatch(p2, temp_C=temp), step2.length_mm)
-        except (DomainError, RangeError, CapabilityError):
-            pass
-    return row1, row2
+def _mask_counts(log: list[tuple[str, np.ndarray]], shape: tuple[int, ...]) -> dict[str, int]:
+    """Masked cells per reason.  A cell counts once, under the first
+    reason recorded for it: the error its scalar evaluation raises."""
+    counts: dict[str, int] = {}
+    claimed = np.zeros(shape, dtype=bool)
+    for reason, mask in log:
+        new = np.broadcast_to(mask, shape) & ~claimed
+        if new.any():
+            counts[reason] = counts.get(reason, 0) + int(new.sum())
+            claimed |= new
+    return counts
 
 
 def phasematch_map(
@@ -375,32 +321,25 @@ def phasematch_map(
     signal: Wavelength,
     temperatures_C: Sequence[float],
     pumps_nm: Sequence[float],
-    workers: int = 1,
 ) -> PhaseMatchMap:
     """Transfer of both steps over a temperature x pump grid.
 
     The row temperature applies to each section independently (one section
     heated at a time); the step-2 input at each cell is the step-1 DFG
-    output at that cell's pump.  Rows may be evaluated concurrently; the
-    assembled result is ordered and deterministic.
+    output at that cell's pump.  Each step is one broadcast evaluation.
     """
     temps = np.asarray(list(temperatures_C), dtype=float)
     pumps = np.asarray(list(pumps_nm), dtype=float)
     if temps.size < 1 or pumps.size < 1:
         raise DomainError("map needs at least one temperature and one pump value")
-    m1 = np.empty((temps.size, pumps.size))
-    m2 = np.empty((temps.size, pumps.size))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(lambda t: _map_row(step1, step2, signal, t, pumps), temps)
-            )
-    else:
-        rows = [_map_row(step1, step2, signal, t, pumps) for t in temps]
-    for i, (row1, row2) in enumerate(rows):
-        m1[i] = row1
-        m2[i] = row2
-    return PhaseMatchMap(temperature_C=temps, pump_nm=pumps, step1=m1, step2=m2)
+    temp, pump = temps[:, None], pumps[None, :]
+    with masked_cells() as why1:
+        m1 = qpm_transfer(delta_k(ProcessKind.DFG, signal.nm, pump, temp, step1), step1.length_mm)
+    with masked_cells() as why2:
+        mid = output_nm(ProcessKind.DFG, signal.nm, pump)
+        m2 = qpm_transfer(delta_k(ProcessKind.DFG, mid, pump, temp, step2), step2.length_mm)
+    masked = {"step1": _mask_counts(why1, m1.shape), "step2": _mask_counts(why2, m2.shape)}
+    return PhaseMatchMap(temperature_C=temps, pump_nm=pumps, step1=m1, step2=m2, masked=masked)
 
 
 @dataclass(frozen=True)
@@ -412,25 +351,24 @@ class TuningPoint:
     transfer: float
 
 
-def step2_target_mismatch(
-    step2: SectionSpec, intermediate: Wavelength, target_nm: float, temp_C: float
-) -> float:
+def step2_target_mismatch(step2: SectionSpec, intermediate: Wavelength, target_nm, temp_C):
     """delta_k of step 2 versus its output wavelength at fixed input.
 
     The step-2 input is the intermediate wavelength pinned by the
     operating step-1 conditions; the pump that would produce the probed
     target is implied by energy conservation (1/pump = 1/in - 1/target),
-    which requires target > intermediate.
+    which requires target > intermediate.  Broadcasts like
+    :func:`delta_k`.
     """
-    target = Wavelength(target_nm)
-    if target.nm <= intermediate.nm:
-        raise DomainError(
+    target_nm = screen(
+        target_nm, target_nm > intermediate.nm, DomainError.code,
+        lambda: DomainError(
             f"target ({target_nm} nm) must be longer than the step-2 input "
             f"({intermediate.nm} nm)"
-        )
-    pump = Wavelength(1.0 / (1.0 / intermediate.nm - 1.0 / target.nm))
-    process = ProcessSpec.dfg(intermediate, pump, step2)
-    return phase_mismatch(process, temp_C=temp_C)
+        ),
+    )
+    pump_nm = 1.0 / (1.0 / intermediate.nm - 1.0 / target_nm)
+    return delta_k(ProcessKind.DFG, intermediate.nm, pump_nm, temp_C, step2)
 
 
 def tuning_curve(
@@ -447,31 +385,28 @@ def tuning_curve(
     Section-1 conditions stay at the operating point, so the step-2 input
     is the fixed intermediate wavelength; per offset the root of
     :func:`step2_target_mismatch` over the target wavelength is solved
-    inside the filter window (the pump implied per candidate target).
-    When no root exists the point is marked missing (NaN).  ``transfer``
-    is the step-2 transfer of the unmoved operating chain at the shifted
-    temperature, i.e. the efficiency penalty of detuning without
-    retuning.
+    inside the filter window (the pump implied per candidate target), all
+    offsets in one array solve.  When no root exists the point is marked
+    missing (NaN).  ``transfer`` is the step-2 transfer of the unmoved
+    operating chain at the shifted temperature, i.e. the efficiency
+    penalty of detuning without retuning.
     """
     mid = dfg_target(signal, pump)
     chain = ProcessSpec.dfg(mid, pump, step2)
-    out: list[TuningPoint] = []
-    for dT in dT_values:
-        temp2 = step2.temperature_C + float(dT)
-
-        def mismatch_at(target_nm: float, _t=temp2) -> float:
-            return step2_target_mismatch(step2, mid, target_nm, _t)
-
-        bracket = _scan_for_bracket(mismatch_at, window_nm[0], window_nm[1], scan_points)
-        if bracket is None:
-            target_nm = math.nan
-        elif bracket[0] == bracket[1]:
-            target_nm = bracket[0]
-        else:
-            target_nm = _bisect_root(mismatch_at, *bracket)
-        transfer = qpm_transfer(phase_mismatch(chain, temp_C=temp2), step2.length_mm)
-        out.append(TuningPoint(dT_C=float(dT), target_nm=target_nm, transfer=transfer))
-    return out
+    offsets = [float(dT) for dT in dT_values]
+    temps = step2.temperature_C + np.asarray(offsets, dtype=float)
+    targets = _first_roots(
+        lambda target_nm: step2_target_mismatch(step2, mid, target_nm, temps[:, None]),
+        np.linspace(window_nm[0], window_nm[1], scan_points),
+    )
+    return [
+        TuningPoint(
+            dT_C=dT,
+            target_nm=float(target_nm),
+            transfer=qpm_transfer(phase_mismatch(chain, temp_C=float(temp2)), step2.length_mm),
+        )
+        for dT, temp2, target_nm in zip(offsets, temps, targets)
+    ]
 
 
 def degenerate_operating_point(
@@ -480,7 +415,7 @@ def degenerate_operating_point(
     signal: Wavelength,
     t_window: tuple[float, float],
     pump_window: tuple[float, float] = PUMP_WINDOW_NM,
-    grid: int = 41,
+    grid: int = 81,
     zoom_levels: int = 4,
 ) -> tuple[float, float, float, float]:
     """Common (T, pump) where both steps convert simultaneously.

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError
+from .errors import DomainError, screen
 
 # Vacuum speed of light expressed in nm * THz (exact, by definition of the meter).
 C_NM_THZ = 299_792.458
@@ -82,26 +82,39 @@ def frequency_to_wavelength(freq: Frequency) -> Wavelength:
     return Wavelength(C_NM_THZ / freq.thz)
 
 
-def dfg_target(lam_signal: Wavelength, lam_pump: Wavelength) -> Wavelength:
-    """Target wavelength of difference frequency generation.
+def output_nm(kind: ProcessKind, lam_in, lam_pump):
+    """Energy-conserving output wavelength (nm) of a process; elementwise.
 
-    1/lam_target = 1/lam_signal - 1/lam_pump.  Requires the pump photon
-    energy to lie below the signal photon energy (lam_pump > lam_signal);
-    otherwise no difference frequency exists.
+    DFG needs lam_pump > lam_in (the signal); SFG sums its two inputs;
+    SHG needs them equal.  See :func:`qpmcascade.errors.screen`.
     """
-    if lam_pump.nm <= lam_signal.nm:
-        raise DomainError(
-            "DFG requires lam_pump > lam_signal, got "
-            f"signal {lam_signal.nm} nm, pump {lam_pump.nm} nm"
+    if kind is ProcessKind.DFG:
+        lam_pump = screen(
+            lam_pump, lam_pump > lam_in, DomainError.code,
+            lambda: DomainError(
+                f"DFG requires lam_pump > lam_signal, got signal {lam_in} nm, pump {lam_pump} nm"
+            ),
         )
-    inv = 1.0 / lam_signal.nm - 1.0 / lam_pump.nm
-    return Wavelength(1.0 / inv)
+        return 1.0 / (1.0 / lam_in - 1.0 / lam_pump)
+    if kind is ProcessKind.SHG:
+        lam_pump = screen(
+            lam_pump, lam_pump == lam_in, DomainError.code,
+            lambda: DomainError(f"SHG inputs must be degenerate, got {lam_in} nm and {lam_pump} nm"),
+        )
+    elif kind is not ProcessKind.SFG:
+        raise DomainError(f"unknown process kind {kind!r}")
+    return 1.0 / (1.0 / lam_in + 1.0 / lam_pump)
+
+
+def dfg_target(lam_signal: Wavelength, lam_pump: Wavelength) -> Wavelength:
+    """Target wavelength of difference frequency generation; requires
+    lam_pump > lam_signal, otherwise no difference frequency exists."""
+    return Wavelength(output_nm(ProcessKind.DFG, lam_signal.nm, lam_pump.nm))
 
 
 def sfg_output(lam_a: Wavelength, lam_b: Wavelength) -> Wavelength:
     """Output wavelength of sum frequency generation, symmetric in its inputs."""
-    inv = 1.0 / lam_a.nm + 1.0 / lam_b.nm
-    return Wavelength(1.0 / inv)
+    return Wavelength(output_nm(ProcessKind.SFG, lam_a.nm, lam_b.nm))
 
 
 def shg_output(lam: Wavelength) -> Wavelength:
@@ -110,22 +123,9 @@ def shg_output(lam: Wavelength) -> Wavelength:
 
 
 def process_output(kind: ProcessKind, lam_in: Wavelength, lam_pump: Wavelength) -> Wavelength:
-    """Energy-conserving output wavelength for a process of the given kind.
-
-    For DFG, ``lam_in`` is the signal and ``lam_pump`` the pump.  For SFG the
-    two arguments are the two summed inputs.  For SHG both must be equal.
-    """
-    if kind is ProcessKind.DFG:
-        return dfg_target(lam_in, lam_pump)
-    if kind is ProcessKind.SFG:
-        return sfg_output(lam_in, lam_pump)
-    if kind is ProcessKind.SHG:
-        if lam_in.nm != lam_pump.nm:
-            raise DomainError(
-                f"SHG inputs must be degenerate, got {lam_in.nm} nm and {lam_pump.nm} nm"
-            )
-        return shg_output(lam_in)
-    raise DomainError(f"unknown process kind {kind!r}")
+    """Energy-conserving output wavelength for a process of the given kind
+    (see :func:`output_nm`)."""
+    return Wavelength(output_nm(kind, lam_in.nm, lam_pump.nm))
 
 
 def energy_residual(

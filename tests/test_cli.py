@@ -61,13 +61,19 @@ class TestMapCommand:
         text_b = second.read_text().replace(str(second), "OUT")
         assert strip_timestamp(text_a) == strip_timestamp(text_b)
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        serial = tmp_path / "serial.csv"
-        pooled = tmp_path / "pooled.csv"
-        base = ["map", "--device", DEVICE, "--t", "55:65:6", "--pump", "2150:2156:7"]
-        main(base + ["--threads", "1", "-o", str(serial)])
-        main(base + ["--threads", "4", "-o", str(pooled)])
-        assert read_csv_rows(serial) == read_csv_rows(pooled)
+
+    def test_masked_cells_line(self, tmp_path):
+        out = tmp_path / "map.csv"
+        assert main(["map", "--device", DEVICE, "--t", "240:260:3", "--pump", "2150:2156:4",
+                     "-o", str(out)]) == 0
+        lines = [l for l in out.read_text().splitlines() if l.startswith("# masked_cells=")]
+        assert len(lines) == 1
+        counts = json.loads(lines[0].removeprefix("# masked_cells="))
+        # the 260 C row is beyond the material's 250 C limit, in both steps
+        assert counts == {
+            "step1": {"lithium_niobate_e temperature_C": 4},
+            "step2": {"lithium_niobate_e temperature_C": 4},
+        }
 
 
 class TestTuneCommand:

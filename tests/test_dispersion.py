@@ -16,7 +16,7 @@ from qpmcascade.dispersion import (
     save_material,
     sellmeier_index,
 )
-from qpmcascade.errors import CapabilityError, MaterialFileError, RangeError
+from qpmcascade.errors import CapabilityError, MaterialFileError, NumericError, RangeError, masked_cells
 from qpmcascade.spectral import Wavelength
 
 
@@ -87,6 +87,49 @@ class TestSellmeierIndex:
             )
             values.append(sellmeier_index(model, Wavelength(1500.0), 25.0))
         assert values[0] < values[1] < values[2]
+
+
+class TestArrayEvaluation:
+    def test_elements_equal_scalar_calls(self, lithium_niobate):
+        lam = np.linspace(500.0, 4000.0, 7)[None, :]
+        temps = np.array([20.0, 59.26, 250.0])[:, None]
+        grid = sellmeier_index(lithium_niobate, lam, temps)
+        assert grid.shape == (3, 7)
+        for i, temp in enumerate(temps[:, 0]):
+            for j, lam_nm in enumerate(lam[0]):
+                assert grid[i, j] == sellmeier_index(lithium_niobate, Wavelength(lam_nm), temp)
+
+    def test_out_of_range_elements_masked_and_recorded(self, lithium_niobate):
+        lam = np.array([1064.0, 9000.0, 1064.0])
+        temps = np.array([25.0, 25.0, 300.0])
+        with masked_cells() as log:
+            n = sellmeier_index(lithium_niobate, lam, temps)
+        assert np.isfinite(n[0]) and np.isnan(n[1]) and np.isnan(n[2])
+        assert [(reason, mask.tolist()) for reason, mask in log] == [
+            ("lithium_niobate_e wavelength_um", [False, True, False]),
+            ("lithium_niobate_e temperature_C", [False, False, True]),
+        ]
+
+    def test_scalar_temperature_masks_a_whole_array_call(self, lithium_niobate):
+        n = sellmeier_index(lithium_niobate, np.array([1064.0, 1550.0]), 300.0)
+        assert np.all(np.isnan(n))
+
+    def test_broken_table_raises_on_both_paths(self):
+        model = SellmeierModel(
+            name="broken", polarization="none", temperature_form="constant",
+            coefficients={"n2": 25.0}, wavelength_range_um=(0.5, 5.0),
+            temperature_range_C=(0.0, 100.0),
+        )
+        with pytest.raises(NumericError):
+            sellmeier_index(model, Wavelength(1500.0), 25.0)
+        with pytest.raises(NumericError):
+            sellmeier_index(model, np.array([1500.0, 9000.0]), 25.0)
+
+    def test_providers_take_arrays(self, lithium_niobate):
+        lam = np.array([1064.0, 1550.0])
+        bulk = BulkIndexProvider(lithium_niobate).effective_index(lam, 25.0)
+        offset = OffsetIndexProvider(lithium_niobate, 0.01).effective_index(lam, 25.0)
+        assert np.array_equal(offset, bulk + 0.01)
 
 
 class TestDerivatives:

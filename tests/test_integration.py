@@ -2,10 +2,15 @@
 window convergence checking, and the remaining CLI option surfaces."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qpmcascade
 from qpmcascade.cli import main
 from qpmcascade.device import device_from_dict, reference_device_path
 from qpmcascade.modesolver import window_convergence_check
@@ -50,17 +55,6 @@ def test_cli_lineshape_weights_and_planck(tmp_path):
     assert not np.allclose(flat[:, 1], planck[:, 1])
 
 
-def test_cli_threads_env_variable(tmp_path, monkeypatch):
-    out = tmp_path / "map.csv"
-    monkeypatch.setenv("QPMCASCADE_THREADS", "2")
-    assert main(["map", "--device", DEVICE, "--t", "58:60:3",
-                 "--pump", "2151:2154:4", "-o", str(out)]) == 0
-    monkeypatch.setenv("QPMCASCADE_THREADS", "banana")
-    code = main(["map", "--device", DEVICE, "--t", "58:60:3",
-                 "--pump", "2151:2154:4", "-o", str(out)])
-    assert code == 3
-
-
 def test_cli_fit_with_explicit_initial(tmp_path):
     from qpmcascade.fitting import registry_model
 
@@ -82,3 +76,17 @@ def test_cli_fit_with_explicit_initial(tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["parameters"]["center"] == pytest.approx(2152.9, abs=1e-6)
+
+
+def test_import_defers_scipy():
+    """Only eigen-solves need scipy.sparse; nothing needs scipy.optimize."""
+    src = str(Path(qpmcascade.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys, qpmcascade; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.optimize'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

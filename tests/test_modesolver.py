@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from types import SimpleNamespace
+
+from qpmcascade import modesolver
 from qpmcascade.dispersion import sellmeier_index
-from qpmcascade.errors import CapabilityError, DomainError
+from qpmcascade.errors import CapabilityError, DomainError, masked_cells
 from qpmcascade.modesolver import (
     ModeShortfallWarning,
     ModeSolverIndexProvider,
@@ -13,7 +16,8 @@ from qpmcascade.modesolver import (
     marcatili_index,
     solve_modes,
 )
-from qpmcascade.spectral import Wavelength
+from qpmcascade.qpm import SectionSpec, phasematch_map
+from qpmcascade.spectral import Wavelength, dfg_target
 
 LAM = Wavelength(1561.62)
 TEMP = 59.26
@@ -214,6 +218,55 @@ class TestModeSolverProvider:
         provider = ModeSolverIndexProvider(slab_geometry)
         with pytest.raises(CapabilityError):
             provider.effective_index(LAM, TEMP, mode=9)
+
+
+    def test_map_solves_once_per_distinct_key(self, default_geometry, fake_solves):
+        step1, step2 = (
+            SectionSpec(role, 20.0, period, TEMP, ModeSolverIndexProvider(default_geometry))
+            for role, period in (("step1", 12.9), ("step2", 31.8))
+        )
+        signal, temps, pumps = Wavelength(637.2), [55.0, 60.0], [2150.0, 2155.0]
+        pm = phasematch_map(step1, step2, signal, temps, pumps)
+        assert np.all(np.isfinite(pm.step1)) and np.all(np.isfinite(pm.step2))
+        keys1, keys2 = set(), set()
+        for temp in temps:
+            for pump_nm in pumps:
+                pump = Wavelength(pump_nm)
+                mid = dfg_target(signal, pump)
+                keys1 |= {(lam.nm, temp) for lam in (signal, mid, pump)}
+                keys2 |= {(lam.nm, temp) for lam in (mid, dfg_target(mid, pump), pump)}
+        assert len(fake_solves) == len(keys1) + len(keys2) == 22
+        # Scalar queries of the same chain find the map's cache entries.
+        for section, keys in ((step1, keys1), (step2, keys2)):
+            for lam_nm, temp in keys:
+                section.index_provider.effective_index(Wavelength(lam_nm), temp)
+        assert len(fake_solves) == 22
+
+    def test_array_query_masks_what_a_scalar_query_raises(self, default_geometry, fake_solves):
+        provider = ModeSolverIndexProvider(default_geometry, default_mode=2)
+        with pytest.raises(CapabilityError):
+            provider.effective_index(LAM, TEMP)
+        with masked_cells() as log:
+            row = provider.effective_index(np.array([LAM.nm]), np.array([TEMP, 300.0]))
+        assert np.all(np.isnan(row))
+        assert [(reason, mask.tolist()) for reason, mask in log] == [
+            ("capability_error", [True, False]),
+            ("lithium_niobate_e temperature_C", [False, True]),
+        ]
+
+
+@pytest.fixture
+def fake_solves(lithium_niobate, monkeypatch):
+    """Replace eigen-solves by a one-mode stub; yields the (nm, T) solved."""
+    solved = []
+
+    def fake_solve(geometry, lam, temp_C, count=1):
+        n_eff = sellmeier_index(lithium_niobate, lam, temp_C) - 0.01
+        solved.append((lam.nm, temp_C))
+        return [SimpleNamespace(mode_index=1, n_eff=n_eff)]
+
+    monkeypatch.setattr(modesolver, "solve_modes", fake_solve)
+    return solved
 
 
 def test_field_dump_shape(default_geometry):

@@ -170,6 +170,16 @@ class TestThermalSfg:
         driver = 1.0 / (1.0 / output - 1.0 / PUMP.nm)
         assert 4500.0 < driver < 6500.0
 
+    def test_solved_output_is_a_root(self, solved_sections):
+        _, step2 = solved_sections
+        for temp in (step2.temperature_C, step2.temperature_C + 7.5):
+            output = solve_thermal_sfg_output(step2, PUMP, WINDOW, temp_C=temp)
+            assert abs(thermal_sfg_mismatch(step2, PUMP, output, temp)) < 1e-9
+
+    def test_out_of_range_temperature_has_no_line(self, solved_sections):
+        _, step2 = solved_sections
+        assert solve_thermal_sfg_output(step2, PUMP, WINDOW, temp_C=300.0) is None
+
     def test_separation_constant_under_pump_detuning(self, solved_sections):
         _, step2 = solved_sections
         base = solve_thermal_sfg_output(step2, PUMP, (1480.0, 1650.0))

@@ -2,19 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpmcascade.dispersion import BulkIndexProvider
-from qpmcascade.errors import DesignError, DomainError, NoSolutionError
+from qpmcascade.errors import DesignError, DomainError, NoSolutionError, RangeError
 from qpmcascade.qpm import (
     ProcessSpec,
     SectionSpec,
     degenerate_operating_point,
+    delta_k,
     phase_mismatch,
     phasematch_map,
     qpm_transfer,
     section_with_solved_period,
     solve_phasematched_pump,
     solve_poling_period,
+    step2_target_mismatch,
     tuning_curve,
 )
 from qpmcascade.spectral import ProcessKind, Wavelength, dfg_target
@@ -200,14 +204,34 @@ class TestPhasematchMap:
         assert not np.isnan(pm.step1[0, 0])
         assert np.isnan(pm.step1[1, 0]) and np.isnan(pm.step2[1, 0])
 
-    def test_worker_pool_matches_serial(self, solved_sections):
+    def test_masked_cells_counted_by_violated_quantity(self, solved_sections):
         step1, step2 = solved_sections
-        temps = np.linspace(55.0, 65.0, 7)
-        pumps = np.linspace(2145.0, 2160.0, 9)
-        serial = phasematch_map(step1, step2, SIGNAL, temps, pumps, workers=1)
-        pooled = phasematch_map(step1, step2, SIGNAL, temps, pumps, workers=4)
-        assert np.array_equal(serial.step1, pooled.step1)
-        assert np.array_equal(serial.step2, pooled.step2)
+        pm = phasematch_map(step1, step2, SIGNAL, [59.26, 300.0], [1000.0, 2152.9])
+        # pump 1000 nm is shorter than the step-2 input, a DFG domain error
+        assert pm.masked == {
+            "step1": {"lithium_niobate_e temperature_C": 2},
+            "step2": {"domain_error": 2, "lithium_niobate_e temperature_C": 1},
+        }
+
+    def test_provider_calls_do_not_grow_with_the_grid(self, solved_sections, monkeypatch):
+        step1, step2 = solved_sections
+        provider = step1.index_provider
+        calls = []
+        original = provider.effective_index
+
+        def counting(lam, temp_C, mode=1):
+            calls.append(1)
+            return original(lam, temp_C, mode)
+
+        monkeypatch.setattr(provider, "effective_index", counting)
+        counts = []
+        for n_t, n_p in ((3, 3), (61, 101)):
+            calls.clear()
+            phasematch_map(
+                step1, step2, SIGNAL, np.linspace(40.0, 100.0, n_t), np.linspace(2100.0, 2200.0, n_p)
+            )
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == 6
 
     def test_degenerate_temperature_exists(self, solved_sections):
         step1, step2 = solved_sections
@@ -243,3 +267,66 @@ class TestTuningCurve:
             step1, step2, SIGNAL, PUMP, [0.0], window_nm=(1480.0, 1500.0)
         )[0]
         assert math.isnan(point.target_nm)
+
+
+    def test_tuned_targets_are_roots(self, solved_sections):
+        step1, step2 = solved_sections
+        mid = dfg_target(SIGNAL, PUMP)
+        for point in tuning_curve(step1, step2, SIGNAL, PUMP, np.linspace(-6.0, 5.0, 12)):
+            temp = step2.temperature_C + point.dT_C
+            assert abs(step2_target_mismatch(step2, mid, point.target_nm, temp)) < 1e-9
+
+
+def test_degenerate_search_reaches_both_steps(reference_device):
+    """Seeded T0 +- 15..25 C windows over the default pump window."""
+    dev = reference_device
+    t0 = dev.step1.temperature_C
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        window = (t0 - rng.uniform(15.0, 25.0), t0 + rng.uniform(15.0, 25.0))
+        temp, pump_nm, t1, t2 = degenerate_operating_point(dev.step1, dev.step2, dev.signal, window)
+        assert t1 > 0.99 and t2 > 0.99
+        assert window[0] <= temp <= window[1]
+
+
+def _scalar_cell(section, lam_in, pump, temp):
+    """The transfer of one cell by the scalar path, or the error it raises."""
+    try:
+        process = ProcessSpec.dfg(lam_in(), pump, section)
+        return qpm_transfer(phase_mismatch(process, temp_C=temp), section.length_mm)
+    except DomainError as exc:
+        return exc.quantity if isinstance(exc, RangeError) else exc.code
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    temps=st.lists(st.floats(-50.0, 320.0), min_size=1, max_size=4),
+    pumps=st.lists(st.floats(400.0, 3000.0), min_size=1, max_size=4),
+)
+def test_map_cells_are_scalar_cells(solved_sections, temps, pumps):
+    """Every cell equals the scalar recomputation exactly, is NaN exactly
+    where the scalar path raises, and is counted under the error raised."""
+    step1, step2 = solved_sections
+    pm = phasematch_map(step1, step2, SIGNAL, temps, pumps)
+    for step, matrix, section in (("step1", pm.step1, step1), ("step2", pm.step2, step2)):
+        reasons: dict[str, int] = {}
+        for i, temp in enumerate(temps):
+            for j, pump_nm in enumerate(pumps):
+                pump = Wavelength(pump_nm)
+                lam_in = (lambda: SIGNAL) if step == "step1" else (lambda: dfg_target(SIGNAL, pump))
+                expect = _scalar_cell(section, lam_in, pump, temp)
+                if isinstance(expect, str):
+                    assert math.isnan(matrix[i, j])
+                    reasons[expect] = reasons.get(expect, 0) + 1
+                else:
+                    assert matrix[i, j] == expect
+        assert pm.masked[step] == reasons
+
+
+def test_scalar_delta_k_raises_where_array_masks(solved_sections):
+    step1, _ = solved_sections
+    with pytest.raises(RangeError):
+        delta_k(ProcessKind.DFG, SIGNAL.nm, PUMP.nm, 300.0, step1)
+    row = delta_k(ProcessKind.DFG, SIGNAL.nm, PUMP.nm, np.array([59.26, 300.0]), step1)
+    assert row[0] == delta_k(ProcessKind.DFG, SIGNAL.nm, PUMP.nm, 59.26, step1)
+    assert math.isnan(row[1])
