@@ -58,6 +58,7 @@ from .noisemodel import (
     planck_weight,
     solve_thermal_sfg_output,
     thermal_sfg_lineshape,
+    weighted_sinc2_sum,
 )
 from .qpm import (
     PhaseMatchMap,

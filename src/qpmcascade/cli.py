@@ -44,6 +44,7 @@ from .fitting import auto_initial, fit, goodness, registry_model
 from .modesolver import ModeShortfallWarning, field_to_csv_rows, solve_modes
 from .noisemodel import (
     enumerate_parasitics,
+    grid_mismatch,
     lineshape_analytic,
     thermal_sfg_lineshape,
     thermal_sfg_mismatch,
@@ -199,10 +200,9 @@ def _cmd_lineshape(args, argv) -> int:
     weights = tuple(args.weights) if args.weights else (1.0,)
     if args.analytic:
         grid = np.asarray(args.grid)
-        rows = []
-        for lam in grid:
-            dk = thermal_sfg_mismatch(device.step2, device.pump, float(lam))
-            rows.append(f"{float(lam)!r},{lineshape_analytic(dk, device.step2.length_mm)!r}")
+        dk = grid_mismatch(lambda lam: thermal_sfg_mismatch(device.step2, device.pump, lam), grid)
+        shape = lineshape_analytic(dk, device.step2.length_mm)
+        rows = [f"{lam!r},{value!r}" for lam, value in zip(grid.tolist(), shape.tolist())]
         _write_csv(
             args.output,
             "wavelength_nm,intensity",
@@ -248,6 +248,11 @@ def _cmd_fit(args, argv) -> int:
         raise DomainError("fit expects a CSV data file")
     x, y = data.wavelength_nm, data.intensity
     if args.initial:
+        missing = [name for name in model.parameter_names if name not in args.initial]
+        if missing:
+            raise DomainError(
+                f"--initial omits parameter(s) {', '.join(missing)} of model {model.name!r}"
+            )
         initial = [args.initial[name] for name in model.parameter_names]
     else:
         initial = auto_initial(model, x, y)

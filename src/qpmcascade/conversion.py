@@ -249,8 +249,12 @@ class Spectrum:
             parts = line.split(",")
             if len(parts) != 2:
                 raise DomainError(f"bad spectrum row: {raw!r}")
-            lams.append(float(parts[0]))
-            vals.append(float(parts[1]))
+            try:
+                lam, val = float(parts[0]), float(parts[1])
+            except ValueError:
+                raise DomainError(f"bad number in spectrum row: {raw!r}") from None
+            lams.append(lam)
+            vals.append(val)
         return cls(wavelength_nm=np.array(lams), intensity=np.array(vals))
 
 

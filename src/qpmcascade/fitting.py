@@ -9,6 +9,11 @@ the relative residual decrease stays below 1e-10 for three consecutive
 iterations or the parameter step norm drops below 1e-12.  Everything is
 plain double-precision arithmetic in a fixed order, so identical inputs
 give bitwise-identical results.
+
+Every model evaluates a batch of parameter vectors in one call: with
+``params`` of shape (n_par, M, 1) and ``x`` of shape (N,), ``evaluate``
+returns the (M, N) curves.  :func:`auto_initial` scores its whole lattice
+through such calls; :func:`fit` evaluates one vector at a time.
 """
 
 from __future__ import annotations
@@ -20,20 +25,26 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, RankDeficiencyError
+from .noisemodel import lineshape_analytic, weighted_sinc2_sum
 
 _REL_STEP = 1e-6
 _STALL_LIMIT = 3
 _REL_DECREASE = 1e-10
 _STEP_NORM = 1e-12
+# Most (lattice point, sample) pairs auto_initial scores in one evaluate call.
+_LATTICE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
 class FitModel:
     """A named parametric curve y = evaluate(params, x).
 
-    ``bounds`` is one (low, high) pair per parameter; ``constants`` holds
-    fixed non-fitted values the evaluate closure was built with (kept for
-    reporting).
+    ``evaluate`` takes ``params`` of shape (n_par,) and returns one curve
+    over ``x``; given a batch of shape (n_par, M, 1) it returns the
+    (M, x.size) curves, which a closure that unpacks ``params`` and uses
+    numpy broadcasting does without extra code.  ``bounds`` is one
+    (low, high) pair per parameter; ``constants`` holds fixed non-fitted
+    values the evaluate closure was built with (kept for reporting).
     """
 
     name: str
@@ -232,26 +243,6 @@ def _sinc2(arg: np.ndarray) -> np.ndarray:
     return np.sinc(arg / math.pi) ** 2
 
 
-def _analytic_shape(dk_l: np.ndarray) -> np.ndarray:
-    """(1 - sinc(x))/x^2 scaled so the x -> 0 value is 1 (peak-normalized)."""
-    x = np.asarray(dk_l, dtype=float)
-    small = np.abs(x) < 1e-4
-    x_safe = np.where(small, 1.0, x)
-    series = 1.0 - x * x / 20.0
-    exact = 6.0 * (1.0 - np.sinc(x_safe / math.pi)) / (x_safe * x_safe)
-    return np.where(small, series, exact)
-
-
-def _weighted_sum(dk: np.ndarray, length: float, a: Sequence[float], panels: int = 1024) -> np.ndarray:
-    dz = length / panels
-    z = (np.arange(panels) + 0.5) * dz
-    weight = np.zeros_like(z)
-    for i, coeff in enumerate(a):
-        weight += coeff * z ** i
-    kernel = _sinc2(0.5 * np.outer(dk, length - z))
-    return kernel @ weight * dz
-
-
 def model_registry(length_mm: float = 20.0) -> list[FitModel]:
     """The built-in model families.
 
@@ -271,11 +262,12 @@ def model_registry(length_mm: float = 20.0) -> list[FitModel]:
 
     def lineshape_eq1(params, x):
         amplitude, center, length, offset = params
-        return amplitude * _analytic_shape((x - center) * length) + offset
+        # the analytic line normalised to its dk -> 0 peak L^2/3
+        return amplitude * (3.0 * lineshape_analytic(x - center, length) / (length * length)) + offset
 
     def lineshape_eq2(params, x):
         a0, a1, a2, center, length, offset = params
-        return _weighted_sum(x - center, length, (a0, a1, a2)) + offset
+        return weighted_sinc2_sum(x - center, length, (a0, a1, a2)) + offset
 
     def two_mode_sinc2(params, x):
         amp1, center1, amp2, center2, eff_len, offset = params
@@ -346,7 +338,9 @@ def auto_initial(model: FitModel, x: Sequence[float], y: Sequence[float]) -> np.
     Heuristics fill amplitude/offset-like parameters from the data; the
     remaining (most nonlinear) parameters, at most three, are scanned on a
     16-level lattice inside their effective bounds and the lowest-SSE
-    lattice point wins.
+    lattice point wins (the first one on a tie; the guesses if no point
+    scores finite).  The lattice is evaluated in batched ``evaluate``
+    calls of at most 2^15 lattice-point samples each.
     """
     x = np.asarray(list(x), dtype=float)
     y = np.asarray(list(y), dtype=float)
@@ -381,17 +375,17 @@ def auto_initial(model: FitModel, x: Sequence[float], y: Sequence[float]) -> np.
     params = np.array(guesses)
     if not lattice_axes:
         return params
-    best = params.copy()
-    best_sse = math.inf
     grids = np.meshgrid(*[axis for _, axis in lattice_axes], indexing="ij")
-    flat = [g.ravel() for g in grids]
-    for point in zip(*flat):
-        trial = params.copy()
-        for (idx, _), value in zip(lattice_axes, point):
-            trial[idx] = value
-        resid = y - model.evaluate(trial, x)
-        sse = float(resid @ resid)
-        if sse < best_sse:
-            best_sse = sse
-            best = trial
-    return best
+    trials = np.repeat(params[:, None], grids[0].size, axis=1)
+    for (idx, _), grid in zip(lattice_axes, grids):
+        trials[idx] = grid.ravel()
+    sse = np.empty(trials.shape[1])
+    block = max(1, _LATTICE_BLOCK // x.size)
+    for lo in range(0, sse.size, block):
+        resid = y - model.evaluate(trials[:, lo : lo + block, None], x)
+        sse[lo : lo + block] = np.einsum("ij,ij->i", resid, resid)
+    scored = sse < math.inf
+    if not scored.any():
+        return params
+    # argmin keeps the first of equal minima, as a strict-< scan would
+    return trials[:, int(np.argmin(np.where(scored, sse, math.inf)))].copy()

@@ -11,10 +11,19 @@ total intensity is
 
 with a removable dk -> 0 singularity of value L^2/3 (handled by series).
 The weighted variant replaces the parabolic factor with a free position
-polynomial sum_i a_i z^i (same kernel), evaluated as a fixed-panel
+polynomial sum_j a_j z^j (same kernel), evaluated as a fixed-panel
 midpoint Riemann sum so that fits are reproducible.  With
 a = coefficients of (L-z)^2/L the weighted sum reproduces the analytic
 form up to discretization error.
+
+:func:`weighted_sinc2_sum` evaluates that midpoint rule without one sine
+per panel.  Panel m (counted from the output end) has L - z_m =
+(2m-1) L/(2P), so its sinc^2 angle is (2m-1) phi with phi = dk L/(4P).
+Writing m - 1 = q a + b with q = ceil(sqrt(P)) splits the angle into
+A_a + B_b, and sin^2(A+B) = sin^2 A cos^2 B + 2 sin A cos A sin B cos B
++ cos^2 A sin^2 B turns the sum for each polynomial degree into three
+bilinear forms against one fixed q x q matrix: 4q sines and cosines per
+sample instead of P.  It is the same sum, to rounding.
 
 Only the section owning the phase-matched grating generates thermal
 noise: upstream sections are excluded because the core material absorbs
@@ -23,6 +32,7 @@ the mid-infrared seed (``mid_ir_absorptive`` flag on the material).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -31,7 +41,7 @@ import numpy as np
 
 from . import spectral
 from .conversion import Spectrum
-from .errors import DomainError
+from .errors import DomainError, is_array
 from .qpm import SectionSpec, _first_roots, delta_k
 from .spectral import ProcessKind, Wavelength, sfg_output, shg_output
 
@@ -39,19 +49,85 @@ from .spectral import ProcessKind, Wavelength, sfg_output, shg_output
 C2_UM_K = 14387.7688
 
 
-def lineshape_analytic(delta_k_per_mm: float, length_mm: float) -> float:
+def lineshape_analytic(delta_k_per_mm, length_mm):
     """Distributed-source line shape (2/dk^2)(1 - sinc(dk L)), in mm^2.
 
+    Elementwise on arrays of dk and L; a scalar call returns a float.
     For |dk*L| < 1e-4 the removable singularity is evaluated by series:
     L^2/3 - dk^2 L^4/60 + dk^4 L^6/2520.
     """
-    if not length_mm > 0:
+    if not np.all(np.asarray(length_mm) > 0):
         raise DomainError("length must be positive")
-    x = delta_k_per_mm * length_mm
-    if abs(x) < 1e-4:
-        l2 = length_mm * length_mm
-        return l2 / 3.0 - (x * x) * l2 / 60.0 + (x ** 4) * l2 / 2520.0
-    return (2.0 / (delta_k_per_mm * delta_k_per_mm)) * (1.0 - math.sin(x) / x)
+    dk = np.asarray(delta_k_per_mm, dtype=float)
+    x = dk * length_mm
+    l2 = length_mm * length_mm
+    small = np.abs(x) < 1e-4
+    dk_safe = np.where(small, 1.0, dk)
+    exact = (2.0 / (dk_safe * dk_safe)) * (1.0 - np.sinc(np.where(small, 1.0, x) / math.pi))
+    series = l2 / 3.0 - (x * x) * l2 / 60.0 + (x**4) * l2 / 2520.0
+    shape = np.where(small, series, exact)
+    return shape if is_array(delta_k_per_mm) or is_array(length_mm) else float(shape)
+
+
+# Largest scratch array of one weighted_sinc2_sum block, in float64 elements (256 KB).
+_BLOCK_ELEMENTS = 1 << 15
+
+
+@functools.lru_cache(maxsize=16)
+def _panel_split(panels: int, degrees: tuple[int, ...]):
+    """Fixed factors of the panel-split midpoint sum (module docstring).
+
+    Returns q; the angle multipliers of A_a = 2qa phi and B_b = (2b+1) phi;
+    the q x (len(degrees) q) matrix [V_j for j in degrees] with
+    V_j[a, b] = (1 - u_m)^j / (2m-1)^2, u_m = (2m-1)/(2P), zero past
+    m = P; and the phi = 0 limits sum_m (1 - u_m)^j.
+    """
+    q = math.isqrt(panels - 1) + 1
+    odd = 2.0 * np.arange(1, q * q + 1) - 1.0
+    powers = (1.0 - odd / (2.0 * panels)) ** np.array(degrees, dtype=float)[:, None]
+    powers[:, panels:] = 0.0
+    forms = (powers / (odd * odd)).reshape(len(degrees), q, q).transpose(1, 0, 2).reshape(q, -1)
+    steps = np.concatenate([2.0 * q * np.arange(q), 2.0 * np.arange(q) + 1.0])
+    return q, steps, forms, powers.sum(axis=1)
+
+
+def weighted_sinc2_sum(dk, length, weights: Sequence, panels: int = 1024) -> np.ndarray:
+    """Midpoint sum  sum_k w(z_k) sinc^2(dk (L - z_k)/2) dz  over ``panels``
+    panels of dz = L/P, with w(z) = sum_j weights[j] z^j.
+
+    ``dk`` (rad/mm), ``length`` (mm) and every weight coefficient
+    broadcast; the result has their broadcast shape.  Evaluated by panel
+    splitting (module docstring) in blocks whose scratch arrays stay
+    within 256 KB each; degrees whose coefficients are all zero are
+    skipped.  At |phi| P < 1e-9 the sum takes its phi = 0 limit, which
+    every sinc^2 factor has reached to rounding.
+    """
+    if len(weights) == 0:
+        raise DomainError("need at least one weight coefficient")
+    parts = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (dk, length, *weights)))
+    shape = parts[0].shape
+    dk, length, *coeffs = (p.ravel() for p in parts)
+    degrees = tuple(j for j, a in enumerate(coeffs) if np.any(a != 0.0)) or (0,)
+    q, steps, forms, limits = _panel_split(panels, degrees)
+    out = np.empty(dk.size)
+    rows = max(1, _BLOCK_ELEMENTS // (3 * len(degrees) * q))
+    for lo in range(0, dk.size, rows):
+        block = slice(lo, lo + rows)
+        span = length[block]
+        phi = dk[block] * span / (4.0 * panels)
+        limit = np.abs(phi) * panels < 1e-9
+        phi = np.where(limit, 1.0, phi)
+        angle = phi[:, None] * steps
+        sin, cos = np.sin(angle), np.cos(angle)
+        sin_a, sin_b, cos_a, cos_b = sin[:, :q], sin[:, q:], cos[:, :q], cos[:, q:]
+        left = np.stack([sin_a * sin_a, 2.0 * sin_a * cos_a, cos_a * cos_a], axis=1)
+        right = np.stack([cos_b * cos_b, sin_b * cos_b, sin_b * sin_b], axis=1)
+        bilinear = (left.reshape(-1, q) @ forms).reshape(-1, 3, len(degrees), q)
+        sums = np.einsum("nfjb,nfb->nj", bilinear, right) / (phi * phi)[:, None]
+        sums[limit] = limits
+        total = sum(coeffs[j][block] * span**j * sums[:, i] for i, j in enumerate(degrees))
+        out[block] = total * span / panels
+    return out.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -59,11 +135,13 @@ class LineShapeParams:
     """Inputs of the weighted line-shape sum.
 
     ``weights`` are the coefficients a_0..a_n of the position polynomial;
-    ``delta_k_of_lam`` maps an output wavelength in nm to rad/mm.
+    ``delta_k_of_lam`` maps output wavelengths in nm to rad/mm, elementwise
+    on an array (and raising on a scalar it rejects, like
+    :func:`thermal_sfg_mismatch`).
     """
 
     length_mm: float
-    delta_k_of_lam: Callable[[float], float]
+    delta_k_of_lam: Callable
     weights: tuple[float, ...] = (1.0,)
     z_panels: int = 1024
 
@@ -81,42 +159,57 @@ def lineshape_weighted(params: LineShapeParams, lam_grid_nm: Sequence[float]) ->
     """Polynomial-weighted thermal line shape over a wavelength grid.
 
     I(lam) = sum_z w(z) sinc^2( dk(lam) (L-z)/2 ) dz  with
-    w(z) = sum_i a_i z^i, midpoint panels, numpy pairwise summation.
+    w(z) = sum_j a_j z^j over midpoint panels (:func:`weighted_sinc2_sum`).
+    ``delta_k_of_lam`` is called once on the whole grid
+    (:func:`grid_mismatch`).
     """
     lam = np.asarray(list(lam_grid_nm), dtype=float)
     if lam.size == 0:
         raise DomainError("wavelength grid is empty")
     if not np.all(np.diff(lam) > 0):
         raise DomainError("wavelength grid must be strictly increasing")
-    length = params.length_mm
-    dz = length / params.z_panels
-    z = (np.arange(params.z_panels) + 0.5) * dz
-    weight = np.zeros_like(z)
-    for i, a in enumerate(params.weights):
-        weight += a * z ** i
-    remaining = length - z
-    out = np.empty(lam.size)
-    for idx, lam_nm in enumerate(lam):
-        dk = params.delta_k_of_lam(float(lam_nm))
-        kernel = np.sinc(0.5 * dk * remaining / math.pi) ** 2
-        out[idx] = np.sum(weight * kernel) * dz
-    return Spectrum(wavelength_nm=lam, intensity=out)
+    dk = grid_mismatch(params.delta_k_of_lam, lam)
+    intensity = weighted_sinc2_sum(dk, params.length_mm, params.weights, params.z_panels)
+    return Spectrum(wavelength_nm=lam, intensity=intensity)
 
 
-def planck_weight(lam: Wavelength, temperature_K: float, band_center: Wavelength) -> float:
+def grid_mismatch(delta_k_of_lam: Callable, lam_nm: np.ndarray) -> np.ndarray:
+    """``delta_k_of_lam`` evaluated on a whole wavelength grid in one call.
+
+    Where the array call masks a sample (non-finite dk), the scalar call
+    at the first such sample raises what it rejects.
+    """
+    dk = np.broadcast_to(np.asarray(delta_k_of_lam(lam_nm), dtype=float), lam_nm.shape)
+    masked = np.flatnonzero(~np.isfinite(dk))
+    if masked.size:
+        delta_k_of_lam(float(lam_nm[masked[0]]))
+    return dk
+
+
+def planck_weight(lam, temperature_K: float, band_center: Wavelength):
     """Planck spectral radiance at ``lam`` normalized to 1 at ``band_center``.
 
-    B_lam ~ lam^-5 / (exp(c2/(lam T)) - 1).  The flat approximation
-    (weight identically 1) is the package default for thermal seeding;
-    Planck weighting is opt-in via ``thermal_sfg_lineshape``.
+    B_lam ~ lam^-5 / (exp(c2/(lam T)) - 1).  ``lam`` is a
+    :class:`Wavelength` (returns a float) or an array of wavelengths in nm
+    (returns an array).  The flat approximation (weight identically 1) is
+    the package default for thermal seeding; Planck weighting is opt-in
+    via ``thermal_sfg_lineshape``.
     """
     if not temperature_K > 0:
         raise DomainError("temperature must be positive kelvin")
 
-    def radiance(l_um: float) -> float:
-        return l_um ** -5 / math.expm1(C2_UM_K / (l_um * temperature_K))
+    def radiance(l_um):
+        with np.errstate(over="ignore"):  # exp overflow: radiance underflows to 0
+            return l_um**-5 / np.expm1(C2_UM_K / (l_um * temperature_K))
 
-    return radiance(lam.um) / radiance(band_center.um)
+    reference = radiance(band_center.um)
+    if not reference > 0:
+        raise DomainError(
+            f"Planck radiance at {band_center.nm} nm underflows at {temperature_K} K"
+        )
+    if isinstance(lam, Wavelength):
+        return float(radiance(lam.um) / reference)
+    return radiance(np.asarray(lam, dtype=float) * 1e-3) / reference
 
 
 def thermal_sfg_mismatch(section: SectionSpec, pump: Wavelength, output_nm, temp_C=None):
@@ -176,18 +269,9 @@ def thermal_sfg_lineshape(
     spec = lineshape_weighted(params, lam_grid_nm)
     if planck_temperature_K is None:
         return spec
-    center_nm = float(spec.wavelength_nm[spec.wavelength_nm.size // 2])
-    center_driver = Wavelength(1.0 / (1.0 / center_nm - 1.0 / pump.nm))
-    scale = np.array(
-        [
-            planck_weight(
-                Wavelength(1.0 / (1.0 / float(lam) - 1.0 / pump.nm)),
-                planck_temperature_K,
-                center_driver,
-            )
-            for lam in spec.wavelength_nm
-        ]
-    )
+    driver_nm = spectral.output_nm(ProcessKind.DFG, spec.wavelength_nm, pump.nm)
+    center_driver = Wavelength(driver_nm[driver_nm.size // 2])
+    scale = planck_weight(driver_nm, planck_temperature_K, center_driver)
     return Spectrum(wavelength_nm=spec.wavelength_nm, intensity=spec.intensity * scale)
 
 

@@ -216,6 +216,44 @@ class TestErrorHandling:
         assert "code=domain_error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_malformed_number_in_data_exits_three(self, tmp_path, capsys):
+        data = tmp_path / "scan.csv"
+        data.write_text("wavelength_nm,intensity\n2152.0,0.5\n2152.5,0.9x\n2153.0,0.4\n")
+        for argv in (
+            ["fit", "--model", "sinc2_scan", "--data", str(data)],
+            ["convert-spectrum", "--device", DEVICE, "--input", str(data)],
+        ):
+            out = tmp_path / "out"
+            assert main(argv + ["-o", str(out)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("code=domain_error, msg=")
+            assert "0.9x" in err
+            assert not out.exists()
+
+    def test_initial_missing_a_parameter_exits_three(self, tmp_path, capsys):
+        data = tmp_path / "eff.csv"
+        x = np.linspace(1e-3, 0.225, 20)
+        Spectrum(x, 0.9 * np.sin(np.sqrt(0.04 * x) * 20.0) ** 2).to_csv(data)
+        out = tmp_path / "fit.json"
+        code = main(["fit", "--model", "saturation", "--data", str(data),
+                     "--initial", "eta_max=0.9", "-o", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("code=domain_error, msg=")
+        assert "eta_nor" in err
+        assert not out.exists()
+
+    def test_lineshape_sample_outside_material_range_exits_three(self, tmp_path, capsys):
+        # near the 2152.9 nm pump the thermal driver lies beyond LiNbO3's 6.6 um
+        for extra in ([], ["--analytic"]):
+            out = tmp_path / "line.csv"
+            code = main(["lineshape", "--device", DEVICE, "--grid", "2100:2200:11", *extra,
+                         "-o", str(out)])
+            assert code == 3
+            err = capsys.readouterr().err
+            assert err.startswith("code=range_error, msg=lithium_niobate_e wavelength_um=85.46")
+            assert not out.exists()
+
     def test_failed_run_leaves_no_partial_artifact(self, tmp_path):
         target = tmp_path / "artifact.csv"
         code = main(["convert-spectrum", "--device", DEVICE,

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -159,6 +162,18 @@ class TestRegistry:
         y2 = eq2.evaluate(np.array([length, -2.0, 1.0 / length, 1550.0, length, 0.0]), x)
         assert np.max(np.abs(y2 - y1) / np.abs(y1)) < 1e-3
 
+    def test_lineshape_eq1_is_the_peak_normalised_analytic_line(self):
+        # reference: 6 (1 - sinc(u)) / u^2 with u = (x - center) L, series 1 - u^2/20
+        eq1 = registry_model("lineshape_eq1")
+        center, length = 1550.0, 18.5
+        x = np.concatenate([np.linspace(1548.0, 1552.0, 401), center + np.array([1e-7, 3e-6, 1e-3])])
+        u = (x - center) * length
+        small = np.abs(u) < 1e-4
+        safe = np.where(small, 1.0, u)
+        shape = np.where(small, 1.0 - u * u / 20.0, 6.0 * (1.0 - np.sinc(safe / math.pi)) / safe**2)
+        y = eq1.evaluate(np.array([2.5, center, length, 0.0]), x)
+        assert np.max(np.abs(y - 2.5 * shape) / (2.5 * shape)) < 1e-12
+
     def test_two_mode_with_zero_second_amplitude_is_sinc2_scan(self):
         scan = registry_model("sinc2_scan")
         two = registry_model("two_mode_sinc2")
@@ -238,3 +253,124 @@ def test_standard_errors_shrink_with_noise(sinc2_model=None):
         errors.append(result.standard_errors[1])
     assert errors[1] < errors[0]
     assert np.all(np.asarray(errors) >= 0.0)
+
+
+def noisy_model_data(name: str, seed: int):
+    """Seeded data for one registry model: typical parameters plus
+    Gaussian noise of 1 % of the clean curve's span."""
+    rng = np.random.default_rng([seed, 17])
+    u = rng.uniform
+    if name == "saturation":
+        x = np.linspace(0.0, 0.225, 101)
+        params = [u(0.85, 1.0), u(0.03, 0.05)]
+    elif name == "sinc2_scan":
+        c = 2152.9 + u(-0.2, 0.2)
+        x = np.linspace(c - 1.0, c + 1.0, 101)
+        params = [u(0.8, 1.2), c, u(18.0, 22.0), u(0.0, 0.05)]
+    elif name == "lineshape_eq1":
+        c = 1557.2 + u(-0.3, 0.3)
+        x = np.linspace(c - 2.0, c + 2.0, 101)
+        params = [u(100.0, 140.0), c, u(18.0, 22.0), u(0.0, 2.0)]
+    elif name == "two_mode_sinc2":
+        c = 2153.0 + u(-0.3, 0.3)
+        x = np.linspace(c - 3.0, c + 9.0, 101)
+        params = [u(0.9, 1.1), c, u(0.4, 0.6), c + 5.0 + u(-0.3, 0.3), u(14.0, 16.0), u(0.0, 0.02)]
+    else:
+        c = 1557.0 + u(-0.3, 0.3)
+        x = np.linspace(c - 6.0, c + 6.0, 51)
+        params = [u(0.8, 1.2), 0.0, 0.0, c, u(0.8, 1.2), 0.0]
+    clean = registry_model(name).evaluate(np.array(params), x)
+    return x, clean + rng.normal(0.0, 0.01 * float(np.ptp(clean)), x.size)
+
+
+def scalar_lattice_reference(model, x, y):
+    """auto_initial's guesses and lattice, scored one evaluate call per
+    lattice point and kept on a strict improvement."""
+    span = float(y.max() - y.min())
+    params, axes = [], []
+    for i, name in enumerate(model.parameter_names):
+        lo, hi = model.bounds[i]
+        if "amplitude" in name or name.startswith("a0"):
+            params.append(np.clip(span if span > 0 else 1.0, lo, hi))
+        elif name == "offset":
+            params.append(np.clip(float(y.min()), lo, hi))
+        elif name.startswith("a"):
+            params.append(np.clip(0.0, lo, hi))
+        elif name == "eta_max":
+            params.append(np.clip(max(float(y.max()), 1e-6), lo, hi))
+        else:
+            params.append(0.5 * (lo + hi))
+            if "center" in name:
+                axis = np.linspace(float(x.min()), float(x.max()), 16)
+            elif "length" in name:
+                axis = np.geomspace(0.1, 1e3, 16)
+            elif name == "eta_nor":
+                axis = np.geomspace(1e-5, 10.0, 16)
+            else:
+                axis = np.linspace(lo, hi, 16)
+            if len(axes) < 3:
+                axes.append((i, axis))
+    best, best_sse = np.array(params), math.inf
+    for point in zip(*(g.ravel() for g in np.meshgrid(*[a for _, a in axes], indexing="ij"))):
+        trial = np.array(params)
+        for (idx, _), value in zip(axes, point):
+            trial[idx] = value
+        resid = y - model.evaluate(trial, x)
+        sse = float(resid @ resid)
+        if sse < best_sse:
+            best, best_sse = trial, sse
+    return best
+
+
+class TestBatchedAutoInitial:
+    NAMES = ("saturation", "sinc2_scan", "lineshape_eq1", "two_mode_sinc2", "lineshape_eq2")
+
+    def test_lattice_pick_is_the_scalar_loop_pick(self):
+        for name in self.NAMES:
+            model = registry_model(name)
+            for seed in range(10):
+                x, y = noisy_model_data(name, 4000 + seed)
+                picked = auto_initial(model, x, y)
+                assert np.array_equal(picked, scalar_lattice_reference(model, x, y)), (name, seed)
+
+    def test_batched_evaluate_rows_are_single_evaluations(self):
+        for name in self.NAMES:
+            model = registry_model(name)
+            x, y = noisy_model_data(name, 77)
+            single = auto_initial(model, x, y)
+            batch = np.stack([single, single * 1.01], axis=1)
+            rows = model.evaluate(batch[:, :, None], x)
+            assert rows.shape == (2, x.size)
+            assert np.array_equal(rows[0], model.evaluate(single, x))
+            assert np.array_equal(rows[1], model.evaluate(single * 1.01, x))
+
+    def test_evaluate_call_counts(self):
+        # 16 levels per scanned parameter; a call scores up to 2^15
+        # (lattice point, sample) pairs, here 324 points of 101 samples
+        lattice = {"saturation": 16, "sinc2_scan": 256, "lineshape_eq1": 256,
+                   "two_mode_sinc2": 4096, "lineshape_eq2": 256}
+        expected = {"saturation": 1, "sinc2_scan": 1, "lineshape_eq1": 1,
+                    "two_mode_sinc2": 13, "lineshape_eq2": 1}
+        for name in self.NAMES:
+            model = registry_model(name)
+            calls = []
+
+            def counting(params, x, evaluate=model.evaluate):
+                calls.append(np.shape(params))
+                return evaluate(params, x)
+
+            x, y = noisy_model_data(name, 5)
+            auto_initial(replace(model, evaluate=counting), x, y)
+            assert len(calls) == expected[name], name
+            assert sum(shape[1] for shape in calls) == lattice[name]
+
+    def test_non_finite_lattice_keeps_the_guesses(self):
+        model = FitModel(
+            name="nowhere_finite",
+            parameter_names=("amplitude", "center"),
+            bounds=((0.0, 10.0), (0.0, 10.0)),
+            evaluate=lambda p, x: p[0] * np.full(np.broadcast(p[1], x).shape, np.nan),
+        )
+        x = np.linspace(1.0, 2.0, 5)
+        picked = auto_initial(model, x, x)
+        assert np.array_equal(picked, [1.0, 5.0])

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qpmcascade.errors import DomainError
+from qpmcascade.errors import DomainError, RangeError
 from qpmcascade.noisemodel import (
     LineShapeParams,
     ParasiticProcess,
@@ -14,12 +16,22 @@ from qpmcascade.noisemodel import (
     solve_thermal_sfg_output,
     thermal_sfg_lineshape,
     thermal_sfg_mismatch,
+    weighted_sinc2_sum,
 )
 from qpmcascade.spectral import C_NM_THZ, Wavelength
 
 LENGTH = 20.0
 PUMP = Wavelength(2152.9)
 WINDOW = (1480.0, 1620.0)
+
+
+def per_panel_oracle(dk, length, weights, panels):
+    """The midpoint sum taken directly, one np.sinc per panel."""
+    dz = length / panels
+    z = (np.arange(panels) + 0.5) * dz
+    weight = sum(a * z**j for j, a in enumerate(weights))
+    kernel = np.sinc(0.5 * np.outer(dk, length - z) / math.pi) ** 2
+    return kernel @ weight * dz
 
 
 def quadrature_oracle(delta_k: float, length: float, panels: int = 100_000) -> float:
@@ -44,6 +56,11 @@ class TestAnalyticLineShape:
         just_below = lineshape_analytic(0.99e-4 / LENGTH, LENGTH)
         just_above = lineshape_analytic(1.01e-4 / LENGTH, LENGTH)
         assert just_below == pytest.approx(just_above, rel=1e-7)
+
+    def test_array_call_is_the_scalar_call(self):
+        dk = np.array([0.0, 0.5e-4, -0.99e-4, 1.01e-4, 0.03, -0.4, 2.0]) / LENGTH
+        scalars = [lineshape_analytic(float(d), LENGTH) for d in dk]
+        assert np.array_equal(lineshape_analytic(dk, LENGTH), scalars)
 
     def test_broader_than_plain_sinc2(self):
         dk = np.linspace(-1.0, 1.0, 20001)
@@ -139,6 +156,43 @@ class TestWeightedLineShape:
             lineshape_weighted(params, [])
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    panels=st.sampled_from([256, 257, 1000, 1024]),
+    weights=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4),
+    length=st.floats(1e-3, 1e3),
+    dk_l=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=6),
+)
+def test_panel_split_kernel_is_the_per_panel_sum(panels, weights, length, dk_l):
+    """Within 1e-13 of the same sum taken with |a_j|, the scale of its
+    rounding, for |dk L| up to 300, exactly 0 and +-1e-300."""
+    dk = np.concatenate([np.array(dk_l) / length, [0.0, 1e-300, -1e-300]])
+    got = weighted_sinc2_sum(dk, length, weights, panels)
+    oracle = per_panel_oracle(dk, length, weights, panels)
+    scale = per_panel_oracle(dk, length, [abs(a) for a in weights], panels)
+    assert np.all(np.abs(got - oracle) <= 1e-13 * scale)
+
+
+class TestWeightedKernel:
+    def test_broadcasts_detuning_length_and_weights(self):
+        dk = np.linspace(-2.0, 2.0, 7)
+        lengths = np.array([[5.0], [20.0]])
+        weights = (np.array([[1.0], [0.5]]), 0.0, 0.01)
+        batch = weighted_sinc2_sum(dk, lengths, weights)
+        assert batch.shape == (2, 7)
+        for row, length, a0 in zip(batch, (5.0, 20.0), (1.0, 0.5)):
+            assert np.array_equal(row, weighted_sinc2_sum(dk, length, (a0, 0.0, 0.01)))
+
+    def test_zero_detuning_is_the_weight_integral(self):
+        # midpoint rule is exact for a linear weight: int_0^L (2 + 3z) dz
+        value = weighted_sinc2_sum(0.0, LENGTH, (2.0, 3.0))
+        assert value == pytest.approx(2.0 * LENGTH + 1.5 * LENGTH**2, rel=1e-14)
+
+    def test_nan_detuning_stays_nan(self):
+        out = weighted_sinc2_sum(np.array([np.nan, 0.1]), LENGTH, (1.0,))
+        assert np.isnan(out[0]) and np.isfinite(out[1])
+
+
 class TestPlanckWeight:
     def test_band_center_normalization(self):
         center = Wavelength(5325.0)
@@ -156,9 +210,20 @@ class TestPlanckWeight:
         radiance = lambda t: lam_um**-5 / math.expm1(c2 / (lam_um * t))
         assert radiance(342.0) > radiance(332.0)
 
+    def test_array_call_matches_scalar_calls(self):
+        center = Wavelength(5325.0)
+        lam = np.linspace(5250.0, 5400.0, 7)
+        scalars = [planck_weight(Wavelength(float(l)), 332.0, center) for l in lam]
+        assert np.allclose(planck_weight(lam, 332.0, center), scalars, rtol=1e-15, atol=0)
+
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(DomainError):
             planck_weight(Wavelength(5325.0), 0.0, Wavelength(5325.0))
+
+    def test_underflowing_band_center_rejected(self):
+        # c2 / (lam T) > 709: the radiance at the band center is 0
+        with pytest.raises(DomainError, match="underflows"):
+            planck_weight(np.array([5300.0, 5325.0]), 2.0, Wavelength(5325.0))
 
 
 class TestThermalSfg:
@@ -223,6 +288,22 @@ class TestThermalSfg:
         ratio = planck.intensity / flat.intensity
         assert not np.allclose(ratio, 1.0)
         assert np.all(np.abs(ratio - 1.0) < 0.2)
+
+    def test_rejected_sample_raises_the_scalar_error(self, solved_sections):
+        # one grid sample at or above the pump, or a temperature outside
+        # the material range, raises what the scalar mismatch raises there
+        _, step2 = solved_sections
+        cases = [
+            (DomainError, np.array([1550.0, 1560.0, PUMP.nm, 2200.0]), None, PUMP.nm),
+            (RangeError, np.linspace(1550.0, 1565.0, 5), 300.0, 1550.0),
+        ]
+        for error, grid, temp, first_bad in cases:
+            with pytest.raises(error) as scalar:
+                thermal_sfg_mismatch(step2, PUMP, first_bad, temp)
+            with pytest.raises(error) as grid_call:
+                thermal_sfg_lineshape(step2, PUMP, grid, temp_C=temp)
+            assert type(grid_call.value) is type(scalar.value)
+            assert str(grid_call.value) == str(scalar.value)
 
     def test_output_must_be_below_pump(self, solved_sections):
         _, step2 = solved_sections
