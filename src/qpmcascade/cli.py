@@ -38,18 +38,17 @@ from .conversion import (
     noise_report_to_dict,
     step_efficiency,
 )
-from .device import TwoStepDevice, load_device
-from .errors import ConverterError, DomainError
+from .device import load_device
+from .errors import ConverterError, DomainError, mask_counts, masked_cells
 from .fitting import auto_initial, fit, goodness, registry_model
 from .modesolver import ModeShortfallWarning, field_to_csv_rows, solve_modes
 from .noisemodel import (
     enumerate_parasitics,
-    grid_mismatch,
     lineshape_analytic,
     thermal_sfg_lineshape,
     thermal_sfg_mismatch,
 )
-from .qpm import phasematch_map, tuning_curve
+from .qpm import grid_mismatch, phasematch_map, tuning_curve
 from .spectral import Wavelength
 
 
@@ -127,15 +126,16 @@ def _write_json(path: Path, doc: dict, subcommand: str, argv: list[str], device_
     _atomic_write(path, json.dumps({"provenance": prov, **doc}, indent=2) + "\n")
 
 
-def _load_device_arg(args) -> TwoStepDevice:
-    return load_device(args.device)
+def _xy_rows(x: np.ndarray, y: np.ndarray) -> list[str]:
+    """Two-column CSV rows, each value as its shortest round-trip repr."""
+    return [f"{a!r},{b!r}" for a, b in zip(x.tolist(), y.tolist())]
 
 
 # --- subcommand implementations ------------------------------------------------
 
 
 def _cmd_map(args, argv) -> int:
-    device = _load_device_arg(args)
+    device = load_device(args.device)
     pm = phasematch_map(device.step1, device.step2, device.signal, args.t, args.pump)
     cells = itertools.product(pm.temperature_C.tolist(), pm.pump_nm.tolist())
     rows = [
@@ -149,7 +149,7 @@ def _cmd_map(args, argv) -> int:
 
 
 def _cmd_tune(args, argv) -> int:
-    device = _load_device_arg(args)
+    device = load_device(args.device)
     points = tuning_curve(
         device.step1, device.step2, device.signal, device.pump, args.dt
     )
@@ -164,7 +164,7 @@ def _cmd_tune(args, argv) -> int:
 
 
 def _cmd_efficiency(args, argv) -> int:
-    device = _load_device_arg(args)
+    device = load_device(args.device)
     model1 = StepEfficiencyModel(args.eta_nor1, device.step1.length_mm, args.eta_max1)
     model2 = StepEfficiencyModel(args.eta_nor2, device.step2.length_mm, args.eta_max2)
     transmission = budget_transmission(device.loss_budget)
@@ -196,28 +196,20 @@ def _cmd_noise(args, argv) -> int:
 
 
 def _cmd_lineshape(args, argv) -> int:
-    device = _load_device_arg(args)
-    weights = tuple(args.weights) if args.weights else (1.0,)
+    device = load_device(args.device)
     if args.analytic:
         grid = np.asarray(args.grid)
         dk = grid_mismatch(lambda lam: thermal_sfg_mismatch(device.step2, device.pump, lam), grid)
-        shape = lineshape_analytic(dk, device.step2.length_mm)
-        rows = [f"{lam!r},{value!r}" for lam, value in zip(grid.tolist(), shape.tolist())]
-        _write_csv(
-            args.output,
-            "wavelength_nm,intensity",
-            rows,
-            _provenance_lines("lineshape", argv, device.source_sha256),
+        rows = _xy_rows(grid, lineshape_analytic(dk, device.step2.length_mm))
+    else:
+        spec = thermal_sfg_lineshape(
+            device.step2,
+            device.pump,
+            args.grid,
+            weights=tuple(args.weights) if args.weights else (1.0,),
+            planck_temperature_K=args.planck_K,
         )
-        return 0
-    spec = thermal_sfg_lineshape(
-        device.step2,
-        device.pump,
-        args.grid,
-        weights=weights,
-        planck_temperature_K=args.planck_K,
-    )
-    rows = [f"{float(lam)!r},{float(val)!r}" for lam, val in zip(spec.wavelength_nm, spec.intensity)]
+        rows = _xy_rows(spec.wavelength_nm, spec.intensity)
     _write_csv(
         args.output,
         "wavelength_nm,intensity",
@@ -228,14 +220,16 @@ def _cmd_lineshape(args, argv) -> int:
 
 
 def _cmd_convert_spectrum(args, argv) -> int:
-    device = _load_device_arg(args)
+    device = load_device(args.device)
     spectrum = Spectrum.from_csv(args.input)
-    converted, dropped = convert_spectrum(
-        spectrum, device.cascade_transfer(), device.map_to_target
-    )
+    with masked_cells() as why:
+        converted, dropped = convert_spectrum(
+            spectrum, device.cascade_transfer(), device.map_to_target
+        )
+    masked = mask_counts(why, spectrum.wavelength_nm.shape)
     prov = _provenance_lines("convert-spectrum", argv, device.source_sha256)
-    prov.insert(len(prov) - 1, f"dropped_samples={dropped}")
-    rows = [f"{float(lam)!r},{float(val)!r}" for lam, val in zip(converted.wavelength_nm, converted.intensity)]
+    prov[-1:-1] = [f"dropped_samples={dropped}", f"masked_samples={json.dumps(masked, sort_keys=True)}"]
+    rows = _xy_rows(converted.wavelength_nm, converted.intensity)
     _write_csv(args.output, "wavelength_nm,intensity", rows, prov)
     return 0
 
@@ -265,7 +259,7 @@ def _cmd_fit(args, argv) -> int:
 
 
 def _cmd_solve_device(args, argv) -> int:
-    device = _load_device_arg(args)
+    device = load_device(args.device)
     parasitics = enumerate_parasitics(
         device.step2, device.pump, (args.window[0], args.window[1])
     )
@@ -293,7 +287,7 @@ def _cmd_solve_device(args, argv) -> int:
 
 
 def _cmd_modes(args, argv) -> int:
-    device = _load_device_arg(args)
+    device = load_device(args.device)
     if device.geometry is None:
         raise DomainError("device file has no geometry block; modes needs one")
     with warnings.catch_warnings(record=True) as caught:

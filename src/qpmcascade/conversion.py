@@ -222,12 +222,6 @@ class Spectrum:
     def __len__(self):
         return self.wavelength_nm.size
 
-    def interpolate(self, lam_nm: float) -> float:
-        """Linear interpolation between samples; zero outside the span."""
-        return float(
-            np.interp(lam_nm, self.wavelength_nm, self.intensity, left=0.0, right=0.0)
-        )
-
     def to_csv(self, path: str | Path, header_lines: Sequence[str] = ()) -> None:
         lines = [f"# {h}" for h in header_lines]
         lines.append("wavelength_nm,intensity")
@@ -260,35 +254,30 @@ class Spectrum:
 
 def convert_spectrum(
     spectrum: Spectrum,
-    transfer: Callable[[float], float],
-    map_wavelength: Callable[[float], float] | None = None,
+    transfer: Callable[[np.ndarray], np.ndarray],
+    map_wavelength: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[Spectrum, int]:
     """Push a spectrum through a device transfer curve.
 
     Output intensity is input intensity times ``transfer`` evaluated at the
     input wavelength; the output abscissa is ``map_wavelength`` of each
-    input sample (identity when omitted) and must stay monotonic.  Samples
-    where the transfer raises or returns a non-finite value are dropped;
-    the second return value counts them.
+    input sample (identity when omitted) and must stay monotonic.  Both
+    callables must be elementwise: each is called once, on the whole
+    wavelength array, and an exception it raises propagates.  Samples
+    where either returns a non-finite value (an array evaluation masks an
+    invalid input with NaN) are dropped; the second return value counts
+    them.
     """
-    out_lam: list[float] = []
-    out_val: list[float] = []
-    dropped = 0
-    for lam, val in zip(spectrum.wavelength_nm, spectrum.intensity):
-        try:
-            eta = transfer(float(lam))
-            mapped = map_wavelength(float(lam)) if map_wavelength else float(lam)
-        except DomainError:
-            dropped += 1
-            continue
-        if not (math.isfinite(eta) and math.isfinite(mapped)):
-            dropped += 1
-            continue
-        out_lam.append(mapped)
-        out_val.append(val * eta)
-    if not out_lam:
+    lam = spectrum.wavelength_nm
+    eta, mapped = (
+        np.broadcast_to(np.asarray(func(lam), dtype=float), lam.shape)
+        for func in (transfer, map_wavelength or (lambda x: x))
+    )
+    kept = np.isfinite(eta) & np.isfinite(mapped)
+    if not kept.any():
         raise DomainError("no spectrum samples survived the transfer")
-    return Spectrum(wavelength_nm=np.array(out_lam), intensity=np.array(out_val)), dropped
+    converted = Spectrum(wavelength_nm=mapped[kept], intensity=spectrum.intensity[kept] * eta[kept])
+    return converted, int(lam.size - kept.sum())
 
 
 def spectrum_fwhm(spectrum: Spectrum) -> float:

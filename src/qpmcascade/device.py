@@ -41,14 +41,8 @@ from .dispersion import (
 )
 from .errors import DeviceFileError
 from .modesolver import ModeSolverIndexProvider, WaveguideGeometry
-from .qpm import (
-    ProcessSpec,
-    SectionSpec,
-    phase_mismatch,
-    qpm_transfer,
-    solve_poling_period,
-)
-from .spectral import ProcessKind, Wavelength, dfg_target
+from .qpm import ProcessSpec, SectionSpec, delta_k, qpm_transfer, solve_poling_period
+from .spectral import ProcessKind, Wavelength, dfg_target, output_nm
 
 
 def _check_keys(doc: dict, required: set[str], optional: set[str], where: str) -> None:
@@ -95,27 +89,33 @@ class TwoStepDevice:
         self,
         temp1_C: float | None = None,
         temp2_C: float | None = None,
-    ) -> Callable[[float], float]:
+    ) -> Callable:
         """Normalized two-step transfer versus input wavelength (nm).
 
-        Domain/range errors of the dispersion providers propagate, which
-        lets spectrum conversion drop unmappable samples.
+        The returned function is elementwise, like :func:`qpm.delta_k`:
+        step 1 at the input, then step 2 at the step-1 output.  Called on
+        a float it returns a float and raises the error of an invalid
+        input (e.g. a wavelength outside a provider range); called on an
+        array it masks such samples with NaN, which is how spectrum
+        conversion drops them.
         """
+        temp1 = self.step1.temperature_C if temp1_C is None else temp1_C
+        temp2 = self.step2.temperature_C if temp2_C is None else temp2_C
+        pump = self.pump.nm
 
-        def transfer(lam_in_nm: float) -> float:
-            lam_in = Wavelength(lam_in_nm)
-            p1 = ProcessSpec.dfg(lam_in, self.pump, self.step1)
-            t1 = qpm_transfer(phase_mismatch(p1, temp_C=temp1_C), self.step1.length_mm)
-            mid = dfg_target(lam_in, self.pump)
-            p2 = ProcessSpec.dfg(mid, self.pump, self.step2)
-            t2 = qpm_transfer(phase_mismatch(p2, temp_C=temp2_C), self.step2.length_mm)
-            return t1 * t2
+        def transfer(lam_in_nm):
+            dk1 = delta_k(ProcessKind.DFG, lam_in_nm, pump, temp1, self.step1)
+            t1 = qpm_transfer(dk1, self.step1.length_mm)
+            mid = output_nm(ProcessKind.DFG, lam_in_nm, pump)
+            dk2 = delta_k(ProcessKind.DFG, mid, pump, temp2, self.step2)
+            return t1 * qpm_transfer(dk2, self.step2.length_mm)
 
         return transfer
 
-    def map_to_target(self, lam_in_nm: float) -> float:
-        """Input wavelength mapped through both DFG steps, in nm."""
-        return dfg_target(dfg_target(Wavelength(lam_in_nm), self.pump), self.pump).nm
+    def map_to_target(self, lam_in_nm):
+        """Input wavelength mapped through both DFG steps, in nm; elementwise."""
+        pump = self.pump.nm
+        return output_nm(ProcessKind.DFG, output_nm(ProcessKind.DFG, lam_in_nm, pump), pump)
 
 
 def _load_materials(entries: list, base_dir: Path) -> dict[str, SellmeierModel]:

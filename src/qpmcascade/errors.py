@@ -3,7 +3,8 @@
 Every error carries a short machine-readable ``code`` so the CLI can emit
 single-line diagnostics of the form ``code=<code>, msg=<text>``.  Where a
 scalar evaluation raises, an array evaluation masks the element with NaN
-instead (:func:`screen`), and :func:`masked_cells` can record why.
+instead (:func:`screen`), :func:`masked_cells` can record why and
+:func:`mask_counts` tallies the record.
 """
 
 from __future__ import annotations
@@ -104,6 +105,20 @@ def masked_cells():
         yield log
     finally:
         _MASK_LOG.reset(token)
+
+
+def mask_counts(log: list[tuple[str, np.ndarray]], shape: tuple[int, ...]) -> dict[str, int]:
+    """Masked elements of an array of ``shape`` per reason of a
+    :func:`masked_cells` log.  An element counts once, under the first
+    reason recorded for it: the error its scalar evaluation raises."""
+    counts: dict[str, int] = {}
+    claimed = np.zeros(shape, dtype=bool)
+    for reason, mask in log:
+        new = np.broadcast_to(mask, shape) & ~claimed
+        if new.any():
+            counts[reason] = counts.get(reason, 0) + int(new.sum())
+            claimed |= new
+    return counts
 
 
 def is_array(value) -> bool:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,17 +74,7 @@ class WaveguideGeometry:
             raise DomainError("superstrate_index must be >= 1")
 
     def with_grid(self, nx: int, ny: int) -> "WaveguideGeometry":
-        return WaveguideGeometry(
-            core_width_um=self.core_width_um,
-            core_height_um=self.core_height_um,
-            core_material=self.core_material,
-            substrate_material=self.substrate_material,
-            superstrate_index=self.superstrate_index,
-            grid_nx=nx,
-            grid_ny=ny,
-            window_width_um=self.window_width_um,
-            window_height_um=self.window_height_um,
-        )
+        return replace(self, grid_nx=nx, grid_ny=ny)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,14 +214,8 @@ def window_convergence_check(
     what tolerance is acceptable.
     """
     base = solve_modes(geometry, lam, temp_C, count=1)
-    bigger = WaveguideGeometry(
-        core_width_um=geometry.core_width_um,
-        core_height_um=geometry.core_height_um,
-        core_material=geometry.core_material,
-        substrate_material=geometry.substrate_material,
-        superstrate_index=geometry.superstrate_index,
-        grid_nx=geometry.grid_nx,
-        grid_ny=geometry.grid_ny,
+    bigger = replace(
+        geometry,
         window_width_um=geometry.window_width_um * factor,
         window_height_um=geometry.window_height_um * factor,
     )

@@ -42,7 +42,7 @@ import numpy as np
 from . import spectral
 from .conversion import Spectrum
 from .errors import DomainError, is_array
-from .qpm import SectionSpec, _first_roots, delta_k
+from .qpm import SectionSpec, _first_roots, delta_k, grid_mismatch
 from .spectral import ProcessKind, Wavelength, sfg_output, shg_output
 
 # Second radiation constant h*c/kB in um*K.
@@ -161,7 +161,7 @@ def lineshape_weighted(params: LineShapeParams, lam_grid_nm: Sequence[float]) ->
     I(lam) = sum_z w(z) sinc^2( dk(lam) (L-z)/2 ) dz  with
     w(z) = sum_j a_j z^j over midpoint panels (:func:`weighted_sinc2_sum`).
     ``delta_k_of_lam`` is called once on the whole grid
-    (:func:`grid_mismatch`).
+    (:func:`qpmcascade.qpm.grid_mismatch`).
     """
     lam = np.asarray(list(lam_grid_nm), dtype=float)
     if lam.size == 0:
@@ -171,19 +171,6 @@ def lineshape_weighted(params: LineShapeParams, lam_grid_nm: Sequence[float]) ->
     dk = grid_mismatch(params.delta_k_of_lam, lam)
     intensity = weighted_sinc2_sum(dk, params.length_mm, params.weights, params.z_panels)
     return Spectrum(wavelength_nm=lam, intensity=intensity)
-
-
-def grid_mismatch(delta_k_of_lam: Callable, lam_nm: np.ndarray) -> np.ndarray:
-    """``delta_k_of_lam`` evaluated on a whole wavelength grid in one call.
-
-    Where the array call masks a sample (non-finite dk), the scalar call
-    at the first such sample raises what it rejects.
-    """
-    dk = np.broadcast_to(np.asarray(delta_k_of_lam(lam_nm), dtype=float), lam_nm.shape)
-    masked = np.flatnonzero(~np.isfinite(dk))
-    if masked.size:
-        delta_k_of_lam(float(lam_nm[masked[0]]))
-    return dk
 
 
 def planck_weight(lam, temperature_K: float, band_center: Wavelength):

@@ -18,12 +18,14 @@ root scans are array calls into it, scalar entry points scalar calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DesignError, DomainError, NoSolutionError, is_array, masked_cells, screen
+from .errors import (
+    DesignError, DomainError, NoSolutionError, is_array, mask_counts, masked_cells, screen,
+)
 from .spectral import ProcessKind, Wavelength, dfg_target, energy_residual, output_nm, process_output
 
 TWO_PI = 2.0 * math.pi
@@ -75,9 +77,6 @@ class SectionSpec:
         return self.poling_period_um * (
             1.0 + self.expansion_per_C * (temp_C - self.expansion_ref_C)
         )
-
-    def at_temperature(self, temp_C: float) -> "SectionSpec":
-        return replace(self, temperature_C=temp_C)
 
 
 @dataclass(frozen=True)
@@ -166,6 +165,19 @@ def qpm_transfer(delta_k_per_mm, length_mm: float):
         raise DomainError("length must be positive")
     s = np.sinc(0.5 * delta_k_per_mm * length_mm / math.pi)
     return s * s if is_array(s) else float(s * s)
+
+
+def grid_mismatch(delta_k_of: Callable, grid: np.ndarray) -> np.ndarray:
+    """``delta_k_of`` evaluated on a whole 1-D grid in one array call.
+
+    Where the array call masks a point (non-finite dk), the scalar call
+    at the first such point raises what it rejects.
+    """
+    dk = np.broadcast_to(np.asarray(delta_k_of(grid), dtype=float), grid.shape)
+    masked = np.flatnonzero(~np.isfinite(dk))
+    if masked.size:
+        delta_k_of(float(grid[masked[0]]))
+    return dk
 
 
 def solve_poling_period(
@@ -302,19 +314,6 @@ class PhaseMatchMap:
             raise DomainError("map matrices must be shaped (len(T), len(pump))")
 
 
-def _mask_counts(log: list[tuple[str, np.ndarray]], shape: tuple[int, ...]) -> dict[str, int]:
-    """Masked cells per reason.  A cell counts once, under the first
-    reason recorded for it: the error its scalar evaluation raises."""
-    counts: dict[str, int] = {}
-    claimed = np.zeros(shape, dtype=bool)
-    for reason, mask in log:
-        new = np.broadcast_to(mask, shape) & ~claimed
-        if new.any():
-            counts[reason] = counts.get(reason, 0) + int(new.sum())
-            claimed |= new
-    return counts
-
-
 def phasematch_map(
     step1: SectionSpec,
     step2: SectionSpec,
@@ -338,7 +337,7 @@ def phasematch_map(
     with masked_cells() as why2:
         mid = output_nm(ProcessKind.DFG, signal.nm, pump)
         m2 = qpm_transfer(delta_k(ProcessKind.DFG, mid, pump, temp, step2), step2.length_mm)
-    masked = {"step1": _mask_counts(why1, m1.shape), "step2": _mask_counts(why2, m2.shape)}
+    masked = {"step1": mask_counts(why1, m1.shape), "step2": mask_counts(why2, m2.shape)}
     return PhaseMatchMap(temperature_C=temps, pump_nm=pumps, step1=m1, step2=m2, masked=masked)
 
 
@@ -389,23 +388,21 @@ def tuning_curve(
     offsets in one array solve.  When no root exists the point is marked
     missing (NaN).  ``transfer`` is the step-2 transfer of the unmoved
     operating chain at the shifted temperature, i.e. the efficiency
-    penalty of detuning without retuning.
+    penalty of detuning without retuning, for all offsets in one
+    :func:`grid_mismatch` call (an invalid temperature raises).
     """
     mid = dfg_target(signal, pump)
-    chain = ProcessSpec.dfg(mid, pump, step2)
-    offsets = [float(dT) for dT in dT_values]
-    temps = step2.temperature_C + np.asarray(offsets, dtype=float)
+    offsets = np.asarray(list(dT_values), dtype=float)
+    temps = step2.temperature_C + offsets
     targets = _first_roots(
         lambda target_nm: step2_target_mismatch(step2, mid, target_nm, temps[:, None]),
         np.linspace(window_nm[0], window_nm[1], scan_points),
     )
+    dk = grid_mismatch(lambda temp: delta_k(ProcessKind.DFG, mid.nm, pump.nm, temp, step2), temps)
+    transfers = qpm_transfer(dk, step2.length_mm)
     return [
-        TuningPoint(
-            dT_C=dT,
-            target_nm=float(target_nm),
-            transfer=qpm_transfer(phase_mismatch(chain, temp_C=float(temp2)), step2.length_mm),
-        )
-        for dT, temp2, target_nm in zip(offsets, temps, targets)
+        TuningPoint(dT_C=dT, target_nm=target_nm, transfer=transfer)
+        for dT, target_nm, transfer in zip(offsets.tolist(), targets.tolist(), transfers.tolist())
     ]
 
 

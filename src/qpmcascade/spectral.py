@@ -85,9 +85,14 @@ def frequency_to_wavelength(freq: Frequency) -> Wavelength:
 def output_nm(kind: ProcessKind, lam_in, lam_pump):
     """Energy-conserving output wavelength (nm) of a process; elementwise.
 
+    ``lam_in`` must be positive and finite, as a :class:`Wavelength`;
     DFG needs lam_pump > lam_in (the signal); SFG sums its two inputs;
     SHG needs them equal.  See :func:`qpmcascade.errors.screen`.
     """
+    lam_in = screen(
+        lam_in, (lam_in > 0.0) & (lam_in < math.inf), DomainError.code,
+        lambda: DomainError(f"wavelength must be a positive finite number, got {lam_in!r}"),
+    )
     if kind is ProcessKind.DFG:
         lam_pump = screen(
             lam_pump, lam_pump > lam_in, DomainError.code,

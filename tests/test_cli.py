@@ -1,11 +1,13 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from qpmcascade.cli import main
 from qpmcascade.conversion import Spectrum
-from qpmcascade.device import reference_device_path
+from qpmcascade.device import load_device, reference_device_path
+from qpmcascade.errors import ConverterError, RangeError
 
 DEVICE = str(reference_device_path())
 
@@ -84,6 +86,15 @@ class TestTuneCommand:
         targets = [r[1] for r in rows]
         assert all(b < a for a, b in zip(targets, targets[1:]))
 
+    def test_out_of_range_offset_exits_with_scalar_error(self, tmp_path, capsys):
+        out = tmp_path / "tune.csv"
+        assert main(["tune", "--device", DEVICE, "--dt=-6:250:23", "-o", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "code=range_error, msg=lithium_niobate_e temperature_C=251.0781818181818 "
+            "outside valid range [20.0, 250.0]\n"
+        )
+        assert not out.exists()
+
 
 class TestNoiseCommand:
     def test_reported_densities(self, tmp_path):
@@ -137,6 +148,33 @@ class TestConvertSpectrumCommand:
         # output abscissa mapped into the telecom band
         assert 1540.0 < rows[:, 0].min() < rows[:, 0].max() < 1580.0
         assert np.all(np.diff(rows[:, 0]) > 0)
+
+    def test_masked_samples_name_each_dropped_sample_error(self, tmp_path):
+        lam = np.linspace(300.0, 2500.0, 401)
+        source = tmp_path / "input.csv"
+        Spectrum(lam, np.ones_like(lam)).to_csv(source)
+        out = tmp_path / "converted.csv"
+        assert main(["convert-spectrum", "--device", DEVICE, "--input", str(source),
+                     "-o", str(out)]) == 0
+        header = {
+            key: value
+            for key, _, value in (
+                l.removeprefix("# ").partition("=") for l in out.read_text().splitlines()
+                if l.startswith(("# dropped_samples=", "# masked_samples="))
+            )
+        }
+        masked = json.loads(header["masked_samples"])
+        transfer = load_device(DEVICE).cascade_transfer()
+        raised = Counter()
+        for lam_nm in lam.tolist():
+            try:
+                transfer(lam_nm)
+            except ConverterError as exc:
+                raised[exc.quantity if isinstance(exc, RangeError) else exc.code] += 1
+        assert masked == dict(raised)
+        assert masked == {"domain_error": 163, "lithium_niobate_e wavelength_um": 143}
+        assert int(header["dropped_samples"]) == sum(masked.values()) == 306
+        assert len(read_csv_rows(out)) == 401 - 306
 
 
 class TestFitCommand:

@@ -202,7 +202,7 @@ class TestConvertSpectrum:
     def test_flat_input_returns_transfer_curve(self):
         lam = np.linspace(630.0, 645.0, 200)
         spectrum = Spectrum(lam, np.ones_like(lam))
-        transfer = lambda l: math.exp(-((l - 637.0) ** 2) / 4.0)
+        transfer = lambda l: np.exp(-((l - 637.0) ** 2) / 4.0)
         out, dropped = convert_spectrum(spectrum, transfer)
         assert dropped == 0
         expected = np.array([transfer(l) for l in lam])
@@ -224,11 +224,7 @@ class TestConvertSpectrum:
         lam = np.linspace(630.0, 645.0, 50)
         spectrum = Spectrum(lam, np.ones_like(lam))
 
-        def transfer(l):
-            if l > 640.0:
-                raise DomainError("outside provider range")
-            return 1.0
-
+        transfer = lambda l: np.where(l > 640.0, np.nan, 1.0)
         out, dropped = convert_spectrum(spectrum, transfer)
         assert dropped == int(np.sum(lam > 640.0))
         assert len(out) == 50 - dropped
@@ -238,17 +234,42 @@ class TestConvertSpectrum:
         rng = np.random.default_rng(9)
         int_a = rng.uniform(0.0, 1.0, lam.size)
         int_b = rng.uniform(0.0, 1.0, lam.size)
-        transfer = lambda l: 0.5 + 0.4 * math.sin(l / 3.0) ** 2
+        transfer = lambda l: 0.5 + 0.4 * np.sin(l / 3.0) ** 2
         out_a, _ = convert_spectrum(Spectrum(lam, int_a), transfer)
         out_b, _ = convert_spectrum(Spectrum(lam, int_b), transfer)
         out_ab, _ = convert_spectrum(Spectrum(lam, int_a + int_b), transfer)
         assert np.allclose(out_ab.intensity, out_a.intensity + out_b.intensity, rtol=1e-12)
 
+    def test_callables_called_once_on_the_whole_array(self):
+        lam = np.linspace(630.0, 645.0, 50)
+        calls = []
+
+        def transfer(l):
+            calls.append(("transfer", l.shape))
+            return np.full_like(l, 0.5)
+
+        def mapping(l):
+            calls.append(("map", l.shape))
+            return l + 1.0
+
+        out, dropped = convert_spectrum(Spectrum(lam, np.ones_like(lam)), transfer, mapping)
+        assert calls == [("transfer", (50,)), ("map", (50,))]
+        assert dropped == 0 and np.array_equal(out.wavelength_nm, lam + 1.0)
+
+    def test_callable_exception_propagates(self):
+        lam = np.linspace(630.0, 645.0, 5)
+
+        def transfer(l):
+            raise DomainError("outside provider range")
+
+        with pytest.raises(DomainError, match="outside provider range"):
+            convert_spectrum(Spectrum(lam, np.ones_like(lam)), transfer)
+
     def test_broadband_input_output_fwhm_matches_transfer(self):
         # transfer much narrower than the input: output width ~ transfer width
         lam = np.linspace(600.0, 680.0, 4001)
         broad = np.exp(-((lam - 640.0) ** 2) / (2.0 * 30.0**2))
-        transfer = lambda l: math.exp(-((l - 637.0) ** 2) / (2.0 * 0.5**2))
+        transfer = lambda l: np.exp(-((l - 637.0) ** 2) / (2.0 * 0.5**2))
         out, _ = convert_spectrum(Spectrum(lam, broad), transfer)
         transfer_curve = Spectrum(lam, np.array([transfer(l) for l in lam]))
         assert spectrum_fwhm(out) == pytest.approx(spectrum_fwhm(transfer_curve), rel=0.05)

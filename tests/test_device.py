@@ -1,11 +1,15 @@
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpmcascade.conversion import budget_transmission
 from qpmcascade.device import device_from_dict, load_device, reference_device_path
 from qpmcascade.dispersion import material_to_json, builtin_material
-from qpmcascade.errors import DeviceFileError
+from qpmcascade.errors import ConverterError, DeviceFileError, DomainError
 from qpmcascade.qpm import phase_mismatch, solve_poling_period
 from qpmcascade.spectral import ProcessKind, Wavelength
 
@@ -62,6 +66,46 @@ class TestLoadReferenceDevice:
     def test_map_to_target_monotone(self, reference_device):
         values = [reference_device.map_to_target(lam) for lam in (636.8, 637.2, 637.6)]
         assert values[0] < values[1] < values[2]
+
+    def test_scalar_transfer_returns_float_and_raises(self, reference_device):
+        transfer = reference_device.cascade_transfer()
+        assert type(transfer(637.2)) is float
+        with pytest.raises(ConverterError):
+            transfer(1500.0)  # step-2 input beyond the pump: no difference frequency
+
+    @pytest.mark.parametrize("lam_nm", [0.0, -5.0, math.nan, math.inf])
+    def test_invalid_input_wavelength(self, reference_device, lam_nm):
+        for func in (reference_device.cascade_transfer(), reference_device.map_to_target):
+            with pytest.raises(DomainError, match="wavelength must be a positive finite number"):
+                func(lam_nm)
+            assert np.isnan(func(np.array([lam_nm, 637.2]))).tolist() == [True, False]
+
+
+def _scalar_or_none(func, lam):
+    try:
+        return func(lam)
+    except ConverterError:
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lams=st.lists(st.floats(300.0, 2500.0), min_size=1, max_size=8),
+    temps=st.tuples(st.floats(0.0, 300.0), st.floats(0.0, 300.0)),
+)
+def test_array_cascade_is_the_scalar_cascade(reference_device, lams, temps):
+    """Each array element equals the scalar call exactly, and is NaN
+    exactly where the scalar call raises; likewise for the target map."""
+    transfer = reference_device.cascade_transfer(*temps)
+    lam = np.array(lams)
+    for func, values in ((transfer, transfer(lam)),
+                         (reference_device.map_to_target, reference_device.map_to_target(lam))):
+        for lam_nm, value in zip(lams, values.tolist()):
+            expected = _scalar_or_none(func, lam_nm)
+            if expected is None:
+                assert math.isnan(value)
+            else:
+                assert value == expected
 
 
 class TestDeviceFileValidation:

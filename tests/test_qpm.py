@@ -269,6 +269,32 @@ class TestTuningCurve:
         assert math.isnan(point.target_nm)
 
 
+    def test_provider_calls_do_not_grow_with_the_offsets(self, solved_sections, monkeypatch):
+        step1, step2 = solved_sections
+        provider = step2.index_provider
+        calls = []
+        original = provider.effective_index
+
+        def counting(lam, temp_C, mode=1):
+            calls.append(1)
+            return original(lam, temp_C, mode)
+
+        monkeypatch.setattr(provider, "effective_index", counting)
+        counts = []
+        for offsets in ([0.0], np.linspace(-6.0, 5.0, 23)):
+            calls.clear()
+            tuning_curve(step1, step2, SIGNAL, PUMP, offsets)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    def test_transfer_column_is_the_scalar_chain(self, solved_sections):
+        step1, step2 = solved_sections
+        chain = ProcessSpec.dfg(dfg_target(SIGNAL, PUMP), PUMP, step2)
+        for point in tuning_curve(step1, step2, SIGNAL, PUMP, [-6.1, 0.0, 4.6]):
+            temp = step2.temperature_C + point.dT_C
+            assert type(point.transfer) is float
+            assert point.transfer == qpm_transfer(phase_mismatch(chain, temp_C=temp), step2.length_mm)
+
     def test_tuned_targets_are_roots(self, solved_sections):
         step1, step2 = solved_sections
         mid = dfg_target(SIGNAL, PUMP)
