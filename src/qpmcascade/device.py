@@ -20,7 +20,10 @@ A device file is a JSON document:
 
 Each section states either an explicit ``poling_period_um`` or a
 ``solve_at`` operating point at which the period is solved on load; never
-both.  Unknown keys are rejected with a named error.
+both.  Sections whose ``index_provider`` blocks are equal share one
+provider object, so a mode-solver device solves each (wavelength, T,
+mode) once for both sections.  Unknown keys are rejected with a named
+error.
 """
 
 from __future__ import annotations
@@ -182,7 +185,12 @@ def _build_provider(doc: dict, materials, geometry: WaveguideGeometry | None, wh
     raise DeviceFileError(f"{where}: unknown index_provider kind {kind!r}")
 
 
-def _build_section(doc: dict, materials, geometry, where: str) -> tuple[SectionSpec, dict | None]:
+def _build_section(
+    doc: dict, materials, geometry, where: str, providers: list
+) -> tuple[SectionSpec, dict | None]:
+    """One section; ``providers`` holds the (block, provider) pairs built so
+    far, and a section whose index_provider block equals an earlier one
+    shares its provider (and so a mode-solver cache)."""
     _check_keys(
         doc,
         required={"role", "length_mm", "temperature_C", "index_provider"},
@@ -195,7 +203,11 @@ def _build_section(doc: dict, materials, geometry, where: str) -> tuple[SectionS
         raise DeviceFileError(
             f"{where}: exactly one of poling_period_um and solve_at is required"
         )
-    provider = _build_provider(doc["index_provider"], materials, geometry, f"{where}.index_provider")
+    block = doc["index_provider"]
+    provider = next((built for seen, built in providers if seen == block), None)
+    if provider is None:
+        provider = _build_provider(block, materials, geometry, f"{where}.index_provider")
+        providers.append((block, provider))
     qpm_order = int(doc.get("qpm_order", 1))
     solve_at = None
     if has_solve:
@@ -240,8 +252,9 @@ def device_from_dict(doc: dict, base_dir: Path, sha256: str = "") -> TwoStepDevi
     if not isinstance(sections, list) or len(sections) != 2:
         raise DeviceFileError("sections must list exactly one step1 and one step2")
     built: dict[str, tuple[SectionSpec, dict | None]] = {}
+    providers: list = []
     for i, sec_doc in enumerate(sections):
-        section, solve_at = _build_section(sec_doc, materials, geometry, f"sections[{i}]")
+        section, solve_at = _build_section(sec_doc, materials, geometry, f"sections[{i}]", providers)
         if section.role in built:
             raise DeviceFileError(f"duplicate section role {section.role!r}")
         built[section.role] = (section, solve_at)

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import pytest
 
+from qpmcascade import modesolver
 from qpmcascade.device import load_device, reference_device_path
-from qpmcascade.dispersion import BulkIndexProvider, SellmeierModel, builtin_material
+from qpmcascade.dispersion import BulkIndexProvider, SellmeierModel, builtin_material, sellmeier_index
 from qpmcascade.qpm import section_with_solved_period
 from qpmcascade.spectral import ProcessKind, Wavelength, dfg_target
 
@@ -56,3 +59,17 @@ def solved_sections(ln_provider):
 @pytest.fixture(scope="session")
 def reference_device():
     return load_device(reference_device_path())
+
+
+@pytest.fixture
+def fake_solves(lithium_niobate, monkeypatch):
+    """Replace eigen-solves by a one-mode stub; yields the (nm, T) solved."""
+    solved = []
+
+    def fake_solve(geometry, lam, temp_C, count=1):
+        n_eff = sellmeier_index(lithium_niobate, lam, temp_C) - 0.01
+        solved.append((lam.nm, temp_C))
+        return [SimpleNamespace(mode_index=1, n_eff=n_eff)]
+
+    monkeypatch.setattr(modesolver, "solve_modes", fake_solve)
+    return solved

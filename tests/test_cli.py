@@ -8,6 +8,8 @@ from qpmcascade.cli import main
 from qpmcascade.conversion import Spectrum
 from qpmcascade.device import load_device, reference_device_path
 from qpmcascade.errors import ConverterError, RangeError
+from qpmcascade.modesolver import solve_modes
+from qpmcascade.spectral import Wavelength
 
 DEVICE = str(reference_device_path())
 
@@ -222,6 +224,24 @@ class TestModesCommand:
         assert doc["found"] == 2
         assert doc["modes"][0]["n_eff"] > doc["modes"][1]["n_eff"]
         assert dump.read_text().startswith("x_um,y_um,amplitude")
+
+    @pytest.mark.parametrize("grid_nx, grid_ny", [(64, 64), (96, 128)])
+    def test_field_dump_is_the_per_element_rows(self, tmp_path, grid_nx, grid_ny):
+        doc = json.loads(reference_device_path().read_text())
+        doc["geometry"].update(grid_nx=grid_nx, grid_ny=grid_ny)
+        device_path = tmp_path / "device.json"
+        device_path.write_text(json.dumps(doc))
+        dump = tmp_path / "field.csv"
+        assert main(["modes", "--device", str(device_path), "--lam", "1561.62", "--t", "59.26",
+                     "--field-dump", str(dump), "-o", str(tmp_path / "modes.json")]) == 0
+        sol = solve_modes(load_device(device_path).geometry, Wavelength(1561.62), 59.26, count=2)[0]
+        assert sol.field.shape == (grid_ny, grid_nx)
+        # Reference: one f-string per field element, y outer and x inner.
+        rows = ["x_um,y_um,amplitude"]
+        for j, yv in enumerate(sol.y_um):
+            for i, xv in enumerate(sol.x_um):
+                rows.append(f"{float(xv)!r},{float(yv)!r},{float(sol.field[j, i])!r}")
+        assert dump.read_bytes() == ("\n".join(rows) + "\n").encode()
 
 
 class TestErrorHandling:

@@ -10,7 +10,7 @@ from qpmcascade.conversion import budget_transmission
 from qpmcascade.device import device_from_dict, load_device, reference_device_path
 from qpmcascade.dispersion import material_to_json, builtin_material
 from qpmcascade.errors import ConverterError, DeviceFileError, DomainError
-from qpmcascade.qpm import phase_mismatch, solve_poling_period
+from qpmcascade.qpm import phase_mismatch, phasematch_map, solve_poling_period
 from qpmcascade.spectral import ProcessKind, Wavelength
 
 
@@ -204,3 +204,44 @@ class TestDeviceFileValidation:
         doc["sections"][0]["index_provider"] = {"kind": "modesolver", "mode": 1}
         with pytest.raises(DeviceFileError, match="geometry"):
             device_from_dict(doc, tmp_path)
+
+
+def _explicit_period_doc(*blocks) -> dict:
+    """Reference device with stated periods (no load-time solve) and the
+    given index_provider block per section."""
+    doc = reference_doc()
+    doc["signal_nm"], doc["pump_nm"] = 637.2, 2152.9
+    for section, period, block in zip(doc["sections"], (12.96, 25.65), blocks):
+        del section["solve_at"]
+        section["poling_period_um"] = period
+        section["index_provider"] = block
+    return doc
+
+
+class TestSharedProviders:
+    def test_equal_blocks_share_one_provider(self, reference_device, tmp_path):
+        assert reference_device.step1.index_provider is reference_device.step2.index_provider
+        doc = _explicit_period_doc({"kind": "modesolver", "mode": 1}, {"kind": "modesolver", "mode": 1})
+        device = device_from_dict(doc, tmp_path)
+        assert device.step1.index_provider is device.step2.index_provider
+
+    def test_different_blocks_get_separate_providers(self, tmp_path):
+        doc = _explicit_period_doc({"kind": "modesolver", "mode": 1}, {"kind": "modesolver", "mode": 2})
+        device = device_from_dict(doc, tmp_path)
+        first, second = device.step1.index_provider, device.step2.index_provider
+        assert first is not second
+        assert (first.default_mode, second.default_mode) == (1, 2)
+
+    def test_modesolver_device_solves_each_key_once(self, fake_solves, tmp_path):
+        doc = reference_doc()
+        for section in doc["sections"]:
+            section["index_provider"] = {"kind": "modesolver"}
+        device = device_from_dict(doc, tmp_path)
+        # Step 1 at 637.2 nm and step 2 at 905.08 nm share the 2152.9 nm pump.
+        assert len(fake_solves) == len(set(fake_solves)) == 5
+        fake_solves.clear()
+        pm = phasematch_map(device.step1, device.step2, device.signal, [55.0, 60.0], [2150.0, 2155.0])
+        assert np.all(np.isfinite(pm.step1)) and np.all(np.isfinite(pm.step2))
+        # Per T row: the signal once, then per cell the intermediate, the
+        # target and the pump, each solved once for both sections.
+        assert len(fake_solves) == 2 * (1 + 3 * 2)

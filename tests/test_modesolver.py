@@ -1,9 +1,8 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-
-from types import SimpleNamespace
 
 from qpmcascade import modesolver
 from qpmcascade.dispersion import sellmeier_index
@@ -145,6 +144,57 @@ class TestSolveModes:
         with pytest.raises(DomainError):
             solve_modes(default_geometry, LAM, TEMP, count=0)
 
+    @pytest.mark.parametrize("geometry_name", ["default_geometry", "slab_geometry"])
+    @pytest.mark.parametrize("lam_nm", [637.2, 905.08, 1561.62, 2152.9])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_matches_eigsh_own_shift_invert(self, request, geometry_name, lam_nm, count):
+        """Oracle: eigsh factoring A - sigma*I itself (column ordering) with
+        four spare eigenpairs, the same sigma and start vector."""
+        from scipy.sparse.linalg import eigsh
+
+        geometry = request.getfixturevalue(geometry_name)
+        lam = Wavelength(lam_nm)
+        n, _, _, n_core, n_clad = modesolver.index_map(geometry, lam, TEMP)
+        k0 = 2.0 * math.pi / lam.um
+        a_mat = modesolver._helmholtz_matrix(
+            n,
+            geometry.window_width_um / geometry.grid_nx,
+            geometry.window_height_um / geometry.grid_ny,
+            k0,
+        )
+        v0 = np.random.default_rng(modesolver._V0_SEED).standard_normal(a_mat.shape[0])
+        vals, _ = eigsh(a_mat, k=count + 4, sigma=(k0 * n_core) ** 2, which="LM", v0=v0)
+        guided = sorted((v for v in vals if (k0 * n_clad) ** 2 < v < (k0 * n_core) ** 2), reverse=True)
+        expected = [math.sqrt(v) / k0 for v in guided[:count]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ModeShortfallWarning)
+            got = [s.n_eff for s in solve_modes(geometry, lam, TEMP, count=count)]
+        assert len(got) == len(expected)
+        assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
+
+    def test_one_symmetric_ordered_factorization_per_solve(self, default_geometry, monkeypatch):
+        import scipy.sparse.linalg as sparse_linalg
+
+        orderings, operators = [], []
+        splu, eigsh = sparse_linalg.splu, sparse_linalg.eigsh
+
+        def counting_splu(a_mat, **kwargs):
+            orderings.append(kwargs.get("permc_spec"))
+            return splu(a_mat, **kwargs)
+
+        def recording_eigsh(*args, **kwargs):
+            operators.append(kwargs.get("OPinv"))
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(sparse_linalg, "splu", counting_splu)
+        monkeypatch.setattr(sparse_linalg, "eigsh", recording_eigsh)
+        for count in (1, 2, 3):
+            assert len(solve_modes(default_geometry, LAM, TEMP, count=count)) == count
+        assert orderings == ["MMD_AT_PLUS_A"] * 3
+        # With OPinv given, eigsh factors nothing itself.
+        assert len(operators) == 3
+        assert all(isinstance(op, sparse_linalg.LinearOperator) for op in operators)
+
 
 class TestGeometryValidation:
     def test_window_must_contain_core(self, lithium_niobate, lithium_tantalate):
@@ -253,20 +303,6 @@ class TestModeSolverProvider:
             ("capability_error", [True, False]),
             ("lithium_niobate_e temperature_C", [False, True]),
         ]
-
-
-@pytest.fixture
-def fake_solves(lithium_niobate, monkeypatch):
-    """Replace eigen-solves by a one-mode stub; yields the (nm, T) solved."""
-    solved = []
-
-    def fake_solve(geometry, lam, temp_C, count=1):
-        n_eff = sellmeier_index(lithium_niobate, lam, temp_C) - 0.01
-        solved.append((lam.nm, temp_C))
-        return [SimpleNamespace(mode_index=1, n_eff=n_eff)]
-
-    monkeypatch.setattr(modesolver, "solve_modes", fake_solve)
-    return solved
 
 
 def test_field_dump_shape(default_geometry):
