@@ -177,7 +177,7 @@ def solve_modes(
     k_request = min(count + 1, size - 2)
     sigma = (k0 * n_core) ** 2
     v0 = np.random.default_rng(_V0_SEED).standard_normal(size)
-    shifted = a_mat.tocsc(copy=True)
+    shifted = a_mat.tocsc()
     shifted.setdiag(shifted.diagonal() - sigma)
     lu = sparse_linalg.splu(shifted, permc_spec="MMD_AT_PLUS_A")
     op_inv = sparse_linalg.LinearOperator((size, size), matvec=lu.solve, dtype=float)

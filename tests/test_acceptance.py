@@ -118,19 +118,10 @@ def test_criterion_05_analytic_lineshape_oracle():
     start = time.perf_counter()
     length = 20.0
     u = np.linspace(0.0, length, 100_001)
-    # Trapezoid rule on u as one weight vector, times the u^2/L weight; the
-    # u = 0 node has weight 0 and is left out, so sin(x)/x is never 0/0.
-    half_step = np.diff(u) / 2.0
-    trapezoid = np.zeros_like(u)
-    trapezoid[:-1] += half_step
-    trapezoid[1:] += half_step
-    nodes = u[1:]
-    weights = (u**2 / length * trapezoid)[1:]
+    u2_weight = u**2 / length
     worst = 0.0
     for dk in np.linspace(-10.0 / length, 10.0 / length, 201):
-        x = 0.5 * dk * nodes
-        sinc = np.sin(x) / x if dk else np.ones_like(nodes)
-        quad = float(weights @ sinc**2)
+        quad = float(np.trapezoid(u2_weight * np.sinc(0.5 * dk * u / math.pi) ** 2, u))
         worst = max(worst, abs(lineshape_analytic(float(dk), length) - quad) / quad)
     zero_rel = abs(lineshape_analytic(0.0, length) - length**2 / 3.0) / (length**2 / 3.0)
     elapsed = time.perf_counter() - start
