@@ -36,6 +36,7 @@ from .conversion import (
     convert_spectrum,
     noise_report,
     noise_report_to_dict,
+    read_xy_csv,
     step_efficiency,
 )
 from .device import load_device
@@ -237,10 +238,11 @@ def _cmd_convert_spectrum(args, argv) -> int:
 def _cmd_fit(args, argv) -> int:
     fixed = args.fixed or {}
     model = registry_model(args.model, length_mm=fixed.get("L", fixed.get("length_mm", 20.0)))
-    data = Spectrum.from_csv(args.data) if args.data.suffix == ".csv" else None
-    if data is None:
+    if args.data.suffix != ".csv":
         raise DomainError("fit expects a CSV data file")
-    x, y = data.wavelength_nm, data.intensity
+    x, y = read_xy_csv(args.data)
+    if not np.all(np.isfinite(x) & np.isfinite(y)):
+        raise DomainError(f"fit data in {args.data} holds a non-finite number")
     if args.initial:
         missing = [name for name in model.parameter_names if name not in args.initial]
         if missing:

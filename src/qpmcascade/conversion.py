@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError
+from .qpm import _bracket_root, _brackets
 
 # --- step and cascade efficiency -------------------------------------------
 
@@ -232,24 +233,34 @@ class Spectrum:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "Spectrum":
-        lams: list[float] = []
-        vals: list[float] = []
-        for raw in Path(path).read_text(encoding="utf-8").splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.lower().replace(" ", "") == "wavelength_nm,intensity":
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise DomainError(f"bad spectrum row: {raw!r}")
-            try:
-                lam, val = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise DomainError(f"bad number in spectrum row: {raw!r}") from None
-            lams.append(lam)
-            vals.append(val)
-        return cls(wavelength_nm=np.array(lams), intensity=np.array(vals))
+        return cls(*read_xy_csv(path))
+
+
+def read_xy_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """The two numeric columns of a CSV file, as (x, y) float arrays.
+
+    Blank lines, ``#`` comments and a ``wavelength_nm,intensity`` header
+    are skipped; a row that is not two numbers raises :class:`DomainError`.
+    The values are not otherwise checked.
+    """
+    xs: list[float] = []
+    ys: list[float] = []
+    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.lower().replace(" ", "") == "wavelength_nm,intensity":
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise DomainError(f"bad spectrum row: {raw!r}")
+        try:
+            x, y = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise DomainError(f"bad number in spectrum row: {raw!r}") from None
+        xs.append(x)
+        ys.append(y)
+    return np.array(xs), np.array(ys)
 
 
 def convert_spectrum(
@@ -281,25 +292,22 @@ def convert_spectrum(
 
 
 def spectrum_fwhm(spectrum: Spectrum) -> float:
-    """Full width at half maximum by linear interpolation of the crossings."""
+    """Full width at half maximum by linear interpolation of the crossings.
+
+    Each side is read outward from the (first) peak sample, and its first
+    half-maximum crossing is the first root bracket of that side
+    (:func:`qpmcascade.qpm._brackets`), interpolated linearly.
+    """
     lam = spectrum.wavelength_nm
     inten = spectrum.intensity
     peak_idx = int(np.argmax(inten))
-    half = inten[peak_idx] / 2.0
     if inten[peak_idx] <= 0:
         raise DomainError("spectrum has no positive peak")
-
-    def crossing(idx_range) -> float:
-        prev = None
-        for i in idx_range:
-            if prev is not None:
-                a, b = inten[prev], inten[i]
-                if (a - half) * (b - half) <= 0 and a != b:
-                    frac = (half - a) / (b - a)
-                    return float(lam[prev] + frac * (lam[i] - lam[prev]))
-            prev = i
+    half = inten[peak_idx] / 2.0
+    left, right = (
+        float(_bracket_root(*_brackets(lam[side], inten[side] - half)))
+        for side in (np.s_[peak_idx::-1], np.s_[peak_idx:])
+    )
+    if math.isnan(left) or math.isnan(right):
         raise DomainError("half-maximum crossing not inside the sampled span")
-
-    left = crossing(range(peak_idx, -1, -1))
-    right = crossing(range(peak_idx, len(lam)))
     return abs(right - left)

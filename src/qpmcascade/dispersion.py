@@ -151,12 +151,10 @@ class SellmeierModel:
 
 
 def _in_range(model: SellmeierModel, quantity: str, value, low: float, high: float):
-    """``value`` checked against [low, high], as ``screen`` does."""
-    if is_array(value):
-        return screen(value, (low <= value) & (value <= high), f"{model.name} {quantity}", None)
-    if not low <= value <= high:
-        raise RangeError(f"{model.name} {quantity}", value, low, high)
-    return value
+    """``value`` screened against [low, high]; a scalar raises :class:`RangeError`."""
+    name = f"{model.name} {quantity}"
+    valid = (low <= value) & (value <= high)
+    return screen(value, valid, name, lambda: RangeError(name, value, low, high))
 
 
 def sellmeier_index(model: SellmeierModel, lam, temp_C):
@@ -211,6 +209,7 @@ class BulkIndexProvider:
     """
 
     kind = "bulk"
+    delta_n = 0.0
 
     def __init__(self, model: SellmeierModel):
         self.model = model
@@ -220,13 +219,13 @@ class BulkIndexProvider:
             raise CapabilityError(
                 f"{type(self).__name__} supports mode 1 only, got mode {mode}"
             )
-        return sellmeier_index(self.model, lam, temp_C)
+        return sellmeier_index(self.model, lam, temp_C) + self.delta_n
 
     def __repr__(self):
         return f"BulkIndexProvider({self.model.name!r})"
 
 
-class OffsetIndexProvider:
+class OffsetIndexProvider(BulkIndexProvider):
     """Bulk index plus a constant additive correction.
 
     The offset ``delta_n`` is a free parameter meant to absorb systematic
@@ -236,15 +235,8 @@ class OffsetIndexProvider:
     kind = "offset"
 
     def __init__(self, model: SellmeierModel, delta_n: float):
-        self.model = model
+        super().__init__(model)
         self.delta_n = float(delta_n)
-
-    def effective_index(self, lam, temp_C, mode: int = 1):
-        if mode != 1:
-            raise CapabilityError(
-                f"{type(self).__name__} supports mode 1 only, got mode {mode}"
-            )
-        return sellmeier_index(self.model, lam, temp_C) + self.delta_n
 
     def __repr__(self):
         return f"OffsetIndexProvider({self.model.name!r}, delta_n={self.delta_n!r})"

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import DomainError, RankDeficiencyError
 from .noisemodel import lineshape_analytic, weighted_sinc2_sum
+from .qpm import qpm_transfer
 
 _REL_STEP = 1e-6
 _STALL_LIMIT = 3
@@ -239,10 +240,6 @@ def goodness(result: FitResult, x: Sequence[float], y: Sequence[float]) -> dict:
 # --- model registry -----------------------------------------------------------
 
 
-def _sinc2(arg: np.ndarray) -> np.ndarray:
-    return np.sinc(arg / math.pi) ** 2
-
-
 def model_registry(length_mm: float = 20.0) -> list[FitModel]:
     """The built-in model families.
 
@@ -254,7 +251,7 @@ def model_registry(length_mm: float = 20.0) -> list[FitModel]:
 
     def sinc2_scan(params, x):
         amplitude, center, eff_len, offset = params
-        return amplitude * _sinc2(0.5 * eff_len * (x - center)) + offset
+        return amplitude * qpm_transfer(x - center, eff_len) + offset
 
     def saturation(params, x):
         eta_max, eta_nor = params
@@ -272,8 +269,8 @@ def model_registry(length_mm: float = 20.0) -> list[FitModel]:
     def two_mode_sinc2(params, x):
         amp1, center1, amp2, center2, eff_len, offset = params
         return (
-            amp1 * _sinc2(0.5 * eff_len * (x - center1))
-            + amp2 * _sinc2(0.5 * eff_len * (x - center2))
+            amp1 * qpm_transfer(x - center1, eff_len)
+            + amp2 * qpm_transfer(x - center2, eff_len)
             + offset
         )
 

@@ -40,6 +40,7 @@ import numpy as np
 
 from .dispersion import SellmeierModel, sellmeier_index
 from .errors import CapabilityError, DomainError, NumericError, RangeError, is_array, screen
+from .qpm import _first_roots
 from .spectral import Wavelength
 
 # Seed for the deterministic ARPACK starting vector; fixed so identical
@@ -244,9 +245,11 @@ def window_convergence_check(
 def slab_kappa(k0: float, n_core: float, n_a: float, n_b: float, thickness: float, m: int) -> float | None:
     """Transverse wavenumber of scalar slab mode ``m`` (0-based), or None.
 
-    Solves kappa*d = m*pi + atan(gamma_a/kappa) + atan(gamma_b/kappa) by
-    bisection; the left side minus the right is strictly increasing in
-    kappa, so the bracket is robust.
+    Solves kappa*d = m*pi + atan(gamma_a/kappa) + atan(gamma_b/kappa) with
+    the root kernel of :func:`qpmcascade.qpm._first_roots` on the two-point
+    scan just inside (0, kappa_max).  The left side minus the right is
+    strictly increasing in kappa, so that scan brackets the one root when
+    the mode is bound; otherwise there is no bracket and None is returned.
     """
     contrast = n_core * n_core - max(n_a, n_b) ** 2
     if contrast <= 0:
@@ -255,24 +258,13 @@ def slab_kappa(k0: float, n_core: float, n_a: float, n_b: float, thickness: floa
     qa = (k0 * k0) * (n_core * n_core - n_a * n_a)
     qb = (k0 * k0) * (n_core * n_core - n_b * n_b)
 
-    def phase_defect(kappa: float) -> float:
-        ga = math.sqrt(max(qa - kappa * kappa, 0.0))
-        gb = math.sqrt(max(qb - kappa * kappa, 0.0))
-        return kappa * thickness - math.atan2(ga, kappa) - math.atan2(gb, kappa) - m * math.pi
+    def phase_defect(kappa: np.ndarray) -> np.ndarray:
+        ga = np.sqrt(np.maximum(qa - kappa * kappa, 0.0))
+        gb = np.sqrt(np.maximum(qb - kappa * kappa, 0.0))
+        return kappa * thickness - np.arctan2(ga, kappa) - np.arctan2(gb, kappa) - m * math.pi
 
-    hi = kappa_max * (1.0 - 1e-15)
-    if phase_defect(hi) <= 0.0:
-        return None
-    lo = kappa_max * 1e-15
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if phase_defect(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    kappa = float(_first_roots(phase_defect, kappa_max * np.array([1e-15, 1.0 - 1e-15])))
+    return None if math.isnan(kappa) else kappa
 
 
 def marcatili_index(

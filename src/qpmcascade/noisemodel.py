@@ -48,6 +48,9 @@ from .spectral import ProcessKind, Wavelength, sfg_output, shg_output
 # Second radiation constant h*c/kB in um*K.
 C2_UM_K = 14387.7688
 
+# Initial scan points of the thermal-SFG output root solve.
+_THERMAL_SCAN_POINTS = 281
+
 
 def lineshape_analytic(delta_k_per_mm, length_mm):
     """Distributed-source line shape (2/dk^2)(1 - sinc(dk L)), in mm^2.
@@ -217,7 +220,6 @@ def solve_thermal_sfg_output(
     pump: Wavelength,
     window_nm: tuple[float, float],
     temp_C: float | None = None,
-    scan_points: int = 281,
 ) -> float | None:
     """Phase-matched thermal-SFG output wavelength inside the window, or None."""
     hi = min(window_nm[1], pump.nm * (1.0 - 1e-9))
@@ -226,7 +228,7 @@ def solve_thermal_sfg_output(
     root = float(
         _first_roots(
             lambda out_nm: thermal_sfg_mismatch(section, pump, out_nm, temp_C),
-            np.linspace(window_nm[0], hi, scan_points),
+            np.linspace(window_nm[0], hi, _THERMAL_SCAN_POINTS),
         )
     )
     return None if math.isnan(root) else root
@@ -279,8 +281,8 @@ class ParasiticProcess:
         if self.kind not in ("SHG_pump", "thermal_SFG", "other"):
             raise DomainError(f"unknown parasitic kind {self.kind!r}")
         if self.kind != "other":
-            inv = sum(1.0 / d for d in self.drivers_nm)
-            if abs(1.0 / self.output_nm - inv) * self.output_nm > 1e-9:
+            drivers, out = tuple(map(Wavelength, self.drivers_nm)), Wavelength(self.output_nm)
+            if len(drivers) != 2 or spectral.energy_residual(ProcessKind.SFG, *drivers, out) > 1e-9:
                 raise DomainError(
                     f"{self.kind}: output {self.output_nm} nm is not energy-consistent "
                     f"with drivers {self.drivers_nm}"
@@ -323,7 +325,7 @@ def enumerate_parasitics(
         )
     thermal_nm = solve_thermal_sfg_output(step2, pump, window_nm, temp_C=temp_C)
     if thermal_nm is not None:
-        driver_nm = 1.0 / (1.0 / thermal_nm - 1.0 / pump.nm)
+        driver_nm = spectral.output_nm(ProcessKind.DFG, thermal_nm, pump.nm)
         out = sfg_output(Wavelength(driver_nm), pump)
         found.append(
             ParasiticProcess(

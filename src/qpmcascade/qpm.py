@@ -13,6 +13,10 @@ sinc^2(delta_k * L / 2) and peaks at delta_k = 0.
 
 Every mismatch is one broadcast expression, :func:`delta_k`; maps and
 root scans are array calls into it, scalar entry points scalar calls.
+The root-bracket kernel (:func:`_brackets`, :func:`_first_roots`) also
+serves the slab dispersion equation of
+:func:`qpmcascade.modesolver.slab_kappa` and the half-maximum crossings of
+:func:`qpmcascade.conversion.spectrum_fwhm`.
 """
 
 from __future__ import annotations
@@ -23,9 +27,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    DesignError, DomainError, NoSolutionError, is_array, mask_counts, masked_cells, screen,
-)
+from .errors import DesignError, DomainError, NoSolutionError, is_array, mask_counts, masked_cells
 from .spectral import ProcessKind, Wavelength, dfg_target, energy_residual, output_nm, process_output
 
 TWO_PI = 2.0 * math.pi
@@ -41,6 +43,12 @@ _ENERGY_TOL = 1e-9
 # bracket width at which the root is interpolated.
 _ZOOM_POINTS = 33
 _ROOT_RTOL = 1e-12
+# Initial scan points of the pump and target root solves.
+_PUMP_SCAN_POINTS = 257
+_TARGET_SCAN_POINTS = 181
+# Points per axis, and zoom levels, of the degenerate-point grid search.
+_DEGENERATE_GRID = 81
+_DEGENERATE_ZOOMS = 4
 
 
 @dataclass(frozen=True)
@@ -159,9 +167,9 @@ def phase_mismatch(
 def qpm_transfer(delta_k_per_mm, length_mm: float):
     """Normalized transfer sinc^2(delta_k * L / 2), with sinc(0) = 1.
 
-    Elementwise on an array of mismatches; NaN stays NaN.
+    Elementwise on arrays of mismatches and lengths; NaN stays NaN.
     """
-    if not length_mm > 0:
+    if not np.all(np.asarray(length_mm) > 0):
         raise DomainError("length must be positive")
     s = np.sinc(0.5 * delta_k_per_mm * length_mm / math.pi)
     return s * s if is_array(s) else float(s * s)
@@ -246,6 +254,13 @@ def _brackets(x, f):
     return pick(x, lo), pick(x, hi), pick(f, lo), pick(f, hi)
 
 
+def _bracket_root(lo, hi, f_lo, f_hi):
+    """The root inside brackets from :func:`_brackets`, by linear
+    interpolation: ``lo`` where lo == hi, NaN where there is no bracket."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(lo == hi, lo, lo - f_lo * (hi - lo) / (f_hi - f_lo))
+
+
 def _first_roots(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """Lowest root of ``func`` on the scan ``x``, per row, NaN where none.
 
@@ -253,14 +268,13 @@ def _first_roots(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.
     problem (a 1-D scan is a single problem).  The first bracket of each
     row (see :func:`_brackets`) is narrowed by further array scans of
     ``func`` until it is ``_ROOT_RTOL`` relative wide, then the root is
-    interpolated linearly inside it.
+    interpolated linearly inside it (:func:`_bracket_root`).
     """
     lo, hi, f_lo, f_hi = _brackets(x, func(x))
     while np.any(hi - lo > _ROOT_RTOL * np.abs(hi)):
         grid = np.linspace(lo, hi, _ZOOM_POINTS, axis=-1)
         lo, hi, f_lo, f_hi = _brackets(grid, func(grid))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(lo == hi, lo, lo - f_lo * (hi - lo) / (f_hi - f_lo))
+    return _bracket_root(lo, hi, f_lo, f_hi)
 
 
 def solve_phasematched_pump(
@@ -269,7 +283,6 @@ def solve_phasematched_pump(
     lam_in: Wavelength,
     temp_C: float | None = None,
     window_nm: tuple[float, float] = PUMP_WINDOW_NM,
-    scan_points: int = 257,
 ) -> Wavelength:
     """Pump wavelength at which the process is phase-matched.
 
@@ -281,7 +294,7 @@ def solve_phasematched_pump(
     root = float(
         _first_roots(
             lambda pump: delta_k(kind, lam_in.nm, pump, temp, section),
-            np.linspace(window_nm[0], window_nm[1], scan_points),
+            np.linspace(window_nm[0], window_nm[1], _PUMP_SCAN_POINTS),
         )
     )
     if math.isnan(root):
@@ -355,18 +368,11 @@ def step2_target_mismatch(step2: SectionSpec, intermediate: Wavelength, target_n
 
     The step-2 input is the intermediate wavelength pinned by the
     operating step-1 conditions; the pump that would produce the probed
-    target is implied by energy conservation (1/pump = 1/in - 1/target),
-    which requires target > intermediate.  Broadcasts like
-    :func:`delta_k`.
+    target is the DFG of input and target (1/pump = 1/in - 1/target,
+    :func:`output_nm`), which requires target > intermediate.  Broadcasts
+    like :func:`delta_k`.
     """
-    target_nm = screen(
-        target_nm, target_nm > intermediate.nm, DomainError.code,
-        lambda: DomainError(
-            f"target ({target_nm} nm) must be longer than the step-2 input "
-            f"({intermediate.nm} nm)"
-        ),
-    )
-    pump_nm = 1.0 / (1.0 / intermediate.nm - 1.0 / target_nm)
+    pump_nm = output_nm(ProcessKind.DFG, intermediate.nm, target_nm)
     return delta_k(ProcessKind.DFG, intermediate.nm, pump_nm, temp_C, step2)
 
 
@@ -377,7 +383,6 @@ def tuning_curve(
     pump: Wavelength,
     dT_values: Sequence[float],
     window_nm: tuple[float, float] = TARGET_WINDOW_NM,
-    scan_points: int = 181,
 ) -> list[TuningPoint]:
     """Phase-matched step-2 output versus second-section temperature offset.
 
@@ -396,7 +401,7 @@ def tuning_curve(
     temps = step2.temperature_C + offsets
     targets = _first_roots(
         lambda target_nm: step2_target_mismatch(step2, mid, target_nm, temps[:, None]),
-        np.linspace(window_nm[0], window_nm[1], scan_points),
+        np.linspace(window_nm[0], window_nm[1], _TARGET_SCAN_POINTS),
     )
     dk = grid_mismatch(lambda temp: delta_k(ProcessKind.DFG, mid.nm, pump.nm, temp, step2), temps)
     transfers = qpm_transfer(dk, step2.length_mm)
@@ -412,8 +417,6 @@ def degenerate_operating_point(
     signal: Wavelength,
     t_window: tuple[float, float],
     pump_window: tuple[float, float] = PUMP_WINDOW_NM,
-    grid: int = 81,
-    zoom_levels: int = 4,
 ) -> tuple[float, float, float, float]:
     """Common (T, pump) where both steps convert simultaneously.
 
@@ -423,18 +426,17 @@ def degenerate_operating_point(
     t_lo, t_hi = t_window
     p_lo, p_hi = pump_window
     best = (t_lo, p_lo, -1.0, 0.0, 0.0)
-    for _ in range(zoom_levels):
-        pm = phasematch_map(
-            step1, step2, signal, np.linspace(t_lo, t_hi, grid), np.linspace(p_lo, p_hi, grid)
-        )
+    for _ in range(_DEGENERATE_ZOOMS):
+        axes = (np.linspace(t_lo, t_hi, _DEGENERATE_GRID), np.linspace(p_lo, p_hi, _DEGENERATE_GRID))
+        pm = phasematch_map(step1, step2, signal, *axes)
         score = np.fmin(pm.step1, pm.step2)
         score_flat = np.where(np.isnan(score), -1.0, score).ravel()
         idx = int(np.argmax(score_flat))
-        i, j = divmod(idx, grid)
+        i, j = divmod(idx, _DEGENERATE_GRID)
         t_best, p_best = float(pm.temperature_C[i]), float(pm.pump_nm[j])
         best = (t_best, p_best, score_flat[idx], float(pm.step1[i, j]), float(pm.step2[i, j]))
-        t_half = 1.5 * (t_hi - t_lo) / (grid - 1)
-        p_half = 1.5 * (p_hi - p_lo) / (grid - 1)
+        t_half = 1.5 * (t_hi - t_lo) / (_DEGENERATE_GRID - 1)
+        p_half = 1.5 * (p_hi - p_lo) / (_DEGENERATE_GRID - 1)
         t_lo, t_hi = t_best - t_half, t_best + t_half
         p_lo, p_hi = p_best - p_half, p_best + p_half
     if best[2] < 0.0:

@@ -201,6 +201,31 @@ class TestFitCommand:
         assert doc["converged"] is True
         assert doc["constants"] == {"length_mm": 20.0}
 
+    def test_noisy_scan_with_negative_samples_fits(self, tmp_path):
+        """A measured scan whose noisy wings dip below zero is data, not a
+        spectrum: it fits instead of exiting 3."""
+        rng = np.random.default_rng(3)
+        x = np.linspace(2151.9, 2153.9, 201)
+        y = np.sinc(0.5 * 20.0 * (x - 2152.93) / np.pi) ** 2 + rng.normal(0.0, 0.01, x.size)
+        assert np.any(y < 0.0)
+        data = tmp_path / "scan.csv"
+        data.write_text("\n".join(f"{a!r},{b!r}" for a, b in zip(x.tolist(), y.tolist())) + "\n")
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--model", "sinc2_scan", "--data", str(data), "--fixed", "L=20",
+                     "-o", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["converged"] is True
+        assert doc["rms"] <= 1.5 * 0.01
+        assert doc["parameters"]["center"] == pytest.approx(2152.93, abs=0.01)
+
+    def test_non_finite_data_exits_three(self, tmp_path, capsys):
+        data = tmp_path / "scan.csv"
+        data.write_text("2152.0,0.5\n2152.5,nan\n2153.0,0.4\n2153.5,0.1\n2154.0,0.0\n")
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--model", "sinc2_scan", "--data", str(data), "-o", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("code=domain_error, msg=")
+        assert not out.exists()
+
 
 class TestSolveDeviceCommand:
     def test_report_contents(self, tmp_path):

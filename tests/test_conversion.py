@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpmcascade.conversion import (
     LossBudget,
@@ -15,6 +17,7 @@ from qpmcascade.conversion import (
     external_from_internal,
     internal_from_external,
     noise_report,
+    read_xy_csv,
     spectrum_fwhm,
     step_efficiency,
 )
@@ -197,6 +200,22 @@ class TestSpectrum:
         loaded = Spectrum.from_csv(path)
         assert len(loaded) == 2
 
+    def test_reader_returns_raw_columns(self, tmp_path):
+        """Only the spectrum rejects negative or unordered values."""
+        path = tmp_path / "scan.csv"
+        path.write_text("2.0,-0.5\n1.0,0.25\n")
+        x, y = read_xy_csv(path)
+        assert x.tolist() == [2.0, 1.0] and y.tolist() == [-0.5, 0.25]
+        with pytest.raises(DomainError):
+            Spectrum.from_csv(path)
+
+    @pytest.mark.parametrize("row", ["1.0", "1.0,2.0,3.0", "1.0,abc"])
+    def test_reader_rejects_a_malformed_row(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0.5,1.0\n{row}\n")
+        with pytest.raises(DomainError, match="spectrum row"):
+            read_xy_csv(path)
+
 
 class TestConvertSpectrum:
     def test_flat_input_returns_transfer_curve(self):
@@ -279,3 +298,46 @@ def test_spectrum_fwhm_of_triangle():
     lam = np.array([0.0, 1.0, 2.0])
     spectrum = Spectrum(lam, np.array([0.0, 1.0, 0.0]))
     assert spectrum_fwhm(spectrum) == pytest.approx(1.0)
+
+
+def walked_fwhm(spectrum: Spectrum) -> float:
+    """FWHM by a per-sample walk outward from the peak to the first pair of
+    samples that straddles half maximum: the implementation before the
+    bracket kernel."""
+    lam, inten = spectrum.wavelength_nm, spectrum.intensity
+    peak_idx = int(np.argmax(inten))
+    half = inten[peak_idx] / 2.0
+
+    def crossing(idx_range) -> float:
+        prev = None
+        for i in idx_range:
+            if prev is not None:
+                a, b = inten[prev], inten[i]
+                if (a - half) * (b - half) <= 0 and a != b:
+                    return float(lam[prev] + (half - a) / (b - a) * (lam[i] - lam[prev]))
+            prev = i
+        raise DomainError("half-maximum crossing not inside the sampled span")
+
+    return abs(crossing(range(peak_idx, len(lam))) - crossing(range(peak_idx, -1, -1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    steps=st.lists(st.floats(0.1, 10.0), min_size=4, max_size=60),
+    rises=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=30),
+    falls=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=30),
+)
+def test_fwhm_is_the_walked_crossing(steps, rises, falls):
+    """On random unimodal spectra that fall to zero on both sides the
+    bracket-kernel FWHM is the walked one within 1e-12 relative."""
+    peak = float(np.sum(rises))
+    drop = np.cumsum(falls)
+    inten = np.concatenate([[0.0], np.cumsum(rises), peak * (1.0 - drop / drop[-1])])
+    lam = np.cumsum(np.resize(steps, inten.size))
+    spectrum = Spectrum(lam, inten)
+    assert spectrum_fwhm(spectrum) == pytest.approx(walked_fwhm(spectrum), rel=1e-12, abs=0.0)
+
+
+def test_fwhm_needs_both_crossings():
+    with pytest.raises(DomainError, match="half-maximum"):
+        spectrum_fwhm(Spectrum(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.8, 0.0])))

@@ -182,6 +182,29 @@ class TestRegistry:
         y_two = two.evaluate(np.array([1.2, 2152.9, 0.0, 2156.0, 18.0, 0.05]), x)
         assert np.array_equal(y_scan, y_two)
 
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_sinc2_models_are_the_inline_sinc2_formula(self, batched):
+        """Bit-identical to the former private formula
+        np.sinc(0.5 L (x - c) / pi) ** 2, for one parameter vector and a
+        (n_par, M, 1) batch."""
+
+        def sinc2(arg):
+            return np.sinc(arg / math.pi) ** 2
+
+        rng = np.random.default_rng(11)
+        x = np.linspace(2150.0, 2158.0, 301)
+        shape = (7, 1) if batched else ()
+        amp1, amp2 = rng.uniform(0.1, 2.0, (2, *shape))
+        c1, c2 = rng.uniform(2151.0, 2157.0, (2, *shape))
+        eff_len = rng.geometric(0.2, shape) * rng.uniform(0.5, 3.0, shape)
+        offset = rng.uniform(-0.1, 0.1, shape)
+        scan = registry_model("sinc2_scan").evaluate(np.array([amp1, c1, eff_len, offset]), x)
+        assert np.array_equal(scan, amp1 * sinc2(0.5 * eff_len * (x - c1)) + offset)
+        two = registry_model("two_mode_sinc2").evaluate(np.array([amp1, c1, amp2, c2, eff_len, offset]), x)
+        expect = amp1 * sinc2(0.5 * eff_len * (x - c1)) + amp2 * sinc2(0.5 * eff_len * (x - c2)) + offset
+        assert np.array_equal(two, expect)
+        assert two.shape == ((7, x.size) if batched else x.shape)
+
     def test_numeric_jacobian_stable_under_step_refinement(self):
         from qpmcascade.fitting import _jacobian
 

@@ -49,11 +49,51 @@ def symmetric_slab_neff(n_core: float, n_clad: float, thickness_um: float, lam_u
     return 0.5 * (a + b)
 
 
+def bisection_slab_kappa(k0, n_core, n_a, n_b, thickness, m):
+    """The slab equation of ``modesolver.slab_kappa`` solved by scalar
+    bisection to the last bit: the implementation before the root kernel."""
+    contrast = n_core * n_core - max(n_a, n_b) ** 2
+    if contrast <= 0:
+        return None
+    kappa_max = k0 * math.sqrt(contrast)
+    qa = (k0 * k0) * (n_core * n_core - n_a * n_a)
+    qb = (k0 * k0) * (n_core * n_core - n_b * n_b)
+
+    def phase_defect(kappa):
+        ga = math.sqrt(max(qa - kappa * kappa, 0.0))
+        gb = math.sqrt(max(qb - kappa * kappa, 0.0))
+        return kappa * thickness - math.atan2(ga, kappa) - math.atan2(gb, kappa) - m * math.pi
+
+    hi = kappa_max * (1.0 - 1e-15)
+    if phase_defect(hi) <= 0.0:
+        return None
+    lo = kappa_max * 1e-15
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if phase_defect(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 @pytest.fixture(scope="module")
 def default_geometry(lithium_niobate, lithium_tantalate):
     return WaveguideGeometry(
         core_width_um=10.0,
         core_height_um=8.0,
+        core_material=lithium_niobate,
+        substrate_material=lithium_tantalate,
+    )
+
+
+@pytest.fixture(scope="module")
+def small_geometry(lithium_niobate, lithium_tantalate):
+    return WaveguideGeometry(
+        core_width_um=4.0,
+        core_height_um=3.0,
         core_material=lithium_niobate,
         substrate_material=lithium_tantalate,
     )
@@ -247,6 +287,31 @@ class TestMarcatili:
     def test_evanescent_raises_capability(self, default_geometry):
         with pytest.raises(CapabilityError):
             marcatili_index(default_geometry, LAM, TEMP, (40, 40))
+
+    @pytest.mark.parametrize("geometry_name", ["default_geometry", "slab_geometry", "small_geometry"])
+    def test_bracket_kernel_matches_the_scalar_bisection(self, request, geometry_name, monkeypatch):
+        """3 geometries x 4 wavelengths x 4 mode pairs: n_eff within 1e-12
+        relative of the slab equation solved by ``bisection_slab_kappa``,
+        and unbound in the same cases."""
+        geometry = request.getfixturevalue(geometry_name)
+
+        def marcatili_or_unbound(lam_nm, pair):
+            try:
+                return marcatili_index(geometry, Wavelength(lam_nm), TEMP, pair)
+            except CapabilityError:
+                return None
+
+        cases = [(lam, pair) for lam in (637.2, 905.08, 1561.62, 2152.9)
+                 for pair in ((1, 1), (2, 1), (1, 2), (3, 2))]
+        got = [marcatili_or_unbound(lam, pair) for lam, pair in cases]
+        monkeypatch.setattr(modesolver, "slab_kappa", bisection_slab_kappa)
+        expect = [marcatili_or_unbound(lam, pair) for lam, pair in cases]
+        assert sum(v is not None for v in expect) >= 8
+        for value, oracle in zip(got, expect):
+            if oracle is None:
+                assert value is None
+            else:
+                assert value == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 class TestModeSolverProvider:

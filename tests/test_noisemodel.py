@@ -173,6 +173,21 @@ def test_panel_split_kernel_is_the_per_panel_sum(panels, weights, length, dk_l):
     assert np.all(np.abs(got - oracle) <= 1e-13 * scale)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    length=st.floats(0.5, 100.0),
+    dk_l=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=8, unique=True),
+)
+def test_parabolic_weights_give_the_analytic_line(length, dk_l):
+    """Weights (L, -2, 1/L), i.e. (L - z)^2 / L, reproduce the analytic line
+    within criterion 6's 1e-3 relative for |dk L| <= 20."""
+    grid = np.array(sorted(dk_l))  # the abscissa is dk L itself
+    params = LineShapeParams(length, lambda x: x / length, (length, -2.0, 1.0 / length))
+    weighted = lineshape_weighted(params, grid).intensity
+    analytic = lineshape_analytic(grid / length, length)
+    assert np.all(np.abs(weighted - analytic) <= 1e-3 * analytic)
+
+
 class TestWeightedKernel:
     def test_broadcasts_detuning_length_and_weights(self):
         dk = np.linspace(-2.0, 2.0, 7)
@@ -339,6 +354,12 @@ class TestEnumerateParasitics:
             ParasiticProcess(
                 kind="SHG_pump", output_nm=1000.0, drivers_nm=(2152.9, 2152.9), power_law=2
             )
+        with pytest.raises(DomainError):
+            ParasiticProcess(
+                kind="thermal_SFG", output_nm=1000.0, drivers_nm=(4000.0, 4000.0, 4000.0), power_law=1
+            )
+        ParasiticProcess(kind="SHG_pump", output_nm=1076.45, drivers_nm=(2152.9, 2152.9), power_law=2)
+        ParasiticProcess(kind="other", output_nm=1000.0, drivers_nm=(2152.9, 2152.9), power_law=2)
 
     def test_window_validation(self, solved_sections):
         _, step2 = solved_sections

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpmcascade.dispersion import BulkIndexProvider
-from qpmcascade.errors import DesignError, DomainError, NoSolutionError, RangeError
+from qpmcascade.errors import DesignError, DomainError, NoSolutionError, RangeError, mask_counts, masked_cells
 from qpmcascade.qpm import (
     ProcessSpec,
     SectionSpec,
@@ -52,6 +52,41 @@ class TestQpmTransfer:
     def test_length_validation(self):
         with pytest.raises(DomainError):
             qpm_transfer(0.1, 0.0)
+        with pytest.raises(DomainError):
+            qpm_transfer(0.1, np.array([20.0, -1.0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dk=st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=6),
+    lengths=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4),
+)
+def test_transfer_is_a_fraction(dk, lengths):
+    """sinc^2 lies in [0, 1] for scalar and broadcast (dk, L), and a batch
+    of lengths gives each length's own transfer."""
+    batch = qpm_transfer(np.array(dk), np.array(lengths)[:, None])
+    assert batch.shape == (len(lengths), len(dk))
+    assert np.all((batch >= 0.0) & (batch <= 1.0))
+    for row, length in zip(batch, lengths):
+        assert np.array_equal(row, qpm_transfer(np.array(dk), length))
+        assert all(0.0 <= qpm_transfer(value, length) <= 1.0 for value in dk)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(list(ProcessKind)),
+    lam_in=st.floats(900.0, 2000.0),
+    ratio=st.floats(1.5, 3.0),
+    temp=st.floats(20.0, 250.0),
+    order=st.sampled_from([1, 3, 5]),
+)
+def test_solved_period_phase_matches(ln_provider, kind, lam_in, ratio, temp, order):
+    """|delta_k| <= 1e-9 rad/mm at (T, pump) on a section poled with the
+    period solve_poling_period returns there, for DFG, SFG and SHG."""
+    pump = lam_in if kind is ProcessKind.SHG else lam_in * ratio
+    period = solve_poling_period(kind, Wavelength(lam_in), Wavelength(pump), temp, ln_provider, order)
+    section = SectionSpec("step1", 20.0, period, temp, ln_provider, qpm_order=order)
+    assert abs(delta_k(kind, lam_in, pump, temp, section)) <= 1e-9
 
 
 class TestSectionSpec:
@@ -294,6 +329,22 @@ class TestTuningCurve:
             temp = step2.temperature_C + point.dT_C
             assert type(point.transfer) is float
             assert point.transfer == qpm_transfer(phase_mismatch(chain, temp_C=temp), step2.length_mm)
+
+    def test_target_mismatch_needs_a_longer_target(self, solved_sections):
+        """target <= intermediate is masked in an array call under
+        domain_error and raises on a scalar call."""
+        _, step2 = solved_sections
+        mid = dfg_target(SIGNAL, PUMP)
+        targets = np.array([mid.nm - 1.0, mid.nm, 1561.6])
+        with masked_cells() as why:
+            dk = step2_target_mismatch(step2, mid, targets, T0)
+        assert np.isnan(dk[:2]).all() and np.isfinite(dk[2])
+        assert why[0][0] == "domain_error" and why[0][1].tolist() == [True, True, False]
+        assert mask_counts(why, dk.shape) == {"domain_error": 2}
+        assert dk[2] == step2_target_mismatch(step2, mid, 1561.6, T0)
+        for target in targets[:2].tolist():
+            with pytest.raises(DomainError):
+                step2_target_mismatch(step2, mid, target, T0)
 
     def test_tuned_targets_are_roots(self, solved_sections):
         step1, step2 = solved_sections

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpmcascade.errors import DomainError
 from qpmcascade.spectral import (
@@ -8,7 +10,9 @@ from qpmcascade.spectral import (
     ProcessKind,
     Wavelength,
     dfg_target,
+    energy_residual,
     frequency_to_wavelength,
+    output_nm,
     process_output,
     sfg_output,
     shg_output,
@@ -101,3 +105,24 @@ class TestEnergyConservation:
     def test_wavelength_ordering_helpers(self):
         assert Wavelength(500.0) < Wavelength(600.0)
         assert Wavelength(1500.0).um == pytest.approx(1.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(list(ProcessKind)),
+    lam_in=st.floats(100.0, 20000.0),
+    ratio=st.floats(1.0 + 1e-6, 50.0),
+)
+def test_output_conserves_photon_energy(kind, lam_in, ratio):
+    """1/in = 1/out + 1/pump for DFG and 1/out = 1/in + 1/pump for SFG and
+    SHG, to a few ulps of the largest photon energy; the array call gives
+    the scalar call's value."""
+    lam_pump = lam_in if kind is ProcessKind.SHG else lam_in * ratio
+    out = output_nm(kind, lam_in, lam_pump)
+    if kind is ProcessKind.DFG:
+        high, balance = 1.0 / lam_in, 1.0 / lam_in - 1.0 / out - 1.0 / lam_pump
+    else:
+        high, balance = 1.0 / out, 1.0 / out - 1.0 / lam_in - 1.0 / lam_pump
+    assert abs(balance) <= 1e-15 * high
+    assert energy_residual(kind, Wavelength(lam_in), Wavelength(lam_pump), Wavelength(out)) <= 1e-15
+    assert output_nm(kind, np.array([lam_in]), np.array([lam_pump]))[0] == out
