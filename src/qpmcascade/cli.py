@@ -69,6 +69,14 @@ def _range_spec(text: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
+def _window_spec(text: str) -> tuple[float, float]:
+    """Parse 'lo:hi:2' into the (lo, hi) edges of a window."""
+    edges = _range_spec(text)
+    if edges.size != 2:
+        raise argparse.ArgumentTypeError(f"expected lo:hi:2, got {text!r}")
+    return float(edges[0]), float(edges[1])
+
+
 def _assignments(text: str) -> dict[str, float]:
     """Parse 'name=value,name=value' pairs."""
     out: dict[str, float] = {}
@@ -237,7 +245,10 @@ def _cmd_convert_spectrum(args, argv) -> int:
 
 def _cmd_fit(args, argv) -> int:
     fixed = args.fixed or {}
-    model = registry_model(args.model, length_mm=fixed.get("L", fixed.get("length_mm", 20.0)))
+    unknown = sorted(set(fixed) - {"L"})
+    if unknown:
+        raise DomainError(f"--fixed accepts only L, got {', '.join(unknown)}")
+    model = registry_model(args.model, length_mm=fixed.get("L", 20.0))
     if args.data.suffix != ".csv":
         raise DomainError("fit expects a CSV data file")
     x, y = read_xy_csv(args.data)
@@ -248,6 +259,11 @@ def _cmd_fit(args, argv) -> int:
         if missing:
             raise DomainError(
                 f"--initial omits parameter(s) {', '.join(missing)} of model {model.name!r}"
+            )
+        unknown = sorted(set(args.initial) - set(model.parameter_names))
+        if unknown:
+            raise DomainError(
+                f"--initial names unknown parameter(s) {', '.join(unknown)} of model {model.name!r}"
             )
         initial = [args.initial[name] for name in model.parameter_names]
     else:
@@ -262,9 +278,7 @@ def _cmd_fit(args, argv) -> int:
 
 def _cmd_solve_device(args, argv) -> int:
     device = load_device(args.device)
-    parasitics = enumerate_parasitics(
-        device.step2, device.pump, (args.window[0], args.window[1])
-    )
+    parasitics = enumerate_parasitics(device.step2, device.pump, args.window)
     doc = {
         "signal_nm": device.signal.nm,
         "pump_nm": device.pump.nm,
@@ -376,12 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="registry model name")
     p.add_argument("--data", type=Path, required=True, help="CSV with x,y columns")
     p.add_argument("--initial", type=_assignments, default=None, help="name=value,... start point")
-    p.add_argument("--fixed", type=_assignments, default=None, help="fixed constants, e.g. L=20")
+    p.add_argument("--fixed", type=_assignments, default=None, help="fixed section length, L=20 (mm)")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("solve-device", help="solve periods and report the operating point")
     add_common(p)
-    p.add_argument("--window", type=_range_spec, default=np.array([1000.0, 1620.0]),
+    p.add_argument("--window", type=_window_spec, default=(1000.0, 1620.0),
                    help="parasitic detection window lo:hi:2 (nm)")
     p.set_defaults(func=_cmd_solve_device)
 

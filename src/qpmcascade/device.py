@@ -4,12 +4,11 @@ A device file is a JSON document:
 
     {
       "materials": ["builtin:lithium_niobate_e", "path/to/material.json"],
-      "signal_nm": 637.2,            // optional if step1 carries solve_at
-      "pump_nm": 2152.9,             // optional if step1 carries solve_at
+      "signal_nm": 637.2,
+      "pump_nm": 2152.9,
       "sections": [
         {"role": "step1", "length_mm": 20.0, "qpm_order": 1,
-         "temperature_C": 59.26,
-         "solve_at": {"pump_nm": 2152.9, "T_C": 59.26, "signal_nm": 637.2},
+         "temperature_C": 59.26, "solve_at": {"T_C": 59.26},
          "index_provider": {"kind": "bulk", "material": "lithium_niobate_e"}},
         {"role": "step2", ...}
       ],
@@ -18,12 +17,15 @@ A device file is a JSON document:
       "geometry": { ... }            // optional waveguide cross-section
     }
 
-Each section states either an explicit ``poling_period_um`` or a
-``solve_at`` operating point at which the period is solved on load; never
-both.  Sections whose ``index_provider`` blocks are equal share one
-provider object, so a mode-solver device solves each (wavelength, T,
-mode) once for both sections.  Unknown keys are rejected with a named
-error.
+The operating point is stated once, by the top-level ``signal_nm`` and
+``pump_nm``.  Each section states either an explicit ``poling_period_um``
+or a ``solve_at`` temperature at which its period is solved on load, on
+the DFG chain at that pump: step 1 from the signal, step 2 from step 1's
+output.  A solved period is stored at ``expansion_ref_C``, so the
+section's thermal expansion restores it at ``solve_at.T_C``.  Sections
+whose ``index_provider`` blocks are equal share one provider object, so a
+mode-solver device solves each (wavelength, T, mode) once for both
+sections.  Unknown and missing keys are rejected with a named error.
 """
 
 from __future__ import annotations
@@ -186,20 +188,23 @@ def _build_provider(doc: dict, materials, geometry: WaveguideGeometry | None, wh
 
 
 def _build_section(
-    doc: dict, materials, geometry, where: str, providers: list
-) -> tuple[SectionSpec, dict | None]:
-    """One section; ``providers`` holds the (block, provider) pairs built so
-    far, and a section whose index_provider block equals an earlier one
-    shares its provider (and so a mode-solver cache)."""
+    doc: dict, materials, geometry, where: str, providers: list,
+    chain: Mapping[str, Wavelength], pump: Wavelength,
+) -> SectionSpec:
+    """One section; ``chain`` maps each role to its DFG input at ``pump``.
+
+    ``providers`` holds the (block, provider) pairs built so far, and a
+    section whose index_provider block equals an earlier one shares its
+    provider (and so a mode-solver cache)."""
     _check_keys(
         doc,
         required={"role", "length_mm", "temperature_C", "index_provider"},
         optional={"poling_period_um", "solve_at", "qpm_order", "expansion_per_C", "expansion_ref_C"},
         where=where,
     )
-    has_period = "poling_period_um" in doc
-    has_solve = "solve_at" in doc
-    if has_period == has_solve:
+    if doc["role"] not in chain:
+        raise DeviceFileError(f"{where}: role must be one of {sorted(chain)}, got {doc['role']!r}")
+    if ("poling_period_um" in doc) == ("solve_at" in doc):
         raise DeviceFileError(
             f"{where}: exactly one of poling_period_um and solve_at is required"
         )
@@ -209,75 +214,51 @@ def _build_section(
         provider = _build_provider(block, materials, geometry, f"{where}.index_provider")
         providers.append((block, provider))
     qpm_order = int(doc.get("qpm_order", 1))
-    solve_at = None
-    if has_solve:
-        solve_doc = doc["solve_at"]
-        _check_keys(
-            solve_doc, required={"pump_nm", "T_C", "signal_nm"}, optional=set(), where=f"{where}.solve_at"
-        )
-        solve_at = solve_doc
+    expansion_per_C = float(doc.get("expansion_per_C", 0.0))
+    expansion_ref_C = float(doc.get("expansion_ref_C", 25.0))
+    if "solve_at" in doc:
+        _check_keys(doc["solve_at"], required={"T_C"}, optional=set(), where=f"{where}.solve_at")
+        temp_C = float(doc["solve_at"]["T_C"])
         period = solve_poling_period(
-            ProcessKind.DFG,
-            Wavelength(float(solve_doc["signal_nm"])),
-            Wavelength(float(solve_doc["pump_nm"])),
-            float(solve_doc["T_C"]),
-            provider,
-            qpm_order=qpm_order,
+            ProcessKind.DFG, chain[doc["role"]], pump, temp_C, provider, qpm_order=qpm_order
         )
+        period /= 1.0 + expansion_per_C * (temp_C - expansion_ref_C)
     else:
         period = float(doc["poling_period_um"])
-    section = SectionSpec(
+    return SectionSpec(
         role=doc["role"],
         length_mm=float(doc["length_mm"]),
         poling_period_um=period,
         temperature_C=float(doc["temperature_C"]),
         index_provider=provider,
         qpm_order=qpm_order,
-        expansion_per_C=float(doc.get("expansion_per_C", 0.0)),
-        expansion_ref_C=float(doc.get("expansion_ref_C", 25.0)),
+        expansion_per_C=expansion_per_C,
+        expansion_ref_C=expansion_ref_C,
     )
-    return section, solve_at
 
 
 def device_from_dict(doc: dict, base_dir: Path, sha256: str = "") -> TwoStepDevice:
     _check_keys(
         doc,
-        required={"materials", "sections", "coupling", "loss_budget"},
-        optional={"signal_nm", "pump_nm", "geometry"},
+        required={"materials", "signal_nm", "pump_nm", "sections", "coupling", "loss_budget"},
+        optional={"geometry"},
         where="device",
     )
+    signal = Wavelength(float(doc["signal_nm"]))
+    pump = Wavelength(float(doc["pump_nm"]))
+    chain = {"step1": signal, "step2": dfg_target(signal, pump)}
     materials = _load_materials(doc["materials"], base_dir)
     geometry = _build_geometry(doc["geometry"], materials) if "geometry" in doc else None
     sections = doc["sections"]
     if not isinstance(sections, list) or len(sections) != 2:
         raise DeviceFileError("sections must list exactly one step1 and one step2")
-    built: dict[str, tuple[SectionSpec, dict | None]] = {}
     providers: list = []
+    built = {}
     for i, sec_doc in enumerate(sections):
-        section, solve_at = _build_section(sec_doc, materials, geometry, f"sections[{i}]", providers)
-        if section.role in built:
-            raise DeviceFileError(f"duplicate section role {section.role!r}")
-        built[section.role] = (section, solve_at)
+        section = _build_section(sec_doc, materials, geometry, f"sections[{i}]", providers, chain, pump)
+        built[section.role] = section
     if set(built) != {"step1", "step2"}:
         raise DeviceFileError("sections must list exactly one step1 and one step2")
-    step1, solve1 = built["step1"]
-    step2, _ = built["step2"]
-
-    signal_nm = doc.get("signal_nm")
-    pump_nm = doc.get("pump_nm")
-    if solve1 is not None:
-        if signal_nm is None:
-            signal_nm = solve1["signal_nm"]
-        elif float(signal_nm) != float(solve1["signal_nm"]):
-            raise DeviceFileError("signal_nm disagrees with step1 solve_at signal_nm")
-        if pump_nm is None:
-            pump_nm = solve1["pump_nm"]
-        elif float(pump_nm) != float(solve1["pump_nm"]):
-            raise DeviceFileError("pump_nm disagrees with step1 solve_at pump_nm")
-    if signal_nm is None or pump_nm is None:
-        raise DeviceFileError(
-            "device needs signal_nm and pump_nm (top-level or via step1 solve_at)"
-        )
 
     coupling_doc = doc["coupling"]
     _check_keys(coupling_doc, required={"pump", "signal", "aux"}, optional=set(), where="coupling")
@@ -297,10 +278,10 @@ def device_from_dict(doc: dict, base_dir: Path, sha256: str = "") -> TwoStepDevi
         pairs.append((item["label"], float(item["transmission"])))
 
     return TwoStepDevice(
-        step1=step1,
-        step2=step2,
-        signal=Wavelength(float(signal_nm)),
-        pump=Wavelength(float(pump_nm)),
+        step1=built["step1"],
+        step2=built["step2"],
+        signal=signal,
+        pump=pump,
         coupling=coupling,
         loss_budget=LossBudget.from_pairs(pairs),
         materials=materials,

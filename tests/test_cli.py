@@ -50,10 +50,9 @@ class TestMapCommand:
         main(["map", "--device", DEVICE, "--t", "59.26:59.26:1",
               "--pump", "2152.9:2152.9:1", "-o", str(out)])
         row = read_csv_rows(out)[0]
-        # step 2 of the shipped device is solved at the rounded 905.08 nm
-        # intermediate, so the exact-chain transfer is 1 minus ~1e-5
-        assert row[2] > 0.999999
-        assert row[3] > 0.9999
+        # both periods are solved on the exact chain at this (T, pump)
+        assert row[2] >= 1 - 1e-12
+        assert row[3] >= 1 - 1e-12
 
     def test_byte_identical_modulo_timestamp(self, tmp_path):
         first = tmp_path / "a.csv"
@@ -324,6 +323,35 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("code=domain_error, msg=")
         assert "eta_nor" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra, name", [
+        (["--fixed", "foo=3"], "foo"),
+        (["--fixed", "length_mm=20"], "length_mm"),
+        (["--initial", "eta_max=0.9,eta_nor=0.04,bogus=7"], "bogus"),
+    ])
+    def test_fit_unknown_name_exits_three(self, tmp_path, capsys, extra, name):
+        data = tmp_path / "eff.csv"
+        x = np.linspace(1e-3, 0.225, 20)
+        Spectrum(x, 0.9 * np.sin(np.sqrt(0.04 * x) * 20.0) ** 2).to_csv(data)
+        out = tmp_path / "fit.json"
+        code = main(["fit", "--model", "saturation", "--data", str(data), *extra, "-o", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("code=domain_error, msg=") and err.count("\n") == 1
+        assert name in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("window", ["1000:1620:1", "1000:1620:3"])
+    def test_window_other_than_two_edges_exits_two(self, tmp_path, capsys, window):
+        out = tmp_path / "solved.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-device", "--device", DEVICE, "--window", window, "-o", str(out)])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [
+            f"qpmcascade solve-device: error: argument --window: expected lo:hi:2, got '{window}'"
+        ]
         assert not out.exists()
 
     def test_lineshape_sample_outside_material_range_exits_three(self, tmp_path, capsys):

@@ -39,12 +39,9 @@ class TestLoadReferenceDevice:
         assert reference_device.step1.poling_period_um == expected
 
     def test_phase_matched_at_operating_point(self, reference_device):
-        process = reference_device.step1_process()
-        assert abs(phase_mismatch(process)) < 1e-9
-        # step 2 was solved at the rounded intermediate (905.08), so the
-        # exact-chain mismatch is tiny but not identically zero
-        chain = reference_device.step2_process()
-        assert abs(phase_mismatch(chain)) < 1e-3
+        # both periods are solved on the chain, step 2 at step 1's output
+        assert abs(phase_mismatch(reference_device.step1_process())) <= 1e-9
+        assert abs(phase_mismatch(reference_device.step2_process())) <= 1e-9
 
     def test_budget_and_coupling(self, reference_device):
         assert budget_transmission(reference_device.loss_budget) == pytest.approx(0.1457, abs=2e-4)
@@ -135,10 +132,35 @@ class TestDeviceFileValidation:
 
     def test_missing_signal_rejected(self, tmp_path):
         doc = reference_doc()
-        for section in doc["sections"]:
-            del section["solve_at"]
-            section["poling_period_um"] = 20.0
-        with pytest.raises(DeviceFileError, match="signal_nm"):
+        del doc["signal_nm"]
+        with pytest.raises(DeviceFileError, match=r"missing key\(s\) \['signal_nm'\] in device"):
+            device_from_dict(doc, tmp_path)
+
+    def test_missing_pump_rejected(self, tmp_path):
+        doc = reference_doc()
+        del doc["pump_nm"]
+        with pytest.raises(DeviceFileError, match=r"missing key\(s\) \['pump_nm'\] in device"):
+            device_from_dict(doc, tmp_path)
+
+    def test_solve_at_restating_the_chain_rejected(self, tmp_path):
+        doc = reference_doc()
+        doc["sections"][1]["solve_at"] = {"pump_nm": 2152.9, "T_C": 59.26, "signal_nm": 905.08}
+        with pytest.raises(
+            DeviceFileError, match=r"unknown key\(s\) \['pump_nm', 'signal_nm'\] in sections\[1\].solve_at"
+        ):
+            device_from_dict(doc, tmp_path)
+
+    def test_sections_in_either_order(self, reference_device, tmp_path):
+        doc = reference_doc()
+        doc["sections"].reverse()
+        device = device_from_dict(doc, tmp_path)
+        assert device.step1.poling_period_um == reference_device.step1.poling_period_um
+        assert device.step2.poling_period_um == reference_device.step2.poling_period_um
+
+    def test_unknown_role_rejected(self, tmp_path):
+        doc = reference_doc()
+        doc["sections"][1]["role"] = "step3"
+        with pytest.raises(DeviceFileError, match="step3"):
             device_from_dict(doc, tmp_path)
 
     def test_explicit_period_device_with_top_level_operating_point(self, tmp_path):
@@ -147,16 +169,8 @@ class TestDeviceFileValidation:
             del section["solve_at"]
         doc["sections"][0]["poling_period_um"] = 12.96
         doc["sections"][1]["poling_period_um"] = 25.65
-        doc["signal_nm"] = 637.2
-        doc["pump_nm"] = 2152.9
         device = device_from_dict(doc, tmp_path)
         assert device.step1.poling_period_um == 12.96
-
-    def test_conflicting_signal_rejected(self, tmp_path):
-        doc = reference_doc()
-        doc["signal_nm"] = 650.0
-        with pytest.raises(DeviceFileError, match="disagrees"):
-            device_from_dict(doc, tmp_path)
 
     def test_coupling_range_validated(self, tmp_path):
         doc = reference_doc()
@@ -210,7 +224,6 @@ def _explicit_period_doc(*blocks) -> dict:
     """Reference device with stated periods (no load-time solve) and the
     given index_provider block per section."""
     doc = reference_doc()
-    doc["signal_nm"], doc["pump_nm"] = 637.2, 2152.9
     for section, period, block in zip(doc["sections"], (12.96, 25.65), blocks):
         del section["solve_at"]
         section["poling_period_um"] = period
@@ -237,11 +250,31 @@ class TestSharedProviders:
         for section in doc["sections"]:
             section["index_provider"] = {"kind": "modesolver"}
         device = device_from_dict(doc, tmp_path)
-        # Step 1 at 637.2 nm and step 2 at 905.08 nm share the 2152.9 nm pump.
-        assert len(fake_solves) == len(set(fake_solves)) == 5
+        # Step 1 solves the signal, the pump and its output; step 2's input
+        # is that output, bit for bit, so it adds only the target.
+        assert len(fake_solves) == len(set(fake_solves)) == 4
         fake_solves.clear()
         pm = phasematch_map(device.step1, device.step2, device.signal, [55.0, 60.0], [2150.0, 2155.0])
         assert np.all(np.isfinite(pm.step1)) and np.all(np.isfinite(pm.step2))
         # Per T row: the signal once, then per cell the intermediate, the
         # target and the pump, each solved once for both sections.
         assert len(fake_solves) == 2 * (1 + 3 * 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    pump_nm=st.floats(2100.0, 2250.0),
+    temps=st.tuples(st.floats(25.0, 150.0), st.floats(25.0, 150.0)),
+    expansion_per_C=st.sampled_from([0.0, 1.54e-5]),
+)
+def test_solved_sections_phase_match_on_the_chain(tmp_path_factory, pump_nm, temps, expansion_per_C):
+    """Both solved periods phase-match at (solve_at.T_C, pump) on the chain
+    signal -> step-1 output, with or without the grating's thermal expansion."""
+    doc = reference_doc()
+    doc["pump_nm"] = pump_nm
+    for section, temp in zip(doc["sections"], temps):
+        section["solve_at"] = {"T_C": temp}
+        section["expansion_per_C"] = expansion_per_C
+    device = device_from_dict(doc, tmp_path_factory.getbasetemp())
+    for process, temp in zip((device.step1_process(), device.step2_process()), temps):
+        assert abs(phase_mismatch(process, temp_C=temp)) <= 1e-9
