@@ -78,7 +78,7 @@ def _window_spec(text: str) -> tuple[float, float]:
 
 
 def _assignments(text: str) -> dict[str, float]:
-    """Parse 'name=value,name=value' pairs."""
+    """Parse 'name=value,name=value' pairs; a name may appear only once."""
     out: dict[str, float] = {}
     if not text:
         return out
@@ -86,8 +86,11 @@ def _assignments(text: str) -> dict[str, float]:
         if "=" not in item:
             raise argparse.ArgumentTypeError(f"expected name=value, got {item!r}")
         name, value = item.split("=", 1)
+        name = name.strip()
+        if name in out:
+            raise argparse.ArgumentTypeError(f"{name!r} assigned more than once in {text!r}")
         try:
-            out[name.strip()] = float(value)
+            out[name] = float(value)
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad numeric value in {item!r}") from None
     return out

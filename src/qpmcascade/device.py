@@ -25,7 +25,10 @@ output.  A solved period is stored at ``expansion_ref_C``, so the
 section's thermal expansion restores it at ``solve_at.T_C``.  Sections
 whose ``index_provider`` blocks are equal share one provider object, so a
 mode-solver device solves each (wavelength, T, mode) once for both
-sections.  Unknown and missing keys are rejected with a named error.
+sections.  Unknown and missing keys are rejected with a named error, and
+so is a value of the wrong JSON type: numeric fields must be JSON numbers
+(integers for ``qpm_order``, ``mode`` and the grid sizes), names and
+labels strings, and every block an object.
 """
 
 from __future__ import annotations
@@ -51,6 +54,8 @@ from .spectral import ProcessKind, Wavelength, dfg_target, output_nm
 
 
 def _check_keys(doc: dict, required: set[str], optional: set[str], where: str) -> None:
+    if not isinstance(doc, dict):
+        raise DeviceFileError(f"{where} must be a JSON object, got {doc!r}")
     unknown = set(doc) - required - optional
     if unknown:
         raise DeviceFileError(f"unknown key(s) {sorted(unknown)} in {where}")
@@ -138,10 +143,22 @@ def _load_materials(entries: list, base_dir: Path) -> dict[str, SellmeierModel]:
     return loaded
 
 
+def _number(value, path: str, integer: bool = False):
+    """``value`` as a float, or as an int when ``integer``.
+
+    Anything but a JSON number of that kind (a string, a bool, a
+    fractional count) is a :class:`DeviceFileError` naming ``path``.
+    """
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise DeviceFileError(f"{path} must be {kind}, got {value!r}")
+    return value if integer else float(value)
+
+
 def _material_for(name, materials: Mapping[str, SellmeierModel], where: str) -> SellmeierModel:
     if name is None:
         raise DeviceFileError(f"{where} needs a material name; loaded: {sorted(materials)}")
-    if name not in materials:
+    if not isinstance(name, str) or name not in materials:
         raise DeviceFileError(
             f"{where} references material {name!r}; loaded: {sorted(materials)}"
         )
@@ -155,18 +172,22 @@ def _build_geometry(doc: dict, materials: Mapping[str, SellmeierModel]) -> Waveg
         optional={"superstrate_index", "grid_nx", "grid_ny", "window_width_um", "window_height_um"},
         where="geometry",
     )
+
+    def field(key, default=None, integer=False):
+        return _number(doc.get(key, default), f"geometry.{key}", integer)
+
     return WaveguideGeometry(
-        core_width_um=float(doc["core_width_um"]),
-        core_height_um=float(doc["core_height_um"]),
+        core_width_um=field("core_width_um"),
+        core_height_um=field("core_height_um"),
         core_material=_material_for(doc["core_material"], materials, "geometry.core_material"),
         substrate_material=_material_for(
             doc["substrate_material"], materials, "geometry.substrate_material"
         ),
-        superstrate_index=float(doc.get("superstrate_index", 1.0)),
-        grid_nx=int(doc.get("grid_nx", 64)),
-        grid_ny=int(doc.get("grid_ny", 64)),
-        window_width_um=float(doc.get("window_width_um", 30.0)),
-        window_height_um=float(doc.get("window_height_um", 24.0)),
+        superstrate_index=field("superstrate_index", 1.0),
+        grid_nx=field("grid_nx", 64, integer=True),
+        grid_ny=field("grid_ny", 64, integer=True),
+        window_width_um=field("window_width_um", 30.0),
+        window_height_um=field("window_height_um", 24.0),
     )
 
 
@@ -178,12 +199,13 @@ def _build_provider(doc: dict, materials, geometry: WaveguideGeometry | None, wh
     if kind == "offset":
         return OffsetIndexProvider(
             _material_for(doc.get("material"), materials, where),
-            delta_n=float(doc.get("delta_n", 0.0)),
+            delta_n=_number(doc.get("delta_n", 0.0), f"{where}.delta_n"),
         )
     if kind == "modesolver":
         if geometry is None:
             raise DeviceFileError(f"{where}: modesolver provider needs a geometry block")
-        return ModeSolverIndexProvider(geometry, default_mode=int(doc.get("mode", 1)))
+        mode = _number(doc.get("mode", 1), f"{where}.mode", integer=True)
+        return ModeSolverIndexProvider(geometry, default_mode=mode)
     raise DeviceFileError(f"{where}: unknown index_provider kind {kind!r}")
 
 
@@ -202,7 +224,7 @@ def _build_section(
         optional={"poling_period_um", "solve_at", "qpm_order", "expansion_per_C", "expansion_ref_C"},
         where=where,
     )
-    if doc["role"] not in chain:
+    if not isinstance(doc["role"], str) or doc["role"] not in chain:
         raise DeviceFileError(f"{where}: role must be one of {sorted(chain)}, got {doc['role']!r}")
     if ("poling_period_um" in doc) == ("solve_at" in doc):
         raise DeviceFileError(
@@ -213,23 +235,23 @@ def _build_section(
     if provider is None:
         provider = _build_provider(block, materials, geometry, f"{where}.index_provider")
         providers.append((block, provider))
-    qpm_order = int(doc.get("qpm_order", 1))
-    expansion_per_C = float(doc.get("expansion_per_C", 0.0))
-    expansion_ref_C = float(doc.get("expansion_ref_C", 25.0))
+    qpm_order = _number(doc.get("qpm_order", 1), f"{where}.qpm_order", integer=True)
+    expansion_per_C = _number(doc.get("expansion_per_C", 0.0), f"{where}.expansion_per_C")
+    expansion_ref_C = _number(doc.get("expansion_ref_C", 25.0), f"{where}.expansion_ref_C")
     if "solve_at" in doc:
         _check_keys(doc["solve_at"], required={"T_C"}, optional=set(), where=f"{where}.solve_at")
-        temp_C = float(doc["solve_at"]["T_C"])
+        temp_C = _number(doc["solve_at"]["T_C"], f"{where}.solve_at.T_C")
         period = solve_poling_period(
             ProcessKind.DFG, chain[doc["role"]], pump, temp_C, provider, qpm_order=qpm_order
         )
         period /= 1.0 + expansion_per_C * (temp_C - expansion_ref_C)
     else:
-        period = float(doc["poling_period_um"])
+        period = _number(doc["poling_period_um"], f"{where}.poling_period_um")
     return SectionSpec(
         role=doc["role"],
-        length_mm=float(doc["length_mm"]),
+        length_mm=_number(doc["length_mm"], f"{where}.length_mm"),
         poling_period_um=period,
-        temperature_C=float(doc["temperature_C"]),
+        temperature_C=_number(doc["temperature_C"], f"{where}.temperature_C"),
         index_provider=provider,
         qpm_order=qpm_order,
         expansion_per_C=expansion_per_C,
@@ -244,8 +266,8 @@ def device_from_dict(doc: dict, base_dir: Path, sha256: str = "") -> TwoStepDevi
         optional={"geometry"},
         where="device",
     )
-    signal = Wavelength(float(doc["signal_nm"]))
-    pump = Wavelength(float(doc["pump_nm"]))
+    signal = Wavelength(_number(doc["signal_nm"], "signal_nm"))
+    pump = Wavelength(_number(doc["pump_nm"], "pump_nm"))
     chain = {"step1": signal, "step2": dfg_target(signal, pump)}
     materials = _load_materials(doc["materials"], base_dir)
     geometry = _build_geometry(doc["geometry"], materials) if "geometry" in doc else None
@@ -264,7 +286,7 @@ def device_from_dict(doc: dict, base_dir: Path, sha256: str = "") -> TwoStepDevi
     _check_keys(coupling_doc, required={"pump", "signal", "aux"}, optional=set(), where="coupling")
     coupling = {}
     for key, value in coupling_doc.items():
-        v = float(value)
+        v = _number(value, f"coupling.{key}")
         if not 0.0 < v <= 1.0:
             raise DeviceFileError(f"coupling.{key} = {value!r} outside (0, 1]")
         coupling[key] = v
@@ -275,7 +297,9 @@ def device_from_dict(doc: dict, base_dir: Path, sha256: str = "") -> TwoStepDevi
     pairs = []
     for i, item in enumerate(budget_doc):
         _check_keys(item, required={"label", "transmission"}, optional=set(), where=f"loss_budget[{i}]")
-        pairs.append((item["label"], float(item["transmission"])))
+        if not isinstance(item["label"], str):
+            raise DeviceFileError(f"loss_budget[{i}].label must be a string, got {item['label']!r}")
+        pairs.append((item["label"], _number(item["transmission"], f"loss_budget[{i}].transmission")))
 
     return TwoStepDevice(
         step1=built["step1"],

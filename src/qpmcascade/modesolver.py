@@ -12,12 +12,26 @@ max(substrate, superstrate) < n_eff < n_core.
 Each solve is one shift-invert Lanczos run (ARPACK, through ``eigsh``) at
 sigma = (k0 n_core)^2, just above every guided beta^2, so the eigenvalues
 nearest sigma are the highest-index modes; ``count + 1`` of them are
-requested.  ``A - sigma I`` is LU-factored once per solve by SuperLU and
-each Lanczos step is one pair of triangular solves with those factors.
-The fill-reducing ordering is symmetric (minimum degree on A^T + A)
-because the 5-point matrix is symmetric: the default column ordering
-(COLAMD) ignores that and leaves almost twice the fill, so both the
-factorization and every solve cost more.
+requested.  The core is centered in the window, so the operator commutes
+with the mirror x -> W - x, and an orthogonal change of basis (pairs of
+mirror columns folded into their sum and difference over sqrt 2) splits
+the 5-point matrix exactly into an x-even and an x-odd block.  Each block
+is a 5-point matrix on the left half of the grid and differs from the
+Dirichlet matrix only in the column next to the mirror plane: for an even
+column count that column's diagonal gains +1/hx^2 (even) or -1/hx^2
+(odd); for an odd count the center column belongs to the even block and
+couples to its neighbor with sqrt(2)/hx^2, while in the odd block that
+neighbor sees a Dirichlet wall.  One mode needs only the even block: by
+Perron-Frobenius the fundamental mode is simple with a positive field,
+and a positive field is even (see :func:`solve_modes`).  More modes come
+from one Lanczos run on the block-diagonal pair.  Each block ``B - sigma
+I`` is LU-factored once per solve by SuperLU and each Lanczos step is one
+pair of triangular solves per block.  The fill-reducing ordering is
+symmetric (minimum degree on B^T + B) because the 5-point matrix is
+symmetric: the default column ordering (COLAMD) ignores that and leaves
+almost twice the fill, so both the factorization and every solve cost
+more.  Fields are unfolded back onto the full grid and every eigenpair's
+residual is checked against the full-grid matrix.
 
 The index map has three regions: the core rectangle (centered in the
 window), the substrate half-plane below the core bottom, and superstrate
@@ -133,20 +147,76 @@ def index_map(geometry: WaveguideGeometry, lam: Wavelength, temp_C: float) -> tu
     return np.sqrt(n2), x, y, n_core, max(n_sub, n_sup)
 
 
-def _helmholtz_matrix(n: np.ndarray, hx: float, hy: float, k0: float):
+def _helmholtz_matrix(n: np.ndarray, hx: float, hy: float, k0: float, mirror_edge=(0.0, 1.0)):
+    """5-point Helmholtz matrix on the cell grid of ``n``, rows in C order.
+
+    ``mirror_edge = (d, c)`` rewrites the last column, the one next to the
+    mirror plane when ``n`` is the left half of a parity block: its
+    diagonal gains d/hx^2 and its coupling to the column before it is
+    scaled by c.  The default keeps the Dirichlet wall of the full window.
+    """
     import scipy.sparse as sparse  # deferred: only eigen-solves need it
 
     ny, nx = n.shape
     inv_hx2 = 1.0 / (hx * hx)
     inv_hy2 = 1.0 / (hy * hy)
-    main = (k0 * k0) * (n * n).ravel() - 2.0 * (inv_hx2 + inv_hy2)
+    shift, scale = mirror_edge
+    main = (k0 * k0) * (n * n) - 2.0 * (inv_hx2 + inv_hy2)
+    main[:, -1] += shift * inv_hx2
     # x-neighbors: adjacent within a row; zero coupling across row ends.
     ex = np.full(nx * ny - 1, inv_hx2)
+    ex[nx - 2 :: nx] *= scale
     ex[nx - 1 :: nx] = 0.0
     ey = np.full(nx * (ny - 1), inv_hy2)
     return sparse.diags(
-        [ey, ex, main, ex, ey], [-nx, -1, 0, 1, nx], format="csr"
+        [ey, ex, main.ravel(), ex, ey], [-nx, -1, 0, 1, nx], format="csr"
     )
+
+
+def _parity_blocks(n: np.ndarray, hx: float, hy: float, k0: float, count: int) -> list:
+    """The x-even block, then (for ``count >= 2``) the x-odd block.
+
+    Both are built on the left columns of ``n``; see the module docstring
+    for the mirror-plane column of each.
+    """
+    half = n.shape[1] // 2
+    if n.shape[1] % 2:
+        specs = [(half + 1, (0.0, math.sqrt(2.0))), (half, (0.0, 1.0))]
+    else:
+        specs = [(half, (1.0, 1.0)), (half, (-1.0, 1.0))]
+    return [
+        _helmholtz_matrix(n[:, :cols], hx, hy, k0, edge)
+        for cols, edge in specs[: 1 if count == 1 else 2]
+    ]
+
+
+def _block_diagonal(maps: list, sizes: list[int]):
+    """LinearOperator applying ``maps[k]`` to the k-th of the stacked blocks."""
+    import scipy.sparse.linalg as sparse_linalg  # deferred: only eigen-solves need it
+
+    if len(maps) == 1:
+        matvec = maps[0]
+    else:
+        def matvec(v):
+            return np.concatenate([maps[0](v[: sizes[0]]), maps[1](v[sizes[0] :])])
+    size = sum(sizes)
+    return sparse_linalg.LinearOperator((size, size), matvec=matvec, dtype=float)
+
+
+def _unfold(vec: np.ndarray, ny: int, nx: int) -> np.ndarray:
+    """Full (ny, nx) field of a vector in parity coordinates.
+
+    ``vec`` holds the even block's values, then the odd block's; without
+    the odd part the field is purely even.  This inverts the orthogonal
+    fold, so it preserves the L2 norm.
+    """
+    half = nx // 2
+    n_even = ny * ((nx + 1) // 2)
+    even = vec[:n_even].reshape(ny, -1)
+    odd = vec[n_even:].reshape(ny, half) if vec.size > n_even else 0.0
+    left = (even[:, :half] + odd) * math.sqrt(0.5)
+    right = (even[:, :half] - odd) * math.sqrt(0.5)
+    return np.hstack([left, even[:, half:], right[:, ::-1]])
 
 
 def solve_modes(
@@ -161,6 +231,16 @@ def solve_modes(
     :class:`ModeShortfallWarning` is emitted and the shorter list is
     returned.  Raises :class:`NumericError` if the eigensolver fails to
     converge or a solution violates the residual contract.
+
+    ``count == 1`` factors and iterates on the x-even block alone, and
+    that is exact.  ``sigma I - A`` is an irreducible nonsingular
+    M-matrix (sigma exceeds every eigenvalue of A, its off-diagonal
+    entries are <= 0 and the grid graph is connected), so its inverse is
+    entrywise positive.  By Perron-Frobenius the top eigenvalue of A, the
+    fundamental mode, is then simple with a positive eigenvector.  The
+    mirror commutes with A, so a simple eigenvector is even or odd, and a
+    positive one is even.  ``count >= 2`` factors both blocks and runs one
+    Lanczos iteration on the block-diagonal pair.
     """
     import scipy.sparse.linalg as sparse_linalg  # deferred: only eigen-solves need it
 
@@ -174,17 +254,22 @@ def solve_modes(
     hx = geometry.window_width_um / geometry.grid_nx
     hy = geometry.window_height_um / geometry.grid_ny
     a_mat = _helmholtz_matrix(n, hx, hy, k0)
-    size = a_mat.shape[0]
+    blocks = _parity_blocks(n, hx, hy, k0, count)
+    sizes = [block.shape[0] for block in blocks]
+    size = sum(sizes)
     k_request = min(count + 1, size - 2)
     sigma = (k0 * n_core) ** 2
     v0 = np.random.default_rng(_V0_SEED).standard_normal(size)
-    shifted = a_mat.tocsc()
-    shifted.setdiag(shifted.diagonal() - sigma)
-    lu = sparse_linalg.splu(shifted, permc_spec="MMD_AT_PLUS_A")
-    op_inv = sparse_linalg.LinearOperator((size, size), matvec=lu.solve, dtype=float)
+    solves = []
+    for block in blocks:
+        shifted = block.tocsc()
+        shifted.setdiag(shifted.diagonal() - sigma)
+        solves.append(sparse_linalg.splu(shifted, permc_spec="MMD_AT_PLUS_A").solve)
+    op_inv = _block_diagonal(solves, sizes)
     try:
         vals, vecs = sparse_linalg.eigsh(
-            a_mat, k=k_request, sigma=sigma, which="LM", v0=v0, OPinv=op_inv
+            _block_diagonal([block.dot for block in blocks], sizes),
+            k=k_request, sigma=sigma, which="LM", v0=v0, OPinv=op_inv,
         )
     except sparse_linalg.ArpackNoConvergence as exc:
         raise NumericError(f"eigensolver did not converge: {exc}") from exc
@@ -196,7 +281,7 @@ def solve_modes(
         beta2 = vals[idx]
         if not (beta2_low < beta2 < beta2_high):
             continue
-        psi = vecs[:, idx]
+        psi = _unfold(vecs[:, idx], *n.shape).ravel()
         psi = psi / np.linalg.norm(psi)
         if psi[np.argmax(np.abs(psi))] < 0:
             psi = -psi

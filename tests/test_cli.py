@@ -342,6 +342,40 @@ class TestErrorHandling:
         assert name in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--fixed", "L=20,L=30"),
+        ("--initial", "eta_max=0.9,eta_nor=0.04,eta_max=0.5"),
+    ])
+    def test_repeated_assignment_exits_two(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "fit.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--model", "saturation", "--data", str(tmp_path / "eff.csv"),
+                  flag, value, "-o", str(out)])
+        assert exc.value.code == 2
+        name = value.split(",")[-1].split("=")[0]
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [
+            f"qpmcascade fit: error: argument {flag}: {name!r} assigned more than once in {value!r}"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("signal_nm", "abc", "signal_nm must be a number, got 'abc'"),
+        ("solve_at", 59.26, "sections[0].solve_at must be a JSON object, got 59.26"),
+    ])
+    def test_device_value_of_wrong_json_type_exits_three(self, tmp_path, capsys, key, value, message):
+        doc = json.loads(reference_device_path().read_text())
+        if key == "solve_at":
+            doc["sections"][0]["solve_at"] = value
+        else:
+            doc[key] = value
+        device_path = tmp_path / "device.json"
+        device_path.write_text(json.dumps(doc))
+        out = tmp_path / "solved.json"
+        assert main(["solve-device", "--device", str(device_path), "-o", str(out)]) == 3
+        assert capsys.readouterr().err == f"code=device_file_error, msg={message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("window", ["1000:1620:1", "1000:1620:3"])
     def test_window_other_than_two_edges_exits_two(self, tmp_path, capsys, window):
         out = tmp_path / "solved.json"

@@ -212,6 +212,29 @@ class TestDeviceFileValidation:
         with pytest.raises(DeviceFileError, match="psychic"):
             device_from_dict(doc, tmp_path)
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("signal_nm",), "abc", "signal_nm must be a number, got 'abc'"),
+        (("sections", 1, "solve_at"), 59.26, "sections[1].solve_at must be a JSON object, got 59.26"),
+        (("sections", 0, "length_mm"), True, "sections[0].length_mm must be a number, got True"),
+        (("sections", 0, "qpm_order"), 1.5, "sections[0].qpm_order must be an integer, got 1.5"),
+        (("geometry", "grid_nx"), "64", "geometry.grid_nx must be an integer, got '64'"),
+        (("coupling", "aux"), None, "coupling.aux must be a number, got None"),
+        (("loss_budget", 2, "transmission"), [0.8], "loss_budget[2].transmission must be a number"),
+        (("loss_budget", 0, "label"), 5, "loss_budget[0].label must be a string, got 5"),
+        (("sections", 0, "role"), ["step1"], "role must be one of"),
+        (("sections", 0, "index_provider"), "bulk", "sections[0].index_provider must be a JSON object"),
+        (("coupling",), [0.7, 0.8, 0.8], "coupling must be a JSON object"),
+    ])
+    def test_wrong_json_type_names_the_field(self, tmp_path, path, value, message):
+        doc = reference_doc()
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(DeviceFileError) as exc:
+            device_from_dict(doc, tmp_path)
+        assert message in str(exc.value)
+
     def test_modesolver_provider_requires_geometry(self, tmp_path):
         doc = reference_doc()
         del doc["geometry"]

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpmcascade import modesolver
 from qpmcascade.dispersion import sellmeier_index
@@ -213,13 +215,15 @@ class TestSolveModes:
         assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
 
     def test_one_symmetric_ordered_factorization_per_solve(self, default_geometry, monkeypatch):
+        """count 1 factors the x-even block alone; more modes factor the
+        even and the odd block; each solve is one eigsh call on OPinv."""
         import scipy.sparse.linalg as sparse_linalg
 
-        orderings, operators = [], []
+        factored, operators = [], []
         splu, eigsh = sparse_linalg.splu, sparse_linalg.eigsh
 
         def counting_splu(a_mat, **kwargs):
-            orderings.append(kwargs.get("permc_spec"))
+            factored.append((kwargs.get("permc_spec"), a_mat.shape[0]))
             return splu(a_mat, **kwargs)
 
         def recording_eigsh(*args, **kwargs):
@@ -228,12 +232,73 @@ class TestSolveModes:
 
         monkeypatch.setattr(sparse_linalg, "splu", counting_splu)
         monkeypatch.setattr(sparse_linalg, "eigsh", recording_eigsh)
-        for count in (1, 2, 3):
-            assert len(solve_modes(default_geometry, LAM, TEMP, count=count)) == count
-        assert orderings == ["MMD_AT_PLUS_A"] * 3
-        # With OPinv given, eigsh factors nothing itself.
-        assert len(operators) == 3
-        assert all(isinstance(op, sparse_linalg.LinearOperator) for op in operators)
+        for nx, ny in ((64, 64), (65, 48)):
+            even, odd = ny * math.ceil(nx / 2), ny * (nx // 2)
+            for count, sizes in ((1, [even]), (2, [even, odd]), (3, [even, odd])):
+                factored.clear()
+                operators.clear()
+                solutions = solve_modes(default_geometry.with_grid(nx, ny), LAM, TEMP, count=count)
+                assert len(solutions) == count
+                assert factored == [("MMD_AT_PLUS_A", rows) for rows in sizes]
+                # With OPinv given, eigsh factors nothing itself.
+                assert len(operators) == 1
+                assert isinstance(operators[0], sparse_linalg.LinearOperator)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    core_w=st.floats(2.0, 12.0),
+    core_h=st.floats(1.5, 9.0),
+    margin_w=st.floats(1.0, 14.0),
+    margin_h=st.floats(1.0, 12.0),
+    superstrate=st.floats(1.0, 2.05),
+    nx=st.integers(32, 48),
+    ny=st.integers(32, 48),
+    lam_nm=st.sampled_from([637.2, 905.08, 1561.62, 2152.9]),
+    count=st.integers(1, 3),
+)
+def test_parity_split_matches_the_full_matrix(
+    lithium_niobate, lithium_tantalate, core_w, core_h, margin_w, margin_h, superstrate, nx, ny, lam_nm, count
+):
+    """Even and odd grids: each n_eff within 1e-12 of a full-matrix eigsh,
+    each residual against the full matrix <= 1e-8, and the fundamental
+    field its own mirror image."""
+    from scipy.sparse.linalg import eigsh
+
+    geometry = WaveguideGeometry(
+        core_width_um=core_w,
+        core_height_um=core_h,
+        core_material=lithium_niobate,
+        substrate_material=lithium_tantalate,
+        superstrate_index=superstrate,
+        grid_nx=nx,
+        grid_ny=ny,
+        window_width_um=core_w + margin_w,
+        window_height_um=core_h + margin_h,
+    )
+    lam = Wavelength(lam_nm)
+    n, _, _, n_core, n_clad = modesolver.index_map(geometry, lam, TEMP)
+    k0 = 2.0 * math.pi / lam.um
+    a_mat = modesolver._helmholtz_matrix(
+        n, geometry.window_width_um / nx, geometry.window_height_um / ny, k0
+    )
+    v0 = np.random.default_rng(modesolver._V0_SEED).standard_normal(a_mat.shape[0])
+    vals, _ = eigsh(a_mat, k=count + 4, sigma=(k0 * n_core) ** 2, which="LM", v0=v0)
+    guided = sorted((v for v in vals if (k0 * n_clad) ** 2 < v < (k0 * n_core) ** 2), reverse=True)
+    expected = [math.sqrt(v) / k0 for v in guided[:count]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModeShortfallWarning)
+        sols = solve_modes(geometry, lam, TEMP, count=count)
+    assert len(sols) == len(expected)
+    for sol, n_eff in zip(sols, expected):
+        assert abs(sol.n_eff - n_eff) <= 1e-12
+        psi = sol.field.ravel()
+        beta2 = (k0 * sol.n_eff) ** 2
+        assert np.linalg.norm(a_mat @ psi - beta2 * psi) <= 1e-8
+        assert sol.residual <= 1e-8
+    if count == 1 and sols:
+        field = sols[0].field
+        assert np.allclose(field, field[:, ::-1], rtol=0.0, atol=1e-15)
 
 
 class TestGeometryValidation:
