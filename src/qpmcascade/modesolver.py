@@ -24,14 +24,26 @@ couples to its neighbor with sqrt(2)/hx^2, while in the odd block that
 neighbor sees a Dirichlet wall.  One mode needs only the even block: by
 Perron-Frobenius the fundamental mode is simple with a positive field,
 and a positive field is even (see :func:`solve_modes`).  More modes come
-from one Lanczos run on the block-diagonal pair.  Each block ``B - sigma
-I`` is LU-factored once per solve by SuperLU and each Lanczos step is one
-pair of triangular solves per block.  The fill-reducing ordering is
-symmetric (minimum degree on B^T + B) because the 5-point matrix is
-symmetric: the default column ordering (COLAMD) ignores that and leaves
-almost twice the fill, so both the factorization and every solve cost
-more.  Fields are unfolded back onto the full grid and every eigenpair's
-residual is checked against the full-grid matrix.
+from one Lanczos run on the block-diagonal pair.
+
+Each block ``sigma I - B`` is symmetric positive definite (a symmetric
+nonsingular M-matrix), and with cells in C order it is banded with
+half-bandwidth kd = ceil(nx / 2), the block's column count.  So it is
+factored once per solve by LAPACK's banded Cholesky (``pbtrf``, upper
+band storage) and each Lanczos step is one pair of banded triangular
+solves (``pbtrs``) per block.  The 5-point stencil is kept as its
+diagonals (:func:`_stencil`); the band, the full-grid residual mat-vec
+and the sparse matrix the tests use as an oracle are all read from them,
+and no sparse matrix is built on the solve path.  The factor costs
+O(N kd^2) for N cells, against about O(N^1.5) for a sparse LU with a
+fill-reducing ordering (SuperLU, minimum degree), so the band loses on
+large grids.  On a 2-core x86 machine with BLAS on one thread the band
+was the faster up to 224^2 for two modes and 256^2 for one; the sparse
+LU was the faster from 256^2 for two modes (0.60 s against 0.86 s) and
+288^2 for one (0.38 s against 0.42 s).  At 64^2, the device default,
+the band halves the solve time.  Where the crossover falls depends on
+the machine.  Fields are unfolded back onto the full grid and every
+eigenpair's residual is checked against the full-grid operator.
 
 The index map has three regions: the core rectangle (centered in the
 window), the substrate half-plane below the core bottom, and superstrate
@@ -49,6 +61,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -147,34 +160,73 @@ def index_map(geometry: WaveguideGeometry, lam: Wavelength, temp_C: float) -> tu
     return np.sqrt(n2), x, y, n_core, max(n_sub, n_sup)
 
 
-def _helmholtz_matrix(n: np.ndarray, hx: float, hy: float, k0: float, mirror_edge=(0.0, 1.0)):
-    """5-point Helmholtz matrix on the cell grid of ``n``, rows in C order.
+def _stencil(n: np.ndarray, hx: float, hy: float, k0: float, mirror_edge=(0.0, 1.0)):
+    """5-point Helmholtz stencil on the cell grid of ``n`` as its diagonals.
+
+    Returns ``(main, ex, ey)``: ``main[i, j]`` is the diagonal entry of
+    cell (i, j), ``ex[i, j]`` the coupling of cells (i, j) and (i, j + 1),
+    and ``ey`` the coupling of every vertically adjacent pair.  Cells in C
+    order are rows of the matrix, so ``ex`` is its first off-diagonal
+    (with zeros across row ends) and ``ey`` its ``nx``-th.
 
     ``mirror_edge = (d, c)`` rewrites the last column, the one next to the
     mirror plane when ``n`` is the left half of a parity block: its
     diagonal gains d/hx^2 and its coupling to the column before it is
     scaled by c.  The default keeps the Dirichlet wall of the full window.
     """
-    import scipy.sparse as sparse  # deferred: only eigen-solves need it
-
-    ny, nx = n.shape
     inv_hx2 = 1.0 / (hx * hx)
     inv_hy2 = 1.0 / (hy * hy)
     shift, scale = mirror_edge
     main = (k0 * k0) * (n * n) - 2.0 * (inv_hx2 + inv_hy2)
     main[:, -1] += shift * inv_hx2
-    # x-neighbors: adjacent within a row; zero coupling across row ends.
-    ex = np.full(nx * ny - 1, inv_hx2)
-    ex[nx - 2 :: nx] *= scale
-    ex[nx - 1 :: nx] = 0.0
-    ey = np.full(nx * (ny - 1), inv_hy2)
+    ex = np.full((n.shape[0], n.shape[1] - 1), inv_hx2)
+    ex[:, -1] *= scale
+    return main, ex, inv_hy2
+
+
+def _stencil_matvec(stencil, vec: np.ndarray) -> np.ndarray:
+    """The stencil's matrix times ``vec`` (cells in C order)."""
+    main, ex, ey = stencil
+    psi = vec.reshape(main.shape)
+    out = main * psi
+    out[:, :-1] += ex * psi[:, 1:]
+    out[:, 1:] += ex * psi[:, :-1]
+    out[:-1] += ey * psi[1:]
+    out[1:] += ey * psi[:-1]
+    return out.ravel()
+
+
+def _helmholtz_matrix(n: np.ndarray, hx: float, hy: float, k0: float, mirror_edge=(0.0, 1.0)):
+    """The stencil of :func:`_stencil` as a sparse matrix (for checks)."""
+    import scipy.sparse as sparse  # deferred: only checks need it
+
+    main, ex, ey = _stencil(n, hx, hy, k0, mirror_edge)
+    nx = n.shape[1]
+    ex_flat = np.hstack([ex, np.zeros((ex.shape[0], 1))]).ravel()[:-1]
+    ey_flat = np.full(main.size - nx, ey)
     return sparse.diags(
-        [ey, ex, main.ravel(), ex, ey], [-nx, -1, 0, 1, nx], format="csr"
+        [ey_flat, ex_flat, main.ravel(), ex_flat, ey_flat], [-nx, -1, 0, 1, nx], format="csr"
     )
 
 
+def _shifted_band(stencil, sigma: float) -> np.ndarray:
+    """``sigma I - B`` for the stencil's matrix B in LAPACK upper band storage.
+
+    Entry (i, j), i <= j, sits at ``band[kd + i - j, j]`` with half-bandwidth
+    ``kd`` the column count: row ``kd`` holds the diagonal, row ``kd - 1``
+    the x-couplings (0 at each row start) and row 0 the y-couplings.
+    """
+    main, ex, ey = stencil
+    kd = main.shape[1]
+    band = np.zeros((kd + 1, main.size), order="F")
+    band[kd] = sigma - main.ravel()
+    band[kd - 1] = np.hstack([np.zeros((ex.shape[0], 1)), -ex]).ravel()
+    band[0, kd:] = -ey
+    return band
+
+
 def _parity_blocks(n: np.ndarray, hx: float, hy: float, k0: float, count: int) -> list:
-    """The x-even block, then (for ``count >= 2``) the x-odd block.
+    """Stencils of the x-even block, then (for ``count >= 2``) the x-odd block.
 
     Both are built on the left columns of ``n``; see the module docstring
     for the mirror-plane column of each.
@@ -185,7 +237,7 @@ def _parity_blocks(n: np.ndarray, hx: float, hy: float, k0: float, count: int) -
     else:
         specs = [(half, (1.0, 1.0)), (half, (-1.0, 1.0))]
     return [
-        _helmholtz_matrix(n[:, :cols], hx, hy, k0, edge)
+        _stencil(n[:, :cols], hx, hy, k0, edge)
         for cols, edge in specs[: 1 if count == 1 else 2]
     ]
 
@@ -230,19 +282,32 @@ def solve_modes(
     Returns up to ``count`` solutions; if fewer guided modes exist a
     :class:`ModeShortfallWarning` is emitted and the shorter list is
     returned.  Raises :class:`NumericError` if the eigensolver fails to
-    converge or a solution violates the residual contract.
+    converge, a shifted block is not positive definite, or a solution
+    violates the residual contract.
 
-    ``count == 1`` factors and iterates on the x-even block alone, and
-    that is exact.  ``sigma I - A`` is an irreducible nonsingular
-    M-matrix (sigma exceeds every eigenvalue of A, its off-diagonal
-    entries are <= 0 and the grid graph is connected), so its inverse is
-    entrywise positive.  By Perron-Frobenius the top eigenvalue of A, the
-    fundamental mode, is then simple with a positive eigenvector.  The
-    mirror commutes with A, so a simple eigenvector is even or odd, and a
-    positive one is even.  ``count >= 2`` factors both blocks and runs one
-    Lanczos iteration on the block-diagonal pair.
+    ``sigma I - A`` is a symmetric irreducible nonsingular M-matrix:
+    sigma exceeds every eigenvalue of A, its off-diagonal entries are
+    <= 0 and the grid graph is connected.  So it is positive definite
+    and, by Perron-Frobenius, its inverse is entrywise positive; the top
+    eigenvalue of A, the fundamental mode, is then simple with a positive
+    eigenvector.  The mirror commutes with A, so a simple eigenvector is
+    even or odd, and a positive one is even: ``count == 1`` factors and
+    iterates on the x-even block alone, and that is exact.  ``count >= 2``
+    factors both blocks and runs one Lanczos iteration on the
+    block-diagonal pair.  Each block B is A on an invariant subspace in
+    an orthonormal basis, so ``sigma I - B`` is positive definite too
+    (and again an M-matrix), and LAPACK's banded Cholesky factors it;
+    ``pbtrf`` reporting otherwise raises :class:`NumericError`.  The
+    factor costs O(N kd^2) for N cells and half-bandwidth kd =
+    ceil(nx / 2); see the module docstring for where a sparse LU wins.
+
+    Each field is scaled to unit L2 norm and signed so that its largest
+    value in the left half of the window, columns ``[: ceil(nx / 2)]``,
+    is positive.  The left half decides because an x-odd mode's two
+    mirror lobes tie in magnitude up to round-off.
     """
     import scipy.sparse.linalg as sparse_linalg  # deferred: only eigen-solves need it
+    from scipy.linalg.lapack import get_lapack_funcs
 
     if count < 1:
         raise DomainError("count must be >= 1")
@@ -253,39 +318,47 @@ def solve_modes(
     k0 = 2.0 * math.pi / lam.um
     hx = geometry.window_width_um / geometry.grid_nx
     hy = geometry.window_height_um / geometry.grid_ny
-    a_mat = _helmholtz_matrix(n, hx, hy, k0)
     blocks = _parity_blocks(n, hx, hy, k0, count)
-    sizes = [block.shape[0] for block in blocks]
+    sizes = [main.size for main, _, _ in blocks]
     size = sum(sizes)
     k_request = min(count + 1, size - 2)
     sigma = (k0 * n_core) ** 2
     v0 = np.random.default_rng(_V0_SEED).standard_normal(size)
+    pbtrf, pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
     solves = []
     for block in blocks:
-        shifted = block.tocsc()
-        shifted.setdiag(shifted.diagonal() - sigma)
-        solves.append(sparse_linalg.splu(shifted, permc_spec="MMD_AT_PLUS_A").solve)
+        factor, info = pbtrf(_shifted_band(block, sigma), lower=0, overwrite_ab=1)
+        if info != 0:
+            raise NumericError(
+                f"shifted Helmholtz block is not positive definite (pbtrf info {info})"
+            )
+        solves.append(lambda v, factor=factor: -pbtrs(factor, v, lower=0)[0])
     op_inv = _block_diagonal(solves, sizes)
+    # In shift-invert mode eigsh reads only the shape of its operator.
+    a_op = _block_diagonal([partial(_stencil_matvec, block) for block in blocks], sizes)
     try:
         vals, vecs = sparse_linalg.eigsh(
-            _block_diagonal([block.dot for block in blocks], sizes),
-            k=k_request, sigma=sigma, which="LM", v0=v0, OPinv=op_inv,
+            a_op, k=k_request, sigma=sigma, which="LM", v0=v0, OPinv=op_inv
         )
     except sparse_linalg.ArpackNoConvergence as exc:
         raise NumericError(f"eigensolver did not converge: {exc}") from exc
     order = np.argsort(vals)[::-1]
     beta2_low = (k0 * n_clad) ** 2
     beta2_high = (k0 * n_core) ** 2
+    full = _stencil(n, hx, hy, k0)
+    left_cols = (n.shape[1] + 1) // 2
     out: list[ModeSolution] = []
     for idx in order:
         beta2 = vals[idx]
         if not (beta2_low < beta2 < beta2_high):
             continue
-        psi = _unfold(vecs[:, idx], *n.shape).ravel()
+        psi = _unfold(vecs[:, idx], *n.shape)
         psi = psi / np.linalg.norm(psi)
-        if psi[np.argmax(np.abs(psi))] < 0:
+        left = psi[:, :left_cols]
+        if left.flat[np.argmax(np.abs(left))] < 0:
             psi = -psi
-        residual = float(np.linalg.norm(a_mat @ psi - beta2 * psi))
+        psi = psi.ravel()
+        residual = float(np.linalg.norm(_stencil_matvec(full, psi) - beta2 * psi))
         if residual > _RESIDUAL_LIMIT:
             raise NumericError(f"eigenpair residual {residual} exceeds {_RESIDUAL_LIMIT}")
         out.append(

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qpmcascade import modesolver
 from qpmcascade.dispersion import sellmeier_index
-from qpmcascade.errors import CapabilityError, DomainError, masked_cells
+from qpmcascade.errors import CapabilityError, DomainError, NumericError, masked_cells
 from qpmcascade.modesolver import (
     ModeShortfallWarning,
     ModeSolverIndexProvider,
@@ -215,34 +215,74 @@ class TestSolveModes:
         assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
 
     def test_one_symmetric_ordered_factorization_per_solve(self, default_geometry, monkeypatch):
-        """count 1 factors the x-even block alone; more modes factor the
-        even and the odd block; each solve is one eigsh call on OPinv."""
+        """count 1 makes one banded Cholesky factorization (LAPACK pbtrf)
+        of the x-even block; more modes factor the even and the odd block.
+        No solve calls SuperLU, and each is one eigsh call on OPinv."""
+        import scipy.linalg.lapack as lapack
         import scipy.sparse.linalg as sparse_linalg
 
         factored, operators = [], []
-        splu, eigsh = sparse_linalg.splu, sparse_linalg.eigsh
+        get_lapack_funcs, eigsh = lapack.get_lapack_funcs, sparse_linalg.eigsh
 
-        def counting_splu(a_mat, **kwargs):
-            factored.append((kwargs.get("permc_spec"), a_mat.shape[0]))
-            return splu(a_mat, **kwargs)
+        def counting_get_lapack_funcs(names, *args, **kwargs):
+            funcs = get_lapack_funcs(names, *args, **kwargs)
+            if "pbtrf" not in names:
+                return funcs
+            pbtrf = funcs[names.index("pbtrf")]
+
+            def counting_pbtrf(band, **kw):
+                factored.append(band.shape)
+                return pbtrf(band, **kw)
+
+            return tuple(counting_pbtrf if f is pbtrf else f for f in funcs)
+
+        def no_splu(*args, **kwargs):
+            raise AssertionError("solve_modes called splu")
 
         def recording_eigsh(*args, **kwargs):
             operators.append(kwargs.get("OPinv"))
             return eigsh(*args, **kwargs)
 
-        monkeypatch.setattr(sparse_linalg, "splu", counting_splu)
+        monkeypatch.setattr(lapack, "get_lapack_funcs", counting_get_lapack_funcs)
+        monkeypatch.setattr(sparse_linalg, "splu", no_splu)
         monkeypatch.setattr(sparse_linalg, "eigsh", recording_eigsh)
         for nx, ny in ((64, 64), (65, 48)):
-            even, odd = ny * math.ceil(nx / 2), ny * (nx // 2)
-            for count, sizes in ((1, [even]), (2, [even, odd]), (3, [even, odd])):
+            # Band storage: kd + 1 rows, one column per cell of the block.
+            even, odd = math.ceil(nx / 2), nx // 2
+            bands = [(even + 1, ny * even), (odd + 1, ny * odd)]
+            for count in (1, 2, 3):
                 factored.clear()
                 operators.clear()
                 solutions = solve_modes(default_geometry.with_grid(nx, ny), LAM, TEMP, count=count)
                 assert len(solutions) == count
-                assert factored == [("MMD_AT_PLUS_A", rows) for rows in sizes]
+                assert factored == bands[: 1 if count == 1 else 2]
                 # With OPinv given, eigsh factors nothing itself.
                 assert len(operators) == 1
                 assert isinstance(operators[0], sparse_linalg.LinearOperator)
+
+    def test_band_that_is_not_positive_definite_raises(self, default_geometry, monkeypatch):
+        """sigma below the top eigenvalue makes sigma I - B indefinite, so
+        pbtrf fails and the solve raises NumericError."""
+        shifted_band = modesolver._shifted_band
+        monkeypatch.setattr(
+            modesolver, "_shifted_band", lambda stencil, sigma: shifted_band(stencil, 0.5 * sigma)
+        )
+        with pytest.raises(NumericError, match="not positive definite"):
+            solve_modes(default_geometry, LAM, TEMP, count=1)
+
+    @pytest.mark.parametrize("nx, ny", [(64, 64), (65, 48)])
+    @pytest.mark.parametrize("lam_nm", [637.2, 905.08, 1561.62, 2152.9])
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_sign_is_set_by_the_left_half(self, default_geometry, nx, ny, lam_nm, count):
+        """Each mode's largest |psi| in columns [: ceil(nx/2)] is positive,
+        x-odd modes included, whose mirror lobes tie up to round-off."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ModeShortfallWarning)
+            sols = solve_modes(default_geometry.with_grid(nx, ny), Wavelength(lam_nm), TEMP, count=count)
+        assert len(sols) >= 2
+        for sol in sols:
+            left = sol.field[:, : math.ceil(nx / 2)]
+            assert left.flat[np.argmax(np.abs(left))] > 0
 
 
 @settings(max_examples=30, deadline=None)
