@@ -14,7 +14,7 @@ single machine-parseable line ``code=<code>, msg=<text>`` on stderr).
 from __future__ import annotations
 
 import argparse
-import itertools
+import functools
 import json
 import os
 import shlex
@@ -34,6 +34,7 @@ from .conversion import (
     budget_transmission,
     cascade_efficiency,
     convert_spectrum,
+    csv_rows,
     noise_report,
     noise_report_to_dict,
     read_xy_csv,
@@ -49,7 +50,7 @@ from .noisemodel import (
     thermal_sfg_lineshape,
     thermal_sfg_mismatch,
 )
-from .qpm import grid_mismatch, phasematch_map, tuning_curve
+from .qpm import TARGET_WINDOW_NM, grid_mismatch, phasematch_map, tuning_curve
 from .spectral import Wavelength
 
 
@@ -138,22 +139,13 @@ def _write_json(path: Path, doc: dict, subcommand: str, argv: list[str], device_
     _atomic_write(path, json.dumps({"provenance": prov, **doc}, indent=2) + "\n")
 
 
-def _xy_rows(x: np.ndarray, y: np.ndarray) -> list[str]:
-    """Two-column CSV rows, each value as its shortest round-trip repr."""
-    return [f"{a!r},{b!r}" for a, b in zip(x.tolist(), y.tolist())]
-
-
 # --- subcommand implementations ------------------------------------------------
 
 
 def _cmd_map(args, argv) -> int:
     device = load_device(args.device)
     pm = phasematch_map(device.step1, device.step2, device.signal, args.t, args.pump)
-    cells = itertools.product(pm.temperature_C.tolist(), pm.pump_nm.tolist())
-    rows = [
-        f"{temp!r},{pump!r},{t1!r},{t2!r}"
-        for (temp, pump), t1, t2 in zip(cells, map(float, pm.step1.flat), map(float, pm.step2.flat))
-    ]
+    rows = csv_rows(pm.temperature_C[:, None], pm.pump_nm[None, :], pm.step1, pm.step2)
     prov = _provenance_lines("map", argv, device.source_sha256)
     prov.insert(len(prov) - 1, f"masked_cells={json.dumps(pm.masked, sort_keys=True)}")
     _write_csv(args.output, "temperature_C,pump_nm,transfer_step1,transfer_step2", rows, prov)
@@ -165,13 +157,12 @@ def _cmd_tune(args, argv) -> int:
     points = tuning_curve(
         device.step1, device.step2, device.signal, device.pump, args.dt
     )
-    rows = [f"{p.dT_C!r},{p.target_nm!r},{p.transfer!r}" for p in points]
-    _write_csv(
-        args.output,
-        "dT_C,target_nm,transfer",
-        rows,
-        _provenance_lines("tune", argv, device.source_sha256),
-    )
+    dT, target, transfer = np.array([(p.dT_C, p.target_nm, p.transfer) for p in points]).T
+    missing = int(np.isnan(target).sum())
+    why = {"no root in {}-{} nm".format(*TARGET_WINDOW_NM): missing} if missing else {}
+    prov = _provenance_lines("tune", argv, device.source_sha256)
+    prov.insert(len(prov) - 1, f"missing_targets={json.dumps(why)}")
+    _write_csv(args.output, "dT_C,target_nm,transfer", csv_rows(dT, target, transfer), prov)
     return 0
 
 
@@ -180,16 +171,15 @@ def _cmd_efficiency(args, argv) -> int:
     model1 = StepEfficiencyModel(args.eta_nor1, device.step1.length_mm, args.eta_max1)
     model2 = StepEfficiencyModel(args.eta_nor2, device.step2.length_mm, args.eta_max2)
     transmission = budget_transmission(device.loss_budget)
-    rows = []
-    for power in args.pump_w:
-        eta1 = step_efficiency(model1, power)
-        eta2 = step_efficiency(model2, power)
-        total = cascade_efficiency(model1, model2, power)
-        rows.append(f"{float(power)!r},{eta1!r},{eta2!r},{total!r},{total * transmission!r}")
+    eta1, eta2, total = np.array([
+        (step_efficiency(model1, power), step_efficiency(model2, power),
+         cascade_efficiency(model1, model2, power))
+        for power in args.pump_w
+    ]).T
     _write_csv(
         args.output,
         "pump_W,eta_step1,eta_step2,eta_internal,eta_external",
-        rows,
+        csv_rows(args.pump_w, eta1, eta2, total, total * transmission),
         _provenance_lines("efficiency", argv, device.source_sha256),
     )
     return 0
@@ -212,7 +202,7 @@ def _cmd_lineshape(args, argv) -> int:
     if args.analytic:
         grid = np.asarray(args.grid)
         dk = grid_mismatch(lambda lam: thermal_sfg_mismatch(device.step2, device.pump, lam), grid)
-        rows = _xy_rows(grid, lineshape_analytic(dk, device.step2.length_mm))
+        rows = csv_rows(grid, lineshape_analytic(dk, device.step2.length_mm))
     else:
         spec = thermal_sfg_lineshape(
             device.step2,
@@ -221,7 +211,7 @@ def _cmd_lineshape(args, argv) -> int:
             weights=tuple(args.weights) if args.weights else (1.0,),
             planck_temperature_K=args.planck_K,
         )
-        rows = _xy_rows(spec.wavelength_nm, spec.intensity)
+        rows = csv_rows(spec.wavelength_nm, spec.intensity)
     _write_csv(
         args.output,
         "wavelength_nm,intensity",
@@ -241,7 +231,7 @@ def _cmd_convert_spectrum(args, argv) -> int:
     masked = mask_counts(why, spectrum.wavelength_nm.shape)
     prov = _provenance_lines("convert-spectrum", argv, device.source_sha256)
     prov[-1:-1] = [f"dropped_samples={dropped}", f"masked_samples={json.dumps(masked, sort_keys=True)}"]
-    rows = _xy_rows(converted.wavelength_nm, converted.intensity)
+    rows = csv_rows(converted.wavelength_nm, converted.intensity)
     _write_csv(args.output, "wavelength_nm,intensity", rows, prov)
     return 0
 
@@ -332,7 +322,13 @@ def _cmd_modes(args, argv) -> int:
 # --- parser ---------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call.
+
+    Reuse is safe: ``parse_args`` returns a fresh namespace each time and
+    every default is immutable.
+    """
     parser = argparse.ArgumentParser(
         prog="qpmcascade",
         description="Two-section poled-waveguide cascaded DFG toolkit",

@@ -226,9 +226,7 @@ class Spectrum:
     def to_csv(self, path: str | Path, header_lines: Sequence[str] = ()) -> None:
         lines = [f"# {h}" for h in header_lines]
         lines.append("wavelength_nm,intensity")
-        lines.extend(
-            f"{float(lam)!r},{float(val)!r}" for lam, val in zip(self.wavelength_nm, self.intensity)
-        )
+        lines.extend(csv_rows(self.wavelength_nm, self.intensity))
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @classmethod
@@ -261,6 +259,28 @@ def read_xy_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         xs.append(x)
         ys.append(y)
     return np.array(xs), np.array(ys)
+
+
+def csv_rows(*columns) -> list[str]:
+    """Comma-joined rows of numeric columns, the writer twin of :func:`read_xy_csv`.
+
+    Each value is Python's shortest round-trip ``repr`` (``nan``, ``inf``
+    and ``-0.0`` included), so a float64 column re-reads exactly.  The
+    columns broadcast against each other like numpy arrays and the rows
+    follow the broadcast shape in C order; each column is formatted once,
+    at its own size, so an axis of a grid costs one ``repr`` per axis
+    value.  Empty columns give no rows.
+    """
+    arrays = [np.asarray(col) for col in columns]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    texts = []
+    for a in arrays:
+        text = list(map(repr, a.ravel().tolist()))
+        if a.shape != shape:
+            cells = np.array(text, dtype=object).reshape(a.shape)
+            text = np.broadcast_to(cells, shape).ravel().tolist()
+        texts.append(text)
+    return list(map(",".join, zip(*texts)))
 
 
 def convert_spectrum(

@@ -65,6 +65,7 @@ from functools import partial
 
 import numpy as np
 
+from .conversion import csv_rows
 from .dispersion import SellmeierModel, sellmeier_index
 from .errors import CapabilityError, DomainError, NumericError, RangeError, is_array, screen
 from .qpm import _first_roots
@@ -516,7 +517,6 @@ class ModeSolverIndexProvider:
 
 
 def field_to_csv_rows(solution: ModeSolution) -> list[str]:
-    """Flatten a mode field to 'x_um,y_um,amplitude' rows (header included)."""
-    x, y = np.meshgrid(solution.x_um, solution.y_um)
-    columns = (x.ravel().tolist(), y.ravel().tolist(), solution.field.ravel().tolist())
-    return ["x_um,y_um,amplitude"] + [f"{a!r},{b!r},{c!r}" for a, b, c in zip(*columns)]
+    """Flatten a mode field to 'x_um,y_um,amplitude' rows (header included), y outer."""
+    rows = csv_rows(solution.x_um[None, :], solution.y_um[:, None], solution.field)
+    return ["x_um,y_um,amplitude"] + rows

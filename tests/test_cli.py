@@ -1,14 +1,25 @@
+import argparse
+import itertools
 import json
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from qpmcascade.cli import main
-from qpmcascade.conversion import Spectrum
+from qpmcascade.cli import build_parser, main
+from qpmcascade.conversion import (
+    Spectrum,
+    StepEfficiencyModel,
+    budget_transmission,
+    cascade_efficiency,
+    convert_spectrum,
+    step_efficiency,
+)
 from qpmcascade.device import load_device, reference_device_path
 from qpmcascade.errors import ConverterError, RangeError
 from qpmcascade.modesolver import solve_modes
+from qpmcascade.noisemodel import lineshape_analytic, thermal_sfg_lineshape, thermal_sfg_mismatch
+from qpmcascade.qpm import grid_mismatch, phasematch_map, tuning_curve
 from qpmcascade.spectral import Wavelength
 
 DEVICE = str(reference_device_path())
@@ -20,6 +31,12 @@ def strip_timestamp(text: str) -> str:
         for line in text.splitlines()
         if not line.startswith("# generated:") and '"generated"' not in line
     )
+
+
+def assert_rows(path, header: str, rows: list[str]) -> None:
+    """The artifact's body below its column header is exactly ``rows``."""
+    body = path.read_text().split(f"\n{header}\n", 1)[1]
+    assert body == "".join(f"{row}\n" for row in rows)
 
 
 def read_csv_rows(path) -> list[list[float]]:
@@ -78,6 +95,22 @@ class TestMapCommand:
             "step2": {"lithium_niobate_e temperature_C": 4},
         }
 
+    @pytest.mark.parametrize("t, pump", [("40:100:13", "2100:2200:21"), ("200:300:11", "2100:2200:9")])
+    def test_rows_are_the_per_element_rows(self, tmp_path, t, pump):
+        out = tmp_path / "map.csv"
+        assert main(["map", "--device", DEVICE, "--t", t, "--pump", pump, "-o", str(out)]) == 0
+        device = load_device(DEVICE)
+        temps, pumps = (np.linspace(*map(float, spec.split(":")[:2]), int(spec.split(":")[2]))
+                        for spec in (t, pump))
+        pm = phasematch_map(device.step1, device.step2, device.signal, temps, pumps)
+        # Reference: one f-string per cell, temperature outer and pump inner.
+        cells = itertools.product(pm.temperature_C.tolist(), pm.pump_nm.tolist())
+        rows = [
+            f"{temp!r},{p!r},{t1!r},{t2!r}"
+            for (temp, p), t1, t2 in zip(cells, map(float, pm.step1.flat), map(float, pm.step2.flat))
+        ]
+        assert_rows(out, "temperature_C,pump_nm,transfer_step1,transfer_step2", rows)
+
 
 class TestTuneCommand:
     def test_tuning_direction(self, tmp_path):
@@ -86,6 +119,30 @@ class TestTuneCommand:
         rows = read_csv_rows(out)
         targets = [r[1] for r in rows]
         assert all(b < a for a, b in zip(targets, targets[1:]))
+
+    def test_rows_are_the_per_element_rows(self, tmp_path):
+        out = tmp_path / "tune.csv"
+        assert main(["tune", "--device", DEVICE, "--dt=-6:5:23", "-o", str(out)]) == 0
+        device = load_device(DEVICE)
+        points = tuning_curve(device.step1, device.step2, device.signal, device.pump,
+                              np.linspace(-6.0, 5.0, 23))
+        rows = [f"{p.dT_C!r},{p.target_nm!r},{p.transfer!r}" for p in points]
+        assert_rows(out, "dT_C,target_nm,transfer", rows)
+
+    @pytest.mark.parametrize("dt, missing", [
+        ("-6:5:23", {}),
+        ("-30:60:10", {"no root in 1480.0-1620.0 nm": 8}),
+    ])
+    def test_missing_targets_line(self, tmp_path, dt, missing):
+        out = tmp_path / "tune.csv"
+        assert main(["tune", "--device", DEVICE, f"--dt={dt}", "-o", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        found = [i for i, l in enumerate(lines) if l.startswith("# missing_targets=")]
+        assert len(found) == 1
+        assert lines[found[0] + 1].startswith("# generated: ")
+        assert json.loads(lines[found[0]].removeprefix("# missing_targets=")) == missing
+        nan_rows = sum(np.isnan(r[1]) for r in read_csv_rows(out))
+        assert nan_rows == sum(missing.values())
 
     def test_out_of_range_offset_exits_with_scalar_error(self, tmp_path, capsys):
         out = tmp_path / "tune.csv"
@@ -120,6 +177,22 @@ class TestEfficiencyCommand:
             assert total == pytest.approx(eta1 * eta2, rel=1e-12)
             assert external == pytest.approx(total * 0.14568415416799999, rel=1e-12)
 
+    def test_rows_are_the_per_element_rows(self, tmp_path):
+        out = tmp_path / "eff.csv"
+        assert main(["efficiency", "--device", DEVICE, "--eta-nor1", "0.06", "--eta-nor2", "0.03",
+                     "--eta-max1", "0.9", "--pump-w", "0:2.5:37", "-o", str(out)]) == 0
+        device = load_device(DEVICE)
+        model1 = StepEfficiencyModel(0.06, device.step1.length_mm, 0.9)
+        model2 = StepEfficiencyModel(0.03, device.step2.length_mm, 1.0)
+        transmission = budget_transmission(device.loss_budget)
+        rows = []
+        for power in np.linspace(0.0, 2.5, 37):
+            eta1 = step_efficiency(model1, power)
+            eta2 = step_efficiency(model2, power)
+            total = cascade_efficiency(model1, model2, power)
+            rows.append(f"{float(power)!r},{eta1!r},{eta2!r},{total!r},{total * transmission!r}")
+        assert_rows(out, "pump_W,eta_step1,eta_step2,eta_internal,eta_external", rows)
+
 
 class TestLineshapeCommand:
     def test_weighted_and_analytic_share_peak_location(self, tmp_path):
@@ -133,6 +206,22 @@ class TestLineshapeCommand:
         peak_w = rows_w[np.argmax(rows_w[:, 1]), 0]
         peak_a = rows_a[np.argmax(rows_a[:, 1]), 0]
         assert abs(peak_w - peak_a) < 0.5
+
+    @pytest.mark.parametrize("extra", [["--weights", "1,0.5"], ["--analytic"]])
+    def test_rows_are_the_per_element_rows(self, tmp_path, extra):
+        out = tmp_path / "line.csv"
+        assert main(["lineshape", "--device", DEVICE, "--grid", "1540:1575:351", *extra,
+                     "-o", str(out)]) == 0
+        device = load_device(DEVICE)
+        grid = np.linspace(1540.0, 1575.0, 351)
+        if extra == ["--analytic"]:
+            dk = grid_mismatch(lambda lam: thermal_sfg_mismatch(device.step2, device.pump, lam), grid)
+            x, y = grid, lineshape_analytic(dk, device.step2.length_mm)
+        else:
+            spec = thermal_sfg_lineshape(device.step2, device.pump, grid, weights=(1.0, 0.5))
+            x, y = spec.wavelength_nm, spec.intensity
+        rows = [f"{float(a)!r},{float(b)!r}" for a, b in zip(x, y)]
+        assert_rows(out, "wavelength_nm,intensity", rows)
 
 
 class TestConvertSpectrumCommand:
@@ -176,6 +265,21 @@ class TestConvertSpectrumCommand:
         assert masked == {"domain_error": 163, "lithium_niobate_e wavelength_um": 143}
         assert int(header["dropped_samples"]) == sum(masked.values()) == 306
         assert len(read_csv_rows(out)) == 401 - 306
+
+    def test_rows_are_the_per_element_rows(self, tmp_path):
+        lam = np.linspace(600.0, 950.0, 401)
+        intensity = 1.0 / (1.0 + ((lam - 637.2) / 0.8) ** 2) + 0.3 * np.exp(-0.5 * ((lam - 690.0) / 35.0) ** 2)
+        source = tmp_path / "input.csv"
+        Spectrum(lam, intensity).to_csv(source)
+        out = tmp_path / "converted.csv"
+        assert main(["convert-spectrum", "--device", DEVICE, "--input", str(source),
+                     "-o", str(out)]) == 0
+        device = load_device(DEVICE)
+        converted, _ = convert_spectrum(Spectrum(lam, intensity), device.cascade_transfer(),
+                                        device.map_to_target)
+        rows = [f"{float(a)!r},{float(b)!r}"
+                for a, b in zip(converted.wavelength_nm, converted.intensity)]
+        assert_rows(out, "wavelength_nm,intensity", rows)
 
 
 class TestFitCommand:
@@ -266,6 +370,68 @@ class TestModesCommand:
             for i, xv in enumerate(sol.x_um):
                 rows.append(f"{float(xv)!r},{float(yv)!r},{float(sol.field[j, i])!r}")
         assert dump.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+
+NOISE_ARGV = ["noise", "--total", "142", "--dark", "135", "--det-eff", "0.72",
+              "--bw-ghz", "4", "--transmission", "0.1457"]
+
+
+@pytest.fixture
+def fresh_parser():
+    """Drop the cached argument parser before and after the test."""
+    build_parser.cache_clear()
+    yield
+    build_parser.cache_clear()
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self, tmp_path, monkeypatch, fresh_parser):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(NOISE_ARGV + ["-o", str(tmp_path / "noise.json")]) == 0
+        once = len(built)
+        assert once > 1  # the top-level parser and its subcommand parsers
+        for _ in range(4):
+            assert main(NOISE_ARGV + ["-o", str(tmp_path / "noise.json")]) == 0
+        assert len(built) == once
+
+    @staticmethod
+    def artifact(argv, out) -> str:
+        assert main(argv + ["-o", str(out)]) == 0
+        return strip_timestamp(out.read_text())
+
+    def test_lineshape_weights_do_not_leak(self, tmp_path, fresh_parser):
+        plain = ["lineshape", "--device", DEVICE, "--grid", "1548:1568:41"]
+        out = tmp_path / "line.csv"
+        first = self.artifact(plain, out)
+        build_parser.cache_clear()
+        self.artifact(plain + ["--weights", "1,0.5"], out)
+        assert self.artifact(plain, out) == first
+
+    def test_fit_initial_does_not_leak(self, tmp_path, fresh_parser):
+        data = tmp_path / "eff.csv"
+        x = np.linspace(1e-3, 0.225, 40)
+        Spectrum(x, 0.9 * np.sin(np.sqrt(0.04 * x) * 20.0) ** 2).to_csv(data)
+        plain = ["fit", "--model", "saturation", "--data", str(data), "--fixed", "L=20"]
+        out = tmp_path / "fit.json"
+        first = self.artifact(plain, out)
+        build_parser.cache_clear()
+        self.artifact(plain + ["--initial", "eta_max=0.5,eta_nor=0.01"], out)
+        assert self.artifact(plain, out) == first
+
+    def test_usage_error_after_a_successful_call(self, tmp_path, fresh_parser):
+        out = tmp_path / "noise.json"
+        assert main(NOISE_ARGV + ["-o", str(out)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["map", "--device", DEVICE, "-o", str(tmp_path / "map.csv")])
+        assert exc.value.code == 2
+        assert main(NOISE_ARGV + ["-o", str(out)]) == 0
 
 
 class TestErrorHandling:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpmcascade.conversion import (
@@ -14,6 +14,7 @@ from qpmcascade.conversion import (
     budget_transmission,
     cascade_efficiency,
     convert_spectrum,
+    csv_rows,
     external_from_internal,
     internal_from_external,
     noise_report,
@@ -341,3 +342,29 @@ def test_fwhm_is_the_walked_crossing(steps, rises, falls):
 def test_fwhm_needs_both_crossings():
     with pytest.raises(DomainError, match="half-maximum"):
         spectrum_fwhm(Spectrum(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.8, 0.0])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(st.floats(), st.floats()), max_size=40))
+@example(pairs=[])
+@example(pairs=[(math.nan, math.inf), (-math.inf, -0.0), (0.0, 5e-324), (-2.2250738585072014e-308, 1e-310)])
+def test_csv_rows_is_the_per_element_repr(pairs):
+    """The column formatter writes each float64 value as its shortest
+    round-trip repr, row by row, exactly as a per-element f-string does."""
+    xs, ys = [a for a, _ in pairs], [b for _, b in pairs]
+    rows = csv_rows(np.array(xs, dtype=float), np.array(ys, dtype=float))
+    assert rows == [f"{a!r},{b!r}" for a, b in pairs]
+
+
+def test_csv_rows_broadcasts_grid_axes_in_row_major_order():
+    temps, pumps = np.array([40.0, -0.0, math.nan]), np.array([2100.5, math.inf])
+    cells = np.arange(6.0).reshape(3, 2) / 7.0
+    rows = csv_rows(temps[:, None], pumps[None, :], cells)
+    assert rows == [
+        f"{t!r},{p!r},{float(cells[i, j])!r}"
+        for i, t in enumerate(temps.tolist())
+        for j, p in enumerate(pumps.tolist())
+    ]
+    assert csv_rows(np.array(1.5), np.array([0.0, 2.0])) == ["1.5,0.0", "1.5,2.0"]
+    with pytest.raises(ValueError):
+        csv_rows(np.zeros(3), np.zeros(4))
