@@ -9,29 +9,42 @@ discretized with the standard 5-point stencil on a uniform cell-centered
 grid.  Effective indices are n_eff = beta / k0.  A mode is guided when
 max(substrate, superstrate) < n_eff < n_core.
 
-Each solve is one shift-invert Lanczos run (ARPACK, through ``eigsh``) at
-sigma = (k0 n_core)^2, just above every guided beta^2, so the eigenvalues
-nearest sigma are the highest-index modes; ``count + 1`` of them are
-requested.  The core is centered in the window, so the operator commutes
-with the mirror x -> W - x, and an orthogonal change of basis (pairs of
-mirror columns folded into their sum and difference over sqrt 2) splits
-the 5-point matrix exactly into an x-even and an x-odd block.  Each block
-is a 5-point matrix on the left half of the grid and differs from the
-Dirichlet matrix only in the column next to the mirror plane: for an even
-column count that column's diagonal gains +1/hx^2 (even) or -1/hx^2
-(odd); for an odd count the center column belongs to the even block and
-couples to its neighbor with sqrt(2)/hx^2, while in the odd block that
-neighbor sees a Dirichlet wall.  One mode needs only the even block: by
-Perron-Frobenius the fundamental mode is simple with a positive field,
-and a positive field is even (see :func:`solve_modes`).  More modes come
-from one Lanczos run on the block-diagonal pair.
+Modes come from shift-invert Lanczos runs (ARPACK, through ``eigsh``)
+at sigma = (k0 n_core)^2, just above every guided beta^2, so the
+eigenvalues nearest sigma are the highest-index modes.  The core is
+centered in the window, so the operator commutes with the mirror
+x -> W - x, and an orthogonal change of basis (pairs of mirror columns
+folded into their sum and difference over sqrt 2) splits the 5-point
+matrix exactly into an x-even and an x-odd block.  Each block is a
+5-point matrix on the left half of the grid and differs from the
+Dirichlet matrix only in the column next to the mirror plane: for an
+even column count that column's diagonal gains +1/hx^2 (even) or
+-1/hx^2 (odd); for an odd count the center column belongs to the even
+block and couples to its neighbor with sqrt(2)/hx^2, while in the odd
+block that neighbor sees a Dirichlet wall.  By Perron-Frobenius the
+fundamental mode is simple with a positive field, and a positive field
+is even (see :func:`solve_modes`), so of the ``count`` top modes the odd
+block holds at most ``count - 1``.  Each block gets its own Lanczos run:
+the even block asks for ``k = count`` eigenpairs, the odd block for
+``k = count - 1``, and one mode needs only the even block.  The runs'
+eigenvalues are merged and sorted.  A run keeps a Krylov basis of
+max(6, 2k + 1) vectors (eigsh's ``ncv``), capped by the block size, not
+eigsh's default of max(20, 2k + 1): at 59.26 C a one-mode solve of the
+reference 64^2 geometry applies the shifted inverse 16-19 times over
+637-2153 nm, where one run on both blocks stacked, asking for
+``count + 1`` pairs with 20 vectors, applied it 21-38 times.  A block
+asked for more pairs than it guides costs more, because the extra pairs
+lie among the closely spaced unguided eigenvalues below cut-off: at
+2152.9 nm the reference geometry guides only two x-even modes and one
+or two x-odd ones, and a three-mode solve took 118-121 half-block
+inverse applications (64^2 to 128^2) where the stacked run took 98.
 
 Each block ``sigma I - B`` is symmetric positive definite (a symmetric
 nonsingular M-matrix), and with cells in C order it is banded with
 half-bandwidth kd = ceil(nx / 2), the block's column count.  So it is
 factored once per solve by LAPACK's banded Cholesky (``pbtrf``, upper
 band storage) and each Lanczos step is one pair of banded triangular
-solves (``pbtrs``) per block.  The 5-point stencil is kept as its
+solves (``pbtrs``) on its block.  The 5-point stencil is kept as its
 diagonals (:func:`_stencil`); the band, the full-grid residual mat-vec
 and the sparse matrix the tests use as an oracle are all read from them,
 and no sparse matrix is built on the solve path.  The factor costs
@@ -76,6 +89,10 @@ from .spectral import Wavelength
 _V0_SEED = 987654321
 
 _RESIDUAL_LIMIT = 1e-8
+
+# Smallest Lanczos basis (eigsh's ``ncv``) of a block run asking for k
+# eigenpairs; a run uses max(_NCV_MIN, 2k + 1) vectors, capped by the block.
+_NCV_MIN = 6
 
 
 class ModeShortfallWarning(UserWarning):
@@ -243,33 +260,18 @@ def _parity_blocks(n: np.ndarray, hx: float, hy: float, k0: float, count: int) -
     ]
 
 
-def _block_diagonal(maps: list, sizes: list[int]):
-    """LinearOperator applying ``maps[k]`` to the k-th of the stacked blocks."""
-    import scipy.sparse.linalg as sparse_linalg  # deferred: only eigen-solves need it
+def _unfold(vec: np.ndarray, ny: int, nx: int, odd: bool) -> np.ndarray:
+    """Full (ny, nx) field of an x-even (``odd`` false) or x-odd block vector.
 
-    if len(maps) == 1:
-        matvec = maps[0]
-    else:
-        def matvec(v):
-            return np.concatenate([maps[0](v[: sizes[0]]), maps[1](v[sizes[0] :])])
-    size = sum(sizes)
-    return sparse_linalg.LinearOperator((size, size), matvec=matvec, dtype=float)
-
-
-def _unfold(vec: np.ndarray, ny: int, nx: int) -> np.ndarray:
-    """Full (ny, nx) field of a vector in parity coordinates.
-
-    ``vec`` holds the even block's values, then the odd block's; without
-    the odd part the field is purely even.  This inverts the orthogonal
-    fold, so it preserves the L2 norm.
+    This inverts the orthogonal fold, so it preserves the L2 norm.  An
+    x-odd field is zero on the center column of an odd column count.
     """
     half = nx // 2
-    n_even = ny * ((nx + 1) // 2)
-    even = vec[:n_even].reshape(ny, -1)
-    odd = vec[n_even:].reshape(ny, half) if vec.size > n_even else 0.0
-    left = (even[:, :half] + odd) * math.sqrt(0.5)
-    right = (even[:, :half] - odd) * math.sqrt(0.5)
-    return np.hstack([left, even[:, half:], right[:, ::-1]])
+    block = vec.reshape(ny, -1)
+    left = block[:, :half] * math.sqrt(0.5)
+    right = -left if odd else left
+    center = np.zeros((ny, nx - 2 * half)) if odd else block[:, half:]
+    return np.hstack([left, center, right[:, ::-1]])
 
 
 def solve_modes(
@@ -294,9 +296,13 @@ def solve_modes(
     eigenvector.  The mirror commutes with A, so a simple eigenvector is
     even or odd, and a positive one is even: ``count == 1`` factors and
     iterates on the x-even block alone, and that is exact.  ``count >= 2``
-    factors both blocks and runs one Lanczos iteration on the
-    block-diagonal pair.  Each block B is A on an invariant subspace in
-    an orthonormal basis, so ``sigma I - B`` is positive definite too
+    factors both blocks and runs one Lanczos iteration on each, asking
+    the even block for ``count`` eigenpairs and the odd block, which
+    cannot hold mode 1, for ``count - 1``, each with a Krylov basis of
+    max(6, 2k + 1) vectors (see the module docstring for its cost).  The
+    merged eigenvalues are sorted, and those outside the guided band
+    dropped.  Each block B is A on an invariant subspace in an
+    orthonormal basis, so ``sigma I - B`` is positive definite too
     (and again an M-matrix), and LAPACK's banded Cholesky factors it;
     ``pbtrf`` reporting otherwise raises :class:`NumericError`.  The
     factor costs O(N kd^2) for N cells and half-bandwidth kd =
@@ -320,40 +326,44 @@ def solve_modes(
     hx = geometry.window_width_um / geometry.grid_nx
     hy = geometry.window_height_um / geometry.grid_ny
     blocks = _parity_blocks(n, hx, hy, k0, count)
-    sizes = [main.size for main, _, _ in blocks]
-    size = sum(sizes)
-    k_request = min(count + 1, size - 2)
     sigma = (k0 * n_core) ** 2
-    v0 = np.random.default_rng(_V0_SEED).standard_normal(size)
     pbtrf, pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
-    solves = []
-    for block in blocks:
+    pairs = []
+    # The odd block holds at most count - 1 of the top modes: mode 1 is even.
+    for odd, (block, k) in enumerate(zip(blocks, (count, count - 1))):
+        size = block[0].size
+        k = min(k, size - 2)
         factor, info = pbtrf(_shifted_band(block, sigma), lower=0, overwrite_ab=1)
         if info != 0:
             raise NumericError(
                 f"shifted Helmholtz block is not positive definite (pbtrf info {info})"
             )
-        solves.append(lambda v, factor=factor: -pbtrs(factor, v, lower=0)[0])
-    op_inv = _block_diagonal(solves, sizes)
-    # In shift-invert mode eigsh reads only the shape of its operator.
-    a_op = _block_diagonal([partial(_stencil_matvec, block) for block in blocks], sizes)
-    try:
-        vals, vecs = sparse_linalg.eigsh(
-            a_op, k=k_request, sigma=sigma, which="LM", v0=v0, OPinv=op_inv
+        op_inv = sparse_linalg.LinearOperator(
+            (size, size), matvec=lambda v: -pbtrs(factor, v, lower=0)[0], dtype=float
         )
-    except sparse_linalg.ArpackNoConvergence as exc:
-        raise NumericError(f"eigensolver did not converge: {exc}") from exc
-    order = np.argsort(vals)[::-1]
+        # In shift-invert mode eigsh reads only the shape of its operator.
+        a_op = sparse_linalg.LinearOperator(
+            (size, size), matvec=partial(_stencil_matvec, block), dtype=float
+        )
+        v0 = np.random.default_rng(_V0_SEED).standard_normal(size)
+        try:
+            vals, vecs = sparse_linalg.eigsh(
+                a_op, k=k, sigma=sigma, which="LM", v0=v0, OPinv=op_inv,
+                ncv=min(max(_NCV_MIN, 2 * k + 1), size - 1),
+            )
+        except sparse_linalg.ArpackNoConvergence as exc:
+            raise NumericError(f"eigensolver did not converge: {exc}") from exc
+        pairs += [(val, odd, vec) for val, vec in zip(vals, vecs.T)]
+    pairs.sort(key=lambda pair: pair[0], reverse=True)
     beta2_low = (k0 * n_clad) ** 2
     beta2_high = (k0 * n_core) ** 2
     full = _stencil(n, hx, hy, k0)
     left_cols = (n.shape[1] + 1) // 2
     out: list[ModeSolution] = []
-    for idx in order:
-        beta2 = vals[idx]
+    for beta2, odd, vec in pairs:
         if not (beta2_low < beta2 < beta2_high):
             continue
-        psi = _unfold(vecs[:, idx], *n.shape)
+        psi = _unfold(vec, *n.shape, odd)
         psi = psi / np.linalg.norm(psi)
         left = psi[:, :left_cols]
         if left.flat[np.argmax(np.abs(left))] < 0:

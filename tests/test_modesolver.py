@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -81,6 +82,40 @@ def bisection_slab_kappa(k0, n_core, n_a, n_b, thickness, m):
     return 0.5 * (lo + hi)
 
 
+def full_matrix_modes(geometry, lam, count):
+    """Oracle: guided (n_eff, field) pairs, descending, from eigsh factoring
+    the full-grid A - sigma*I itself (SuperLU) with four spare eigenpairs,
+    the same sigma and a start vector from the same seed."""
+    from scipy.sparse.linalg import eigsh
+
+    n, _, _, n_core, n_clad = modesolver.index_map(geometry, lam, TEMP)
+    k0 = 2.0 * math.pi / lam.um
+    a_mat = modesolver._helmholtz_matrix(
+        n,
+        geometry.window_width_um / geometry.grid_nx,
+        geometry.window_height_um / geometry.grid_ny,
+        k0,
+    )
+    v0 = np.random.default_rng(modesolver._V0_SEED).standard_normal(a_mat.shape[0])
+    vals, vecs = eigsh(a_mat, k=count + 4, sigma=(k0 * n_core) ** 2, which="LM", v0=v0)
+    guided = [i for i in np.argsort(vals)[::-1] if (k0 * n_clad) ** 2 < vals[i] < (k0 * n_core) ** 2]
+    return [(math.sqrt(vals[i]) / k0, vecs[:, i].reshape(n.shape)) for i in guided[:count]]
+
+
+def square_core_geometry(core_material, substrate_material, lam):
+    """6 um square core in a 24 um square window on a 64^2 grid, with a
+    superstrate of the substrate's index: symmetric under a quarter turn."""
+    return WaveguideGeometry(
+        core_width_um=6.0,
+        core_height_um=6.0,
+        core_material=core_material,
+        substrate_material=substrate_material,
+        superstrate_index=sellmeier_index(substrate_material, lam, TEMP),
+        window_width_um=24.0,
+        window_height_um=24.0,
+    )
+
+
 @pytest.fixture(scope="module")
 def default_geometry(lithium_niobate, lithium_tantalate):
     return WaveguideGeometry(
@@ -89,6 +124,11 @@ def default_geometry(lithium_niobate, lithium_tantalate):
         core_material=lithium_niobate,
         substrate_material=lithium_tantalate,
     )
+
+
+@pytest.fixture(scope="module")
+def odd_grid_geometry(default_geometry):
+    return default_geometry.with_grid(65, 48)
 
 
 @pytest.fixture(scope="module")
@@ -186,79 +226,129 @@ class TestSolveModes:
         with pytest.raises(DomainError):
             solve_modes(default_geometry, LAM, TEMP, count=0)
 
-    @pytest.mark.parametrize("geometry_name", ["default_geometry", "slab_geometry"])
+    @pytest.mark.parametrize("geometry_name", ["default_geometry", "odd_grid_geometry", "slab_geometry"])
     @pytest.mark.parametrize("lam_nm", [637.2, 905.08, 1561.62, 2152.9])
-    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("count", [1, 2, 3])
     def test_matches_eigsh_own_shift_invert(self, request, geometry_name, lam_nm, count):
         """Oracle: eigsh factoring A - sigma*I itself (column ordering) with
-        four spare eigenpairs, the same sigma and start vector."""
-        from scipy.sparse.linalg import eigsh
-
+        four spare eigenpairs, the same sigma and start vector.  Each n_eff
+        within 1e-12, each field within 1e-12 of the oracle's eigenvector
+        signed by the left-half rule, each residual <= 1e-8."""
         geometry = request.getfixturevalue(geometry_name)
         lam = Wavelength(lam_nm)
-        n, _, _, n_core, n_clad = modesolver.index_map(geometry, lam, TEMP)
-        k0 = 2.0 * math.pi / lam.um
-        a_mat = modesolver._helmholtz_matrix(
-            n,
-            geometry.window_width_um / geometry.grid_nx,
-            geometry.window_height_um / geometry.grid_ny,
-            k0,
-        )
-        v0 = np.random.default_rng(modesolver._V0_SEED).standard_normal(a_mat.shape[0])
-        vals, _ = eigsh(a_mat, k=count + 4, sigma=(k0 * n_core) ** 2, which="LM", v0=v0)
-        guided = sorted((v for v in vals if (k0 * n_clad) ** 2 < v < (k0 * n_core) ** 2), reverse=True)
-        expected = [math.sqrt(v) / k0 for v in guided[:count]]
+        expected = full_matrix_modes(geometry, lam, count)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ModeShortfallWarning)
-            got = [s.n_eff for s in solve_modes(geometry, lam, TEMP, count=count)]
+            got = solve_modes(geometry, lam, TEMP, count=count)
         assert len(got) == len(expected)
-        assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
+        left_cols = math.ceil(geometry.grid_nx / 2)
+        for sol, (n_eff, field) in zip(got, expected):
+            assert abs(sol.n_eff - n_eff) <= 1e-12
+            left = field[:, :left_cols]
+            sign = np.sign(left.flat[np.argmax(np.abs(left))])
+            assert np.max(np.abs(sol.field - sign * field)) <= 1e-12
+            assert sol.residual <= 1e-8
 
-    def test_one_symmetric_ordered_factorization_per_solve(self, default_geometry, monkeypatch):
-        """count 1 makes one banded Cholesky factorization (LAPACK pbtrf)
-        of the x-even block; more modes factor the even and the odd block.
-        No solve calls SuperLU, and each is one eigsh call on OPinv."""
+    @pytest.fixture
+    def lapack_calls(self, monkeypatch):
+        """Band shape of each ``pbtrf`` call and the number of ``pbtrs``
+        calls (half-block shifted-inverse applications); ``splu`` raises."""
         import scipy.linalg.lapack as lapack
         import scipy.sparse.linalg as sparse_linalg
 
-        factored, operators = [], []
-        get_lapack_funcs, eigsh = lapack.get_lapack_funcs, sparse_linalg.eigsh
+        calls = SimpleNamespace(bands=[], solves=0)
+        get_lapack_funcs = lapack.get_lapack_funcs
+
+        def counting(name, func):
+            def pbtrf(band, **kw):
+                calls.bands.append(band.shape)
+                return func(band, **kw)
+
+            def pbtrs(*args, **kw):
+                calls.solves += 1
+                return func(*args, **kw)
+
+            return {"pbtrf": pbtrf, "pbtrs": pbtrs}.get(name, func)
 
         def counting_get_lapack_funcs(names, *args, **kwargs):
             funcs = get_lapack_funcs(names, *args, **kwargs)
-            if "pbtrf" not in names:
+            if isinstance(names, str):
                 return funcs
-            pbtrf = funcs[names.index("pbtrf")]
-
-            def counting_pbtrf(band, **kw):
-                factored.append(band.shape)
-                return pbtrf(band, **kw)
-
-            return tuple(counting_pbtrf if f is pbtrf else f for f in funcs)
+            return tuple(counting(name, func) for name, func in zip(names, funcs))
 
         def no_splu(*args, **kwargs):
             raise AssertionError("solve_modes called splu")
 
-        def recording_eigsh(*args, **kwargs):
-            operators.append(kwargs.get("OPinv"))
-            return eigsh(*args, **kwargs)
-
         monkeypatch.setattr(lapack, "get_lapack_funcs", counting_get_lapack_funcs)
         monkeypatch.setattr(sparse_linalg, "splu", no_splu)
+        return calls
+
+    def test_one_symmetric_ordered_factorization_per_solve(self, default_geometry, lapack_calls, monkeypatch):
+        """count 1 makes one banded Cholesky factorization (LAPACK pbtrf)
+        of the x-even block; more modes factor the even and the odd block.
+        No solve calls SuperLU.  Each factored block gets one eigsh call on
+        its own OPinv, asking for k = count (even) and count - 1 (odd)."""
+        import scipy.sparse.linalg as sparse_linalg
+
+        runs = []
+        eigsh = sparse_linalg.eigsh
+
+        def recording_eigsh(a_op, k, **kwargs):
+            op_inv = kwargs["OPinv"]
+            assert isinstance(op_inv, sparse_linalg.LinearOperator)
+            runs.append((k, op_inv.shape[0]))
+            return eigsh(a_op, k, **kwargs)
+
         monkeypatch.setattr(sparse_linalg, "eigsh", recording_eigsh)
         for nx, ny in ((64, 64), (65, 48)):
             # Band storage: kd + 1 rows, one column per cell of the block.
             even, odd = math.ceil(nx / 2), nx // 2
             bands = [(even + 1, ny * even), (odd + 1, ny * odd)]
             for count in (1, 2, 3):
-                factored.clear()
-                operators.clear()
+                lapack_calls.bands.clear()
+                runs.clear()
                 solutions = solve_modes(default_geometry.with_grid(nx, ny), LAM, TEMP, count=count)
                 assert len(solutions) == count
-                assert factored == bands[: 1 if count == 1 else 2]
+                assert lapack_calls.bands == bands[: 1 if count == 1 else 2]
                 # With OPinv given, eigsh factors nothing itself.
-                assert len(operators) == 1
-                assert isinstance(operators[0], sparse_linalg.LinearOperator)
+                assert runs == [(count, ny * even), (count - 1, ny * odd)][: 1 if count == 1 else 2]
+
+    @pytest.mark.parametrize("lam_nm", [637.2, 905.08, 1561.62, 2152.9])
+    def test_one_mode_applies_the_shifted_inverse_at_most_20_times(self, default_geometry, lapack_calls, lam_nm):
+        """Work counter: a one-mode solve of the reference 64^2 geometry
+        makes at most 20 banded triangular solve pairs (pbtrs calls).  With
+        k = 2 and eigsh's default 20 Lanczos vectors it made 21 or 38."""
+        solve_modes(default_geometry, Wavelength(lam_nm), TEMP, count=1)
+        assert 0 < lapack_calls.solves <= 20
+
+    @pytest.mark.parametrize("lam_nm", [637.2, 1561.62, 2152.9])
+    def test_degenerate_pair_across_the_parity_blocks(self, lithium_niobate, lithium_tantalate, lam_nm):
+        """A square core in a square window and a symmetric surround: the
+        x-odd mode 2 and its rotated, x-even twin are degenerate, one in
+        each block.  Both come back within 1e-12 of the full-matrix oracle,
+        one field x-even and the other x-odd."""
+        lam = Wavelength(lam_nm)
+        geometry = square_core_geometry(lithium_niobate, lithium_tantalate, lam)
+        expected = full_matrix_modes(geometry, lam, 3)
+        sols = solve_modes(geometry, lam, TEMP, count=3)
+        assert len(sols) == len(expected) == 3
+        for sol, (n_eff, _) in zip(sols, expected):
+            assert abs(sol.n_eff - n_eff) <= 1e-12
+        assert abs(sols[1].n_eff - sols[2].n_eff) <= 1e-12
+        parities = [
+            tuple(np.allclose(s.field, sign * s.field[:, ::-1], rtol=0.0, atol=1e-12) for sign in (1, -1))
+            for s in sols[1:]
+        ]
+        assert sorted(parities) == [(False, True), (True, False)]
+
+    def test_mode_past_cut_off_is_a_shortfall(self, lithium_niobate, lithium_tantalate):
+        """At 2152.9 nm the square core guides the fundamental and the
+        degenerate pair only: asking for four warns and returns three."""
+        lam = Wavelength(2152.9)
+        geometry = square_core_geometry(lithium_niobate, lithium_tantalate, lam)
+        with pytest.warns(ModeShortfallWarning, match="requested 4 guided modes, found 3"):
+            sols = solve_modes(geometry, lam, TEMP, count=4)
+        assert len(sols) == 3
 
     def test_band_that_is_not_positive_definite_raises(self, default_geometry, monkeypatch):
         """sigma below the top eigenvalue makes sigma I - B indefinite, so
