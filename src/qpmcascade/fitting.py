@@ -10,10 +10,15 @@ iterations or the parameter step norm drops below 1e-12.  Everything is
 plain double-precision arithmetic in a fixed order, so identical inputs
 give bitwise-identical results.
 
-Every model evaluates a batch of parameter vectors in one call: with
-``params`` of shape (n_par, M, 1) and ``x`` of shape (N,), ``evaluate``
-returns the (M, N) curves.  :func:`auto_initial` scores its whole lattice
-through such calls; :func:`fit` evaluates one vector at a time.
+Every model evaluates a batch of parameter vectors in one call: given
+``params`` as a sequence of n_par arrays that broadcast with one another
+and with ``x``, ``evaluate`` returns the curves over their broadcast
+shape.  :func:`auto_initial` passes its lattice as an open mesh, each
+scanned parameter varying along its own axis and every other parameter a
+scalar, so a model term is evaluated once per distinct combination of
+the axes it depends on; a lattice whose points times samples exceed
+2^15 is scored in slices along its last scanned axis, each call within
+that budget.  :func:`fit` evaluates one vector at a time.
 """
 
 from __future__ import annotations
@@ -41,9 +46,12 @@ class FitModel:
     """A named parametric curve y = evaluate(params, x).
 
     ``evaluate`` takes ``params`` of shape (n_par,) and returns one curve
-    over ``x``; given a batch of shape (n_par, M, 1) it returns the
-    (M, x.size) curves, which a closure that unpacks ``params`` and uses
-    numpy broadcasting does without extra code.  ``bounds`` is one
+    over ``x``.  Given a batch, a sequence of n_par arrays that broadcast
+    with one another and with ``x`` (such as an (n_par, M, 1) array, or
+    :func:`auto_initial`'s open mesh of (16, 1, ..., 1)-style axes and
+    scalars), it returns the curves over their broadcast shape.  A
+    closure that unpacks ``params`` and uses numpy broadcasting does this
+    without extra code.  ``bounds`` is one
     (low, high) pair per parameter; ``constants`` holds fixed non-fitted
     values the evaluate closure was built with (kept for reporting).
     """
@@ -335,9 +343,20 @@ def auto_initial(model: FitModel, x: Sequence[float], y: Sequence[float]) -> np.
     Heuristics fill amplitude/offset-like parameters from the data; the
     remaining (most nonlinear) parameters, at most three, are scanned on a
     16-level lattice inside their effective bounds and the lowest-SSE
-    lattice point wins (the first one on a tie; the guesses if no point
-    scores finite).  The lattice is evaluated in batched ``evaluate``
-    calls of at most 2^15 lattice-point samples each.
+    lattice point wins (the first one in C order over the scanned axes on
+    a tie; the guesses if no point scores finite).
+
+    ``evaluate`` receives the lattice as an open mesh: scanned parameter
+    d is an array varying along axis d only, shape (1, ..., 16, ..., 1, 1)
+    in the style of ``np.ix_``, and every other parameter is its scalar
+    guess.  When the lattice points times ``x.size`` exceed 2^15, the last
+    scanned axis is scored in chunks of as many levels as fit that budget
+    with the other axes whole.  When one level of it alone exceeds the
+    budget, it goes one level per call and the axis before it is chunked
+    instead, and so on, so every call's output stays within 2^15 elements
+    while one lattice point does.  At 101 samples every registry model
+    takes one call but ``two_mode_sinc2``, whose 16^3-point lattice takes
+    16, one per ``effective_length`` level.
     """
     x = np.asarray(list(x), dtype=float)
     y = np.asarray(list(y), dtype=float)
@@ -369,20 +388,35 @@ def auto_initial(model: FitModel, x: Sequence[float], y: Sequence[float]) -> np.
                 axis = np.linspace(lo, hi, 16)
             if len(lattice_axes) < 3:
                 lattice_axes.append((i, axis))
-    params = np.array(guesses)
     if not lattice_axes:
-        return params
-    grids = np.meshgrid(*[axis for _, axis in lattice_axes], indexing="ij")
-    trials = np.repeat(params[:, None], grids[0].size, axis=1)
-    for (idx, _), grid in zip(lattice_axes, grids):
-        trials[idx] = grid.ravel()
-    sse = np.empty(trials.shape[1])
-    block = max(1, _LATTICE_BLOCK // x.size)
-    for lo in range(0, sse.size, block):
-        resid = y - model.evaluate(trials[:, lo : lo + block, None], x)
-        sse[lo : lo + block] = np.einsum("ij,ij->i", resid, resid)
+        return np.array(guesses)
+    levels = tuple(axis.size for _, axis in lattice_axes)
+    # axes before `split` vary whole in every call, axis `split` in chunks
+    # of `step` levels, and the axes after it one level per call
+    split = len(levels) - 1
+    while split and math.prod(levels[:split]) * x.size > _LATTICE_BLOCK:
+        split -= 1
+    step = max(1, _LATTICE_BLOCK // (math.prod(levels[:split]) * x.size))
+    sse = np.empty(levels)
+    trial: list = list(guesses)
+    for d, (idx, axis) in enumerate(lattice_axes[:split]):
+        trial[idx] = axis.reshape((1,) * d + (-1,) + (1,) * (split - d + 1))
+    split_idx, split_axis = lattice_axes[split]
+    for fixed in np.ndindex(*levels[split + 1 :]):
+        for (idx, axis), level in zip(lattice_axes[split + 1 :], fixed):
+            trial[idx] = axis[level]
+        for lo in range(0, levels[split], step):
+            chunk = split_axis[lo : lo + step]
+            trial[split_idx] = chunk.reshape((1,) * split + (-1, 1))
+            shape = levels[:split] + (chunk.size, x.size)
+            resid = np.broadcast_to(y - model.evaluate(trial, x), shape).reshape(-1, x.size)
+            sums = np.einsum("ij,ij->i", resid, resid)
+            sse[(..., slice(lo, lo + step), *fixed)] = sums.reshape(shape[:-1])
     scored = sse < math.inf
     if not scored.any():
-        return params
+        return np.array(guesses)
     # argmin keeps the first of equal minima, as a strict-< scan would
-    return trials[:, int(np.argmin(np.where(scored, sse, math.inf)))].copy()
+    best = np.unravel_index(int(np.argmin(np.where(scored, sse, math.inf))), levels)
+    for (idx, axis), level in zip(lattice_axes, best):
+        guesses[idx] = axis[level]
+    return np.array(guesses)

@@ -56,19 +56,23 @@ def lineshape_analytic(delta_k_per_mm, length_mm):
     """Distributed-source line shape (2/dk^2)(1 - sinc(dk L)), in mm^2.
 
     Elementwise on arrays of dk and L; a scalar call returns a float.
-    For |dk*L| < 1e-4 the removable singularity is evaluated by series:
-    L^2/3 - dk^2 L^4/60 + dk^4 L^6/2520.
+    For |dk*L| < 1e-4 the removable singularity is evaluated by series,
+    on those elements only: L^2/3 - dk^2 L^4/60 + dk^4 L^6/2520.
     """
     if not np.all(np.asarray(length_mm) > 0):
         raise DomainError("length must be positive")
     dk = np.asarray(delta_k_per_mm, dtype=float)
-    x = dk * length_mm
-    l2 = length_mm * length_mm
+    x = np.asarray(dk * length_mm)
     small = np.abs(x) < 1e-4
     dk_safe = np.where(small, 1.0, dk)
     exact = (2.0 / (dk_safe * dk_safe)) * (1.0 - np.sinc(np.where(small, 1.0, x) / math.pi))
-    series = l2 / 3.0 - (x * x) * l2 / 60.0 + (x**4) * l2 / 2520.0
-    shape = np.where(small, series, exact)
+    shape = np.asarray(exact)
+    if small.any():
+        xs = x[small]
+        l2 = length_mm * length_mm
+        if np.ndim(l2):
+            l2 = np.broadcast_to(l2, x.shape)[small]
+        shape[small] = l2 / 3.0 - (xs * xs) * l2 / 60.0 + (xs**4) * l2 / 2520.0
     return shape if is_array(delta_k_per_mm) or is_array(length_mm) else float(shape)
 
 

@@ -3,7 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qpmcascade import fitting
 from qpmcascade.errors import DomainError, RankDeficiencyError
 from qpmcascade.fitting import (
     FitModel,
@@ -367,25 +370,131 @@ class TestBatchedAutoInitial:
             assert np.array_equal(rows[0], model.evaluate(single, x))
             assert np.array_equal(rows[1], model.evaluate(single * 1.01, x))
 
-    def test_evaluate_call_counts(self):
-        # 16 levels per scanned parameter; a call scores up to 2^15
-        # (lattice point, sample) pairs, here 324 points of 101 samples
-        lattice = {"saturation": 16, "sinc2_scan": 256, "lineshape_eq1": 256,
-                   "two_mode_sinc2": 4096, "lineshape_eq2": 256}
-        expected = {"saturation": 1, "sinc2_scan": 1, "lineshape_eq1": 1,
-                    "two_mode_sinc2": 13, "lineshape_eq2": 1}
+    def test_evaluate_call_counts(self, monkeypatch):
+        # Work counter of the open-mesh lattice: 16 levels per scanned
+        # parameter, each model term evaluated once per distinct level
+        # combination of the axes it depends on.  The two-mode lattice
+        # (16^3 points of 101 samples) exceeds the 2^15 budget, so it is
+        # scored one effective_length level at a time: 16 calls of two
+        # 16 x 101 sinc^2 terms each.
+        calls = {"saturation": 1, "sinc2_scan": 1, "lineshape_eq1": 1,
+                 "two_mode_sinc2": 16, "lineshape_eq2": 1}
+        sinc2_elements = {"saturation": 0, "sinc2_scan": 256 * 101, "lineshape_eq1": 0,
+                          "two_mode_sinc2": 16 * 2 * 16 * 101, "lineshape_eq2": 0}
+        assert sinc2_elements["two_mode_sinc2"] == 51_712
+        transfer = fitting.qpm_transfer
+        elements = []
+
+        def counting_transfer(dk, length):
+            out = transfer(dk, length)
+            elements.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(fitting, "qpm_transfer", counting_transfer)
         for name in self.NAMES:
             model = registry_model(name)
-            calls = []
+            outputs = []
 
             def counting(params, x, evaluate=model.evaluate):
-                calls.append(np.shape(params))
-                return evaluate(params, x)
+                out = evaluate(params, x)
+                outputs.append(np.size(out))
+                return out
 
             x, y = noisy_model_data(name, 5)
+            elements.clear()
             auto_initial(replace(model, evaluate=counting), x, y)
-            assert len(calls) == expected[name], name
-            assert sum(shape[1] for shape in calls) == lattice[name]
+            assert len(outputs) == calls[name], name
+            assert max(outputs) <= fitting._LATTICE_BLOCK, name
+            assert sum(elements) == sinc2_elements[name], name
+
+    def test_mirror_ties_keep_the_first_pair(self):
+        # Both amplitude guesses are the data span, so the lattice points
+        # (center1, center2) = (a, b) and (b, a) score the same SSE
+        # exactly; the pick is the first of them in lattice order.
+        model = registry_model("two_mode_sinc2")
+        x = np.linspace(2150.0, 2162.0, 101)
+        levels = np.linspace(x.min(), x.max(), 16)
+        y = model.evaluate(np.array([1.0, levels[11], 1.0, levels[4], 15.0, 0.0]), x)
+        y += np.random.default_rng(3).normal(0.0, 0.01, x.size)
+        picked = auto_initial(model, x, y)
+        assert np.array_equal(picked, scalar_lattice_reference(model, x, y))
+        assert (picked[1], picked[3]) == (levels[4], levels[11])
+        resid = [y - model.evaluate(p, x) for p in (picked, picked[[0, 3, 2, 1, 4, 5]])]
+        assert resid[0] @ resid[0] == resid[1] @ resid[1]
+
+    def test_user_model_on_the_open_mesh(self):
+        # A user-defined model written to the batch contract: every
+        # parameter unpacked from a sequence of arrays that broadcast with
+        # x.  "width" and "skew" are scanned on linear lattices; "unused"
+        # would be a fourth scanned parameter and keeps its guess.  At 200
+        # samples the 2^15 budget holds the whole center axis and 10 width
+        # levels: width is scored in chunks of 10 and 6 levels, once per
+        # skew level.
+        shapes = []
+
+        def skewed_peak(params, x):
+            amplitude, center, width, skew, unused, offset = params
+            shapes.append(tuple(np.shape(p) for p in params))
+            u = (x - center) / width
+            return amplitude * np.exp(-0.5 * u * u) * (1.0 + skew * u) + offset
+
+        model = FitModel(
+            name="skewed_peak",
+            parameter_names=("amplitude", "center", "width", "skew", "unused", "offset"),
+            bounds=((0.0, 10.0), (0.0, 10.0), (0.1, 3.0), (-1.0, 1.0), (0.0, 1.0), (-5.0, 5.0)),
+            evaluate=skewed_peak,
+        )
+        x = np.linspace(1.0, 9.0, 200)
+        y = skewed_peak([2.0, 4.2, 0.7, 0.3, 0.0, 0.1], x)
+        y += np.random.default_rng(8).normal(0.0, 0.02, x.size)
+        shapes.clear()
+        picked = auto_initial(model, x, y)
+        assert len(shapes) == 32
+        assert set(shapes) == {((), (16, 1, 1), (1, width, 1), (), (), ()) for width in (10, 6)}
+        assert np.array_equal(picked, scalar_lattice_reference(model, x, y))
+        assert picked[4] == 0.5
+
+    @pytest.mark.parametrize(
+        "name, samples, calls, largest",
+        [
+            # 16 x 2500 exceeds 2^15: center in chunks of 13 and 3 levels,
+            # one call each per effective_length level
+            ("sinc2_scan", 2500, 32, 13 * 2500),
+            # one eta_nor level alone exceeds 2^15: one level per call
+            ("saturation", 33_000, 16, 33_000),
+        ],
+    )
+    def test_large_data_splits_the_lattice(self, name, samples, calls, largest):
+        model = registry_model(name)
+        x0, y0 = noisy_model_data(name, 9)
+        x = np.linspace(x0.min(), x0.max(), samples)
+        y = np.interp(x, x0, y0)
+        outputs = []
+
+        def counting(params, x, evaluate=model.evaluate):
+            out = evaluate(params, x)
+            outputs.append(np.size(out))
+            return out
+
+        picked = auto_initial(replace(model, evaluate=counting), x, y)
+        assert len(outputs) == calls
+        assert max(outputs) == largest
+        assert np.array_equal(picked, scalar_lattice_reference(model, x, y))
+
+    def test_model_ignoring_a_scanned_parameter(self):
+        # "width" is scanned but unused: the model's output lacks its axis,
+        # every width level ties and the first one is kept
+        model = FitModel(
+            name="parabola",
+            parameter_names=("amplitude", "center", "width", "offset"),
+            bounds=((0.0, 10.0), (0.0, 10.0), (0.1, 3.0), (-5.0, 5.0)),
+            evaluate=lambda p, x: p[0] * (x - p[1]) ** 2 + p[3],
+        )
+        x = np.linspace(0.0, 4.0, 30)
+        y = 0.3 * (x - 1.5) ** 2
+        picked = auto_initial(model, x, y)
+        assert np.array_equal(picked, scalar_lattice_reference(model, x, y))
+        assert picked[2] == 0.1
 
     def test_non_finite_lattice_keeps_the_guesses(self):
         model = FitModel(
@@ -397,3 +506,24 @@ class TestBatchedAutoInitial:
         x = np.linspace(1.0, 2.0, 5)
         picked = auto_initial(model, x, x)
         assert np.array_equal(picked, [1.0, 5.0])
+
+
+PROPERTY_X = {
+    "saturation": np.linspace(0.0, 0.225, 21),
+    "sinc2_scan": np.linspace(2151.9, 2153.9, 21),
+    "lineshape_eq1": np.linspace(1555.2, 1559.2, 21),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(sorted(PROPERTY_X)),
+    y=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=21, max_size=21),
+)
+def test_open_mesh_pick_is_the_scalar_pick_on_any_finite_data(name, y):
+    """The open-mesh lattice picks what one evaluate call per lattice
+    point picks, for any finite data, overflowing SSEs included."""
+    model = registry_model(name)
+    x, y = PROPERTY_X[name], np.array(y)
+    with np.errstate(over="ignore"):
+        assert np.array_equal(auto_initial(model, x, y), scalar_lattice_reference(model, x, y))

@@ -62,6 +62,31 @@ class TestAnalyticLineShape:
         scalars = [lineshape_analytic(float(d), LENGTH) for d in dk]
         assert np.array_equal(lineshape_analytic(dk, LENGTH), scalars)
 
+    def test_series_only_where_masked_is_the_two_branch_select(self):
+        """The series written into the |dk L| < 1e-4 elements only gives
+        exactly what selecting between both branches on every element did."""
+
+        def two_branch_select(dk, length):
+            x = dk * length
+            l2 = length * length
+            small = np.abs(x) < 1e-4
+            dk_safe = np.where(small, 1.0, dk)
+            sinc = np.sinc(np.where(small, 1.0, x) / math.pi)
+            exact = (2.0 / (dk_safe * dk_safe)) * (1.0 - sinc)
+            series = l2 / 3.0 - (x * x) * l2 / 60.0 + (x**4) * l2 / 2520.0
+            return np.where(small, series, exact)
+
+        dk = np.array([0.0, 1e-7, -1e-7, 0.99e-4, -1.01e-4, 1e-3, -0.2, 3.0]) / LENGTH
+        lengths = np.array([[0.5], [LENGTH], [250.0]])
+        for length in (LENGTH, lengths):
+            got = lineshape_analytic(dk, length)
+            assert np.array_equal(got, two_branch_select(dk, length))
+        at_zero = lineshape_analytic(np.zeros(3), lengths[:, 0])
+        assert np.array_equal(at_zero, lengths[:, 0] ** 2 / 3.0)
+        for d in dk:
+            value = lineshape_analytic(float(d), LENGTH)
+            assert type(value) is float and value == two_branch_select(d, LENGTH)
+
     def test_broader_than_plain_sinc2(self):
         dk = np.linspace(-1.0, 1.0, 20001)
         shape = np.array([lineshape_analytic(float(d), LENGTH) for d in dk])
@@ -164,16 +189,26 @@ class TestWeightedLineShape:
     dk_l=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=6),
 )
 @example(panels=256, weights=[5e-324], length=3.0, dk_l=[3.0])
+@example(panels=256, weights=[0.0, 5e-324], length=647.5, dk_l=[0.0])
 def test_panel_split_kernel_is_the_per_panel_sum(panels, weights, length, dk_l):
     """Within 1e-13 of the same sum taken with |a_j|, the scale of its
-    rounding, for |dk L| up to 300, exactly 0 and +-1e-300.  A subnormal
-    weight rounds by whole subnormal ulps (5e-324), where the relative
-    bound underflows to 0, so the bound has a floor of four of them."""
+    rounding, for |dk L| up to 300, exactly 0 and +-1e-300.
+
+    A result below the normal range rounds by up to half a subnormal ulp
+    u = 5e-324 in absolute terms, where the relative bound underflows to
+    0.  The kernel rounds a_j L^j once per weight, then multiplies by a
+    sum of at most P sinc^2 terms and by L/P: at most (P + 1) u/2 * L/P
+    per weight, plus u from its last roundings.  The oracle rounds per
+    panel each a_j z^j, the weight sum's n - 1 additions, the kernel
+    product and the dot product's addition, then multiplies the P-term
+    sum by dz = L/P: at most (2n + 1) u L / 2 + u / 2.  Together that is
+    below (2n + 3) u max(1, L) for n weights and P >= 256."""
     dk = np.concatenate([np.array(dk_l) / length, [0.0, 1e-300, -1e-300]])
     got = weighted_sinc2_sum(dk, length, weights, panels)
     oracle = per_panel_oracle(dk, length, weights, panels)
     scale = per_panel_oracle(dk, length, [abs(a) for a in weights], panels)
-    assert np.all(np.abs(got - oracle) <= 1e-13 * scale + 4 * 5e-324)
+    floor = (2 * len(weights) + 3) * 5e-324 * max(1.0, length)
+    assert np.all(np.abs(got - oracle) <= 1e-13 * scale + floor)
 
 
 @settings(max_examples=60, deadline=None)
