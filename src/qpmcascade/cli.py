@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import shlex
 import sys
@@ -32,7 +33,6 @@ from .conversion import (
     Spectrum,
     StepEfficiencyModel,
     budget_transmission,
-    cascade_efficiency,
     convert_spectrum,
     csv_rows,
     noise_report,
@@ -55,17 +55,17 @@ from .spectral import Wavelength
 
 
 def _range_spec(text: str) -> np.ndarray:
-    """Parse 'lo:hi:count' into an inclusive linspace."""
+    """Parse 'lo:hi:count' (finite edges) into an inclusive linspace."""
     parts = text.split(":")
     try:
         if len(parts) != 3:
             raise ValueError
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
+        if count < 1 or not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected lo:hi:count with count >= 1, got {text!r}"
+            f"expected lo:hi:count with finite lo, hi and count >= 1, got {text!r}"
         ) from None
     return np.linspace(lo, hi, count)
 
@@ -110,82 +110,69 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _provenance_lines(subcommand: str, argv: list[str], device_sha: str = "") -> list[str]:
-    lines = [
-        f"qpmcascade {subcommand} v{__version__}",
-        f"command: qpmcascade {shlex.join(argv)}",
-    ]
-    if device_sha:
-        lines.append(f"device_sha256={device_sha}")
-    lines.append(f"generated: {datetime.now(timezone.utc).isoformat()}")
-    return lines
+def _write_artifact(args, argv: list[str], device, result: tuple) -> None:
+    """Write a subcommand's result to ``args.output`` under its provenance.
 
-
-def _write_csv(path: Path, header: str, rows: list[str], prov: list[str]) -> None:
-    text = "\n".join([f"# {p}" for p in prov] + [header] + rows) + "\n"
-    _atomic_write(path, text)
-
-
-def _write_json(path: Path, doc: dict, subcommand: str, argv: list[str], device_sha: str = "") -> None:
-    prov = {
-        "tool": "qpmcascade",
-        "version": __version__,
-        "subcommand": subcommand,
-        "command": f"qpmcascade {shlex.join(argv)}",
-    }
-    if device_sha:
-        prov["device_sha256"] = device_sha
-    prov["generated"] = datetime.now(timezone.utc).isoformat()
-    _atomic_write(path, json.dumps({"provenance": prov, **doc}, indent=2) + "\n")
+    A CSV result is ``(header, rows, extras)`` and a JSON result ``(doc,
+    extras[, dump])``.  ``extras`` is an ordered dict of deterministic
+    provenance entries that follow the device hash; a CSV header renders
+    each as ``name=<json>``.  ``dump``, a ``(path, rows)`` pair, is a plain
+    CSV file written after the artifact, so a failed artifact leaves none.
+    """
+    command = f"qpmcascade {shlex.join(argv)}"
+    sha = {"device_sha256": device.source_sha256} if device is not None else {}
+    generated = datetime.now(timezone.utc).isoformat()
+    dumps = ()
+    if isinstance(result[0], str):
+        header, rows, extras = result
+        prov = [
+            f"qpmcascade {args.subcommand} v{__version__}",
+            f"command: {command}",
+            *(f"{name}={value}" for name, value in sha.items()),
+            *(f"{name}={json.dumps(value, sort_keys=True)}" for name, value in extras.items()),
+            f"generated: {generated}",
+        ]
+        text = "\n".join([f"# {p}" for p in prov] + [header] + rows) + "\n"
+    else:
+        doc, extras, *dumps = result
+        prov = {"tool": "qpmcascade", "version": __version__, "subcommand": args.subcommand,
+                "command": command, **sha, **extras, "generated": generated}
+        text = json.dumps({"provenance": prov, **doc}, indent=2) + "\n"
+    _atomic_write(args.output, text)
+    for path, rows in dumps:
+        _atomic_write(path, "\n".join(rows) + "\n")
 
 
 # --- subcommand implementations ------------------------------------------------
+#
+# Each takes the parsed arguments and the loaded device (None for a
+# subcommand without --device) and returns its result for _write_artifact.
 
 
-def _cmd_map(args, argv) -> int:
-    device = load_device(args.device)
+def _cmd_map(args, device):
     pm = phasematch_map(device.step1, device.step2, device.signal, args.t, args.pump)
     rows = csv_rows(pm.temperature_C[:, None], pm.pump_nm[None, :], pm.step1, pm.step2)
-    prov = _provenance_lines("map", argv, device.source_sha256)
-    prov.insert(len(prov) - 1, f"masked_cells={json.dumps(pm.masked, sort_keys=True)}")
-    _write_csv(args.output, "temperature_C,pump_nm,transfer_step1,transfer_step2", rows, prov)
-    return 0
+    return "temperature_C,pump_nm,transfer_step1,transfer_step2", rows, {"masked_cells": pm.masked}
 
 
-def _cmd_tune(args, argv) -> int:
-    device = load_device(args.device)
-    points = tuning_curve(
-        device.step1, device.step2, device.signal, device.pump, args.dt
-    )
+def _cmd_tune(args, device):
+    points = tuning_curve(device.step1, device.step2, device.signal, device.pump, args.dt)
     dT, target, transfer = np.array([(p.dT_C, p.target_nm, p.transfer) for p in points]).T
     missing = int(np.isnan(target).sum())
     why = {"no root in {}-{} nm".format(*TARGET_WINDOW_NM): missing} if missing else {}
-    prov = _provenance_lines("tune", argv, device.source_sha256)
-    prov.insert(len(prov) - 1, f"missing_targets={json.dumps(why)}")
-    _write_csv(args.output, "dT_C,target_nm,transfer", csv_rows(dT, target, transfer), prov)
-    return 0
+    return "dT_C,target_nm,transfer", csv_rows(dT, target, transfer), {"missing_targets": why}
 
 
-def _cmd_efficiency(args, argv) -> int:
-    device = load_device(args.device)
+def _cmd_efficiency(args, device):
     model1 = StepEfficiencyModel(args.eta_nor1, device.step1.length_mm, args.eta_max1)
     model2 = StepEfficiencyModel(args.eta_nor2, device.step2.length_mm, args.eta_max2)
-    transmission = budget_transmission(device.loss_budget)
-    eta1, eta2, total = np.array([
-        (step_efficiency(model1, power), step_efficiency(model2, power),
-         cascade_efficiency(model1, model2, power))
-        for power in args.pump_w
-    ]).T
-    _write_csv(
-        args.output,
-        "pump_W,eta_step1,eta_step2,eta_internal,eta_external",
-        csv_rows(args.pump_w, eta1, eta2, total, total * transmission),
-        _provenance_lines("efficiency", argv, device.source_sha256),
-    )
-    return 0
+    eta1, eta2 = step_efficiency(model1, args.pump_w), step_efficiency(model2, args.pump_w)
+    total = eta1 * eta2
+    rows = csv_rows(args.pump_w, eta1, eta2, total, total * budget_transmission(device.loss_budget))
+    return "pump_W,eta_step1,eta_step2,eta_internal,eta_external", rows, {}
 
 
-def _cmd_noise(args, argv) -> int:
+def _cmd_noise(args, device):
     counts = NoiseCounts(
         total_cps=args.total,
         dark_cps=args.dark,
@@ -193,12 +180,10 @@ def _cmd_noise(args, argv) -> int:
         bandwidth_GHz=args.bw_ghz,
         external_transmission=args.transmission,
     )
-    _write_json(args.output, noise_report_to_dict(noise_report(counts), counts), "noise", argv)
-    return 0
+    return noise_report_to_dict(noise_report(counts), counts), {}
 
 
-def _cmd_lineshape(args, argv) -> int:
-    device = load_device(args.device)
+def _cmd_lineshape(args, device):
     if args.analytic:
         grid = np.asarray(args.grid)
         dk = grid_mismatch(lambda lam: thermal_sfg_mismatch(device.step2, device.pump, lam), grid)
@@ -212,31 +197,20 @@ def _cmd_lineshape(args, argv) -> int:
             planck_temperature_K=args.planck_K,
         )
         rows = csv_rows(spec.wavelength_nm, spec.intensity)
-    _write_csv(
-        args.output,
-        "wavelength_nm,intensity",
-        rows,
-        _provenance_lines("lineshape", argv, device.source_sha256),
-    )
-    return 0
+    return "wavelength_nm,intensity", rows, {}
 
 
-def _cmd_convert_spectrum(args, argv) -> int:
-    device = load_device(args.device)
+def _cmd_convert_spectrum(args, device):
     spectrum = Spectrum.from_csv(args.input)
     with masked_cells() as why:
-        converted, dropped = convert_spectrum(
-            spectrum, device.cascade_transfer(), device.map_to_target
-        )
+        transfer = device.cascade_transfer()
+        converted, dropped = convert_spectrum(spectrum, transfer, device.map_to_target)
     masked = mask_counts(why, spectrum.wavelength_nm.shape)
-    prov = _provenance_lines("convert-spectrum", argv, device.source_sha256)
-    prov[-1:-1] = [f"dropped_samples={dropped}", f"masked_samples={json.dumps(masked, sort_keys=True)}"]
     rows = csv_rows(converted.wavelength_nm, converted.intensity)
-    _write_csv(args.output, "wavelength_nm,intensity", rows, prov)
-    return 0
+    return "wavelength_nm,intensity", rows, {"dropped_samples": dropped, "masked_samples": masked}
 
 
-def _cmd_fit(args, argv) -> int:
+def _cmd_fit(args, device):
     fixed = args.fixed or {}
     unknown = sorted(set(fixed) - {"L"})
     if unknown:
@@ -265,12 +239,10 @@ def _cmd_fit(args, argv) -> int:
     report = result.as_dict()
     report["rms"] = goodness(result, x, y)["rms"]
     report["constants"] = dict(model.constants)
-    _write_json(args.output, report, "fit", argv)
-    return 0
+    return report, {}
 
 
-def _cmd_solve_device(args, argv) -> int:
-    device = load_device(args.device)
+def _cmd_solve_device(args, device):
     parasitics = enumerate_parasitics(device.step2, device.pump, args.window)
     doc = {
         "signal_nm": device.signal.nm,
@@ -291,12 +263,10 @@ def _cmd_solve_device(args, argv) -> int:
         "budget_transmission": budget_transmission(device.loss_budget),
         "parasitics": [p.to_dict() for p in parasitics],
     }
-    _write_json(args.output, doc, "solve-device", argv, device.source_sha256)
-    return 0
+    return doc, {}
 
 
-def _cmd_modes(args, argv) -> int:
-    device = load_device(args.device)
+def _cmd_modes(args, device):
     if device.geometry is None:
         raise DomainError("device file has no geometry block; modes needs one")
     with warnings.catch_warnings(record=True) as caught:
@@ -313,10 +283,9 @@ def _cmd_modes(args, argv) -> int:
             for s in solutions
         ],
     }
-    _write_json(args.output, doc, "modes", argv, device.source_sha256)
     if args.field_dump and solutions:
-        _atomic_write(Path(args.field_dump), "\n".join(field_to_csv_rows(solutions[0])) + "\n")
-    return 0
+        return doc, {}, (args.field_dump, field_to_csv_rows(solutions[0]))
+    return doc, {}
 
 
 # --- parser ---------------------------------------------------------------------
@@ -411,10 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, argv)
+        device = load_device(args.device) if "device" in args else None
+        _write_artifact(args, argv, device, args.func(args, device))
+        return 0
     except ConverterError as exc:
         print(f"code={exc.code}, msg={exc}", file=sys.stderr)
         return 3

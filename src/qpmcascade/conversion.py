@@ -16,7 +16,7 @@ product of the two step efficiencies at the shared pump power.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -42,35 +42,58 @@ class StepEfficiencyModel:
     eta_max: float = 1.0
 
     def __post_init__(self):
-        if self.eta_nor_per_W_mm2 < 0:
-            raise DomainError("eta_nor must be non-negative")
-        if not self.length_mm > 0:
-            raise DomainError("length must be positive")
+        if not (math.isfinite(self.eta_nor_per_W_mm2) and self.eta_nor_per_W_mm2 >= 0):
+            raise DomainError("eta_nor must be finite and non-negative")
+        if not (math.isfinite(self.length_mm) and self.length_mm > 0):
+            raise DomainError("length must be finite and positive")
         if not 0.0 < self.eta_max <= 1.0:
             raise DomainError("eta_max must be in (0, 1]")
 
 
-def step_efficiency(model: StepEfficiencyModel, pump_W: float, delta_k_per_mm: float = 0.0) -> float:
-    """Internal conversion efficiency of one step at the given pump power."""
-    if pump_W < 0:
-        raise DomainError("pump power must be non-negative")
-    kappa2 = model.eta_nor_per_W_mm2 * pump_W
-    if kappa2 == 0.0:
-        return 0.0
+def _saturating_efficiency(eta_max, eta_nor_per_W_mm2, length_mm, pump_W, delta_k_per_mm):
+    """The module's conversion law, unchecked, over broadcast numpy arrays.
+
+    ``eta_max * kappa^2/(kappa^2 + (dk/2)^2) * sin^2(sqrt(kappa^2 + (dk/2)^2) * L)``
+    with ``kappa^2 = eta_nor * P``; 0 where ``kappa^2 = dk = 0``.  At dk = 0
+    the first factor is exactly 1, so the law is bitwise
+    ``eta_max * sin^2(sqrt(eta_nor * P) * L)``.
+    """
+    kappa2 = eta_nor_per_W_mm2 * pump_W
     half_dk = 0.5 * delta_k_per_mm
     total = kappa2 + half_dk * half_dk
-    return float(
-        model.eta_max * (kappa2 / total) * math.sin(math.sqrt(total) * model.length_mm) ** 2
-    )
+    ratio = kappa2 / np.where(total > 0, total, 1.0)
+    return eta_max * ratio * np.square(np.sin(np.sqrt(total) * length_mm))
+
+
+def step_efficiency(model: StepEfficiencyModel, pump_W, delta_k_per_mm=0.0):
+    """Internal conversion efficiency of one step at the given pump power(s).
+
+    Pump power and mismatch broadcast as numpy arrays; scalar inputs give a
+    float.  An input whose efficiency is not finite, such as a mismatch
+    that is not finite or an eta_nor * P that overflows, raises
+    :class:`DomainError`.
+    """
+    pump = np.asarray(pump_W, dtype=float)
+    if not np.all(np.isfinite(pump) & (pump >= 0)):
+        raise DomainError("pump power must be finite and non-negative")
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = _saturating_efficiency(
+            model.eta_max, model.eta_nor_per_W_mm2, model.length_mm, pump, delta_k_per_mm
+        )
+    if not np.all(np.isfinite(eta)):
+        raise DomainError(
+            "efficiency is not finite: eta_nor * pump power overflows or the mismatch is not finite"
+        )
+    return float(eta) if eta.ndim == 0 else eta
 
 
 def cascade_efficiency(
     step1: StepEfficiencyModel,
     step2: StepEfficiencyModel,
-    pump_W: float,
-    delta_k1_per_mm: float = 0.0,
-    delta_k2_per_mm: float = 0.0,
-) -> float:
+    pump_W,
+    delta_k1_per_mm=0.0,
+    delta_k2_per_mm=0.0,
+):
     """Two-step efficiency: the product of both steps at the shared pump."""
     return step_efficiency(step1, pump_W, delta_k1_per_mm) * step_efficiency(
         step2, pump_W, delta_k2_per_mm
@@ -142,12 +165,14 @@ class NoiseCounts:
     external_transmission: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.total_cps) and math.isfinite(self.dark_cps)):
+            raise DomainError("count rates must be finite")
         if self.dark_cps < 0 or self.total_cps < self.dark_cps:
             raise DomainError("need total_cps >= dark_cps >= 0")
         if not 0.0 < self.detector_efficiency <= 1.0:
             raise DomainError("detector efficiency must be in (0, 1]")
-        if not self.bandwidth_GHz > 0:
-            raise DomainError("bandwidth must be positive")
+        if not (math.isfinite(self.bandwidth_GHz) and self.bandwidth_GHz > 0):
+            raise DomainError("bandwidth must be finite and positive")
         if not 0.0 < self.external_transmission <= 1.0:
             raise DomainError("external transmission must be in (0, 1]")
 
@@ -180,18 +205,7 @@ def noise_report(counts: NoiseCounts) -> NoiseReport:
 
 def noise_report_to_dict(report: NoiseReport, counts: NoiseCounts) -> dict:
     """JSON-ready report with the input echoed back."""
-    return {
-        "pump_induced_cps": report.pump_induced_cps,
-        "external_nsd_cps_per_GHz": report.external_nsd_cps_per_GHz,
-        "internal_nsd_cps_per_GHz": report.internal_nsd_cps_per_GHz,
-        "inputs": {
-            "total_cps": counts.total_cps,
-            "dark_cps": counts.dark_cps,
-            "detector_efficiency": counts.detector_efficiency,
-            "bandwidth_GHz": counts.bandwidth_GHz,
-            "external_transmission": counts.external_transmission,
-        },
-    }
+    return {**asdict(report), "inputs": asdict(counts)}
 
 
 # --- spectra ------------------------------------------------------------------

@@ -29,6 +29,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .conversion import _saturating_efficiency
 from .errors import DomainError, RankDeficiencyError
 from .noisemodel import lineshape_analytic, weighted_sinc2_sum
 from .qpm import qpm_transfer
@@ -256,6 +257,8 @@ def model_registry(length_mm: float = 20.0) -> list[FitModel]:
     scan-type models express detuning as (x - center) in rad/mm per
     x-unit, so their length parameter is an effective width scale.
     """
+    if not (math.isfinite(length_mm) and length_mm > 0):
+        raise DomainError(f"section length must be finite and positive, got {length_mm!r}")
 
     def sinc2_scan(params, x):
         amplitude, center, eff_len, offset = params
@@ -263,7 +266,7 @@ def model_registry(length_mm: float = 20.0) -> list[FitModel]:
 
     def saturation(params, x):
         eta_max, eta_nor = params
-        return eta_max * np.sin(np.sqrt(np.clip(eta_nor * x, 0.0, None)) * length_mm) ** 2
+        return _saturating_efficiency(eta_max, eta_nor, length_mm, np.clip(x, 0.0, None), 0.0)
 
     def lineshape_eq1(params, x):
         amplitude, center, length, offset = params

@@ -1,11 +1,13 @@
 import argparse
 import itertools
 import json
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from qpmcascade import __version__
 from qpmcascade.cli import build_parser, main
 from qpmcascade.conversion import (
     Spectrum,
@@ -376,6 +378,73 @@ NOISE_ARGV = ["noise", "--total", "142", "--dark", "135", "--det-eff", "0.72",
               "--bw-ghz", "4", "--transmission", "0.1457"]
 
 
+def write_spectrum(path, x, y) -> str:
+    Spectrum(x, y).to_csv(path)
+    return str(path)
+
+
+def saturation_data(directory) -> str:
+    """A noiseless 20-point saturation curve (eta_max 0.9, eta_nor 0.04, L 20 mm)."""
+    x = np.linspace(1e-3, 0.225, 20)
+    return write_spectrum(directory / "eff.csv", x, 0.9 * np.sin(np.sqrt(0.04 * x) * 20.0) ** 2)
+
+
+# One run of each subcommand: its argv (without -o) given a scratch
+# directory, and the count entries its provenance carries.
+PROVENANCE_RUNS = {
+    "map": (lambda d: ["map", "--device", DEVICE, "--t", "240:260:3", "--pump", "2150:2156:4"],
+            ["masked_cells"]),
+    "tune": (lambda d: ["tune", "--device", DEVICE, "--dt=-30:60:10"], ["missing_targets"]),
+    "efficiency": (lambda d: ["efficiency", "--device", DEVICE, "--eta-nor1", "0.006",
+                              "--eta-nor2", "0.006", "--pump-w", "0:0.25:6"], []),
+    "noise": (lambda d: NOISE_ARGV, []),
+    "lineshape": (lambda d: ["lineshape", "--device", DEVICE, "--grid", "1548:1568:21"], []),
+    "convert-spectrum": (
+        lambda d: ["convert-spectrum", "--device", DEVICE, "--input",
+                   write_spectrum(d / "in.csv", np.linspace(300.0, 2500.0, 41), np.ones(41))],
+        ["dropped_samples", "masked_samples"],
+    ),
+    "fit": (lambda d: ["fit", "--model", "saturation", "--fixed", "L=20",
+                       "--data", saturation_data(d)], []),
+    "solve-device": (lambda d: ["solve-device", "--device", DEVICE], []),
+    "modes": (lambda d: ["modes", "--device", DEVICE, "--lam", "1561.62", "--t", "59.26",
+                         "--count", "1"], []),
+}
+
+
+class TestProvenance:
+    @pytest.mark.parametrize("sub", list(PROVENANCE_RUNS))
+    def test_entries_in_order(self, tmp_path, sub):
+        make_argv, counts = PROVENANCE_RUNS[sub]
+        argv = make_argv(tmp_path)
+        device = ["device_sha256"] if "--device" in argv else []
+        out = tmp_path / "artifact"
+        assert main(argv + ["-o", str(out)]) == 0
+        text = out.read_text()
+        if text.startswith("{"):
+            prov = json.loads(text)["provenance"]
+            assert list(prov) == ["tool", "version", "subcommand", "command", *device, *counts,
+                                  "generated"]
+            assert prov["tool"] == "qpmcascade"
+            assert (prov["version"], prov["subcommand"]) == (__version__, sub)
+            return
+        lines = text.splitlines()
+        n = next(i for i, line in enumerate(lines) if not line.startswith("# "))
+        assert lines[0] == f"# qpmcascade {sub} v{__version__}"
+        keys = [re.match(r"# (\w+(: |=))", line).group(1) for line in lines[1:n]]
+        assert keys == ["command: ", *(f"{k}=" for k in device + counts), "generated: "]
+        assert lines[1].startswith(f"# command: qpmcascade {sub} ")
+        assert lines[n][0].isalpha()
+
+    def test_modes_writes_no_field_dump_when_its_report_fails(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "modes.json"
+        dump = tmp_path / "field.csv"
+        assert main(["modes", "--device", DEVICE, "--lam", "1561.62", "--t", "59.26",
+                     "--count", "1", "--field-dump", str(dump), "-o", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("code=io_error, msg=")
+        assert list(tmp_path.iterdir()) == []
+
+
 @pytest.fixture
 def fresh_parser():
     """Drop the cached argument parser before and after the test."""
@@ -564,6 +633,46 @@ class TestErrorHandling:
             err = capsys.readouterr().err
             assert err.startswith("code=range_error, msg=lithium_niobate_e wavelength_um=85.46")
             assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["efficiency", "--device", DEVICE, "--eta-nor1", "inf", "--eta-nor2", "0.006",
+          "--pump-w", "0:0.25:6"], "eta_nor must be finite and non-negative"),
+        (["efficiency", "--device", DEVICE, "--eta-nor1", "nan", "--eta-nor2", "0.006",
+          "--pump-w", "0:0.25:6"], "eta_nor must be finite and non-negative"),
+        (["efficiency", "--device", DEVICE, "--eta-nor1", "1e308", "--eta-nor2", "0.006",
+          "--pump-w", "0:10:3"],
+         "efficiency is not finite: eta_nor * pump power overflows or the mismatch is not finite"),
+        (["noise", "--total", "inf", "--dark", "135", "--det-eff", "0.72", "--bw-ghz", "4",
+          "--transmission", "0.1457"], "count rates must be finite"),
+        (["noise", "--total", "142", "--dark", "nan", "--det-eff", "0.72", "--bw-ghz", "4",
+          "--transmission", "0.1457"], "count rates must be finite"),
+        *((["fit", "--model", "saturation", "--fixed", f"L={length}"],
+           f"section length must be finite and positive, got {float(length)!r}")
+          for length in ("nan", "inf", "-20", "0")),
+    ])
+    def test_non_finite_or_non_positive_number_exits_three(self, tmp_path, capsys, argv, message):
+        if argv[0] == "fit":
+            argv = argv + ["--data", saturation_data(tmp_path)]
+        out = tmp_path / "artifact"
+        assert main(argv + ["-o", str(out)]) == 3
+        assert capsys.readouterr().err == f"code=domain_error, msg={message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["efficiency", "--device", DEVICE, "--eta-nor1", "0.006", "--eta-nor2", "0.006",
+         "--pump-w", "nan:1:3"],
+        ["efficiency", "--device", DEVICE, "--eta-nor1", "0.006", "--eta-nor2", "0.006",
+         "--pump-w", "0:inf:3"],
+        ["map", "--device", DEVICE, "--t", "55:60:2", "--pump=-inf:2152:2"],
+        ["lineshape", "--device", DEVICE, "--grid", "1548:nan:5"],
+    ])
+    def test_non_finite_grid_edge_exits_two(self, tmp_path, capsys, argv):
+        out = tmp_path / "artifact.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["-o", str(out)])
+        assert exc.value.code == 2
+        assert "with finite lo, hi and count >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_failed_run_leaves_no_partial_artifact(self, tmp_path):
         target = tmp_path / "artifact.csv"

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from qpmcascade.conversion import (
     external_from_internal,
     internal_from_external,
     noise_report,
+    noise_report_to_dict,
     read_xy_csv,
     spectrum_fwhm,
     step_efficiency,
@@ -71,6 +74,46 @@ class TestStepEfficiency:
     def test_negative_power_rejected(self):
         with pytest.raises(DomainError):
             step_efficiency(StepEfficiencyModel(0.006, 20.0), -1.0)
+
+    @pytest.mark.parametrize("power", [math.nan, math.inf, np.array([0.1, math.nan])])
+    def test_non_finite_power_rejected(self, power):
+        with pytest.raises(DomainError, match="pump power must be finite and non-negative"):
+            step_efficiency(StepEfficiencyModel(0.006, 20.0), power)
+
+    @pytest.mark.parametrize("eta_nor, power, dk", [
+        (1e308, 5.0, 0.0), (0.006, 0.1, math.inf), (0.006, 0.1, math.nan),
+        (0.006, np.array([0.1, 0.2]), np.array([0.0, math.nan])),
+    ])
+    def test_non_finite_efficiency_rejected_without_warnings(self, eta_nor, power, dk):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="efficiency is not finite"):
+                step_efficiency(StepEfficiencyModel(eta_nor, 20.0), power, dk)
+
+    @pytest.mark.parametrize("eta_nor, length", [
+        (math.inf, 20.0), (math.nan, 20.0), (0.006, math.inf), (0.006, math.nan),
+    ])
+    def test_non_finite_model_rejected(self, eta_nor, length):
+        with pytest.raises(DomainError, match="must be finite"):
+            StepEfficiencyModel(eta_nor, length)
+
+    def test_arrays_are_the_scalar_calls(self):
+        model = StepEfficiencyModel(0.03, 20.0, eta_max=0.9)
+        rng = np.random.default_rng(5)
+        powers = np.concatenate([[0.0], rng.uniform(0.0, 2.5, 60)])
+        dks = np.concatenate([[0.0], rng.uniform(-2.0, 2.0, 60)])
+        eta = step_efficiency(model, powers[:, None], dks[None, :])
+        assert eta.shape == (61, 61)
+        for i, j in itertools.product(range(61), repeat=2):
+            scalar = step_efficiency(model, float(powers[i]), float(dks[j]))
+            assert type(scalar) is float and scalar == eta[i, j]
+
+    def test_zero_pump_at_zero_mismatch_is_zero_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eta = step_efficiency(StepEfficiencyModel(0.006, 20.0), np.zeros(3),
+                                  np.array([0.0, 0.5, -0.5]))
+        assert eta.tolist() == [0.0, 0.0, 0.0]
 
 
 class TestCascade:
@@ -178,6 +221,24 @@ class TestNoiseReport:
             NoiseCounts(100.0, 50.0, 0.0, 4.0, 0.5)
         with pytest.raises(DomainError):
             NoiseCounts(100.0, 50.0, 0.72, 0.0, 0.5)
+
+    @pytest.mark.parametrize("total, dark, bandwidth", [
+        (math.inf, 135.0, 4.0), (142.0, math.nan, 4.0), (math.nan, 135.0, 4.0),
+        (142.0, 135.0, math.inf),
+    ])
+    def test_non_finite_figures_rejected(self, total, dark, bandwidth):
+        with pytest.raises(DomainError, match="finite"):
+            NoiseCounts(total, dark, 0.72, bandwidth, 0.1457)
+
+    def test_report_dict_is_the_dataclass_fields(self):
+        counts = NoiseCounts(142.0, 135.0, 0.72, 4.0, 0.1457)
+        doc = noise_report_to_dict(noise_report(counts), counts)
+        assert list(doc) == [
+            "pump_induced_cps", "external_nsd_cps_per_GHz", "internal_nsd_cps_per_GHz", "inputs",
+        ]
+        assert list(doc["inputs"]) == [
+            "total_cps", "dark_cps", "detector_efficiency", "bandwidth_GHz", "external_transmission",
+        ]
 
 
 class TestSpectrum:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpmcascade import fitting
+from qpmcascade.conversion import StepEfficiencyModel, step_efficiency
 from qpmcascade.errors import DomainError, RankDeficiencyError
 from qpmcascade.fitting import (
     FitModel,
@@ -154,6 +155,28 @@ class TestRegistry:
     def test_unknown_model_rejected(self):
         with pytest.raises(DomainError):
             registry_model("mystery")
+
+    @pytest.mark.parametrize("length", [math.nan, math.inf, -20.0, 0.0])
+    def test_length_not_finite_and_positive_rejected(self, length):
+        with pytest.raises(DomainError, match="section length must be finite and positive"):
+            model_registry(length_mm=length)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_saturation_is_the_step_efficiency_law(self, batched):
+        """Bit-identical to the former inline formula
+        eta_max sin^2(sqrt(eta_nor x) L) with eta_nor x clipped at 0, and to
+        :func:`step_efficiency` on the same model at dk = 0."""
+        rng = np.random.default_rng(12)
+        x = np.concatenate([[-0.01, 0.0], rng.uniform(0.0, 0.3, 80)])
+        shape = (5, 1) if batched else ()
+        eta_max = rng.uniform(0.5, 1.0, shape)
+        eta_nor = rng.uniform(0.0, 0.1, shape)
+        y = registry_model("saturation", length_mm=18.5).evaluate(np.array([eta_max, eta_nor]), x)
+        inline = eta_max * np.sin(np.sqrt(np.clip(eta_nor * x, 0.0, None)) * 18.5) ** 2
+        assert np.array_equal(y, inline)
+        for row, m, n in zip(np.atleast_2d(y), np.ravel(eta_max), np.ravel(eta_nor)):
+            law = step_efficiency(StepEfficiencyModel(float(n), 18.5, float(m)), x[1:])
+            assert np.array_equal(row[1:], law)
 
     def test_lineshape_eq2_parabolic_weights_match_eq1(self):
         eq1 = registry_model("lineshape_eq1")
