@@ -9,11 +9,11 @@ discretized with the standard 5-point stencil on a uniform cell-centered
 grid.  Effective indices are n_eff = beta / k0.  A mode is guided when
 max(substrate, superstrate) < n_eff < n_core.
 
-Modes come from shift-invert Lanczos runs (ARPACK, through ``eigsh``)
-at sigma = (k0 n_core)^2, just above every guided beta^2, so the
-eigenvalues nearest sigma are the highest-index modes.  The core is
-centered in the window, so the operator commutes with the mirror
-x -> W - x, and an orthogonal change of basis (pairs of mirror columns
+Modes come from shift-invert Lanczos runs (ARPACK, through ``eigsh``).
+Every eigenvalue of the operator lies below sigma0 = (k0 n_core)^2, and
+for any shift above the spectrum the eigenvalues nearest the shift are
+the highest-index modes.  The core is centered in the window, so the
+operator commutes with the mirror x -> W - x, and an orthogonal change of basis (pairs of mirror columns
 folded into their sum and difference over sqrt 2) splits the 5-point
 matrix exactly into an x-even and an x-odd block.  Each block is a
 5-point matrix on the left half of the grid and differs from the
@@ -27,24 +27,50 @@ is even (see :func:`solve_modes`), so of the ``count`` top modes the odd
 block holds at most ``count - 1``.  Each block gets its own Lanczos run:
 the even block asks for ``k = count`` eigenpairs, the odd block for
 ``k = count - 1``, and one mode needs only the even block.  The runs'
-eigenvalues are merged and sorted.  A run keeps a Krylov basis of
-max(6, 2k + 1) vectors (eigsh's ``ncv``), capped by the block size, not
-eigsh's default of max(20, 2k + 1): at 59.26 C a one-mode solve of the
-reference 64^2 geometry applies the shifted inverse 16-19 times over
-637-2153 nm, where one run on both blocks stacked, asking for
-``count + 1`` pairs with 20 vectors, applied it 21-38 times.  A block
-asked for more pairs than it guides costs more, because the extra pairs
-lie among the closely spaced unguided eigenvalues below cut-off: at
-2152.9 nm the reference geometry guides only two x-even modes and one
-or two x-odd ones, and a three-mode solve took 118-121 half-block
-inverse applications (64^2 to 128^2) where the stacked run took 98.
+eigenvalues are merged and sorted, and those outside the guided band
+((k0 n_clad)^2, sigma0) dropped.
 
-Each block ``sigma I - B`` is symmetric positive definite (a symmetric
-nonsingular M-matrix), and with cells in C order it is banded with
-half-bandwidth kd = ceil(nx / 2), the block's column count.  So it is
-factored once per solve by LAPACK's banded Cholesky (``pbtrf``, upper
-band storage) and each Lanczos step is one pair of banded triangular
-solves (``pbtrs``) on its block.  The 5-point stencil is kept as its
+Each block is shifted just above its own top eigenvalue, not at sigma0:
+Lanczos on the shifted inverse converges the faster the closer the shift
+sits to the wanted eigenvalues (Ericsson & Ruhe, Math. Comp. 35, 1251
+(1980)).  The shift comes from the separable (Marcatili-type) operator
+with index squared n_x^2(x) + n_y^2(y) - n_core^2 (Marcatili, Bell Syst.
+Tech. J. 48, 2071 (1969)), where n_x^2 and n_y^2 are the area-weighted
+profiles through the core, built from the index map's cell weights.  Its
+stencil is an x and a y tridiagonal operator summed, so each block's top
+eigenvalue est_b costs two small tridiagonal eigenproblems.  In every
+cell the separable index squared is the true one minus
+(1 - fx)(1 - fy)(n_core^2 - n_sup^2) >= 0, with fx and fy the cell's core
+fractions along x and along y, so the separable block lies below the
+true block in the Loewner order and est_b is a lower bound on the
+block's top eigenvalue.  The block is shifted to sigma_b = est_b +
+0.1 (sigma0 - est_b), capped at sigma0.  The bound does not say how far
+above est_b the top lies; a banded Cholesky factorization of
+sigma_b I - B that succeeds certifies that sigma_b lies above it, and
+when it fails the block is factored again at sigma0.  On the reference
+64^2 geometry no block fell back over 640-2200 nm at 20-200 C; over 600
+random geometries with 2-12 um cores, 42 of 1010 blocks did, none of
+which held a returned mode.
+
+A run keeps a Krylov basis of max(6, 2k + 1) vectors (eigsh's ``ncv``),
+capped by the block size, not eigsh's default of max(20, 2k + 1).  At
+59.26 C over 637-2153 nm a one-mode solve of the reference geometry
+applies the shifted inverse 10 times, at 64^2 and at 128^2; shifted at
+sigma0 it took 16-19, and one run on both blocks stacked, asking for
+``count + 1`` pairs with 20 vectors, 21-38.  A two-mode solve takes
+36-39 half-block inverse applications (50-56 at sigma0).  A block asked
+for more pairs than it guides costs more, because the extra pairs lie
+among the closely spaced unguided eigenvalues below cut-off: at
+2152.9 nm the reference geometry guides only two x-even modes and one
+or two x-odd ones, and a three-mode solve takes 92-96 half-block
+inverse applications (64^2 to 128^2; 118-121 at sigma0).
+
+Shifted above its spectrum, each block ``sigma I - B`` is symmetric
+positive definite (a symmetric nonsingular M-matrix), and with cells in
+C order it is banded with half-bandwidth kd = ceil(nx / 2), the block's
+column count.  So it is factored by LAPACK's banded Cholesky (``pbtrf``,
+upper band storage) and each Lanczos step is one pair of banded
+triangular solves (``pbtrs``) on its block.  The 5-point stencil is kept as its
 diagonals (:func:`_stencil`); the band, the full-grid residual mat-vec
 and the sparse matrix the tests use as an oracle are all read from them,
 and no sparse matrix is built on the solve path.  The factor costs
@@ -93,6 +119,10 @@ _RESIDUAL_LIMIT = 1e-8
 # Smallest Lanczos basis (eigsh's ``ncv``) of a block run asking for k
 # eigenpairs; a run uses max(_NCV_MIN, 2k + 1) vectors, capped by the block.
 _NCV_MIN = 6
+
+# A block's shift sits this fraction of the way from its separable
+# estimate up to (k0 n_core)^2.
+_SHIFT_GAP = 0.1
 
 
 class ModeShortfallWarning(UserWarning):
@@ -150,16 +180,15 @@ def _overlap_fraction(lo: np.ndarray, hi: np.ndarray, a: float, b: float) -> np.
     return np.clip(np.minimum(hi, b) - np.maximum(lo, a), 0.0, None) / (hi - lo)
 
 
-def index_map(geometry: WaveguideGeometry, lam: Wavelength, temp_C: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-    """Sampled refractive index n(x, y) on cell centers.
+def _area_weights(geometry: WaveguideGeometry):
+    """Cell centers and the area weights of the index map's layers.
 
-    n^2 is area-averaged over each cell (exact rectangle overlaps), which
-    removes the staircase error of binary sampling at the core boundary.
-    Returns (n, x_um, y_um, n_core, n_clad_max).
+    Returns ``(x, y, fx, fy, f_sub)`` on the cell-centered grid:
+    ``fx[j]`` is the fraction of column j inside the core's x span,
+    ``fy[i]`` the fraction of row i inside its y span and ``f_sub[i]`` the
+    fraction of row i below the core bottom (substrate).  Cell (i, j) is
+    core over ``fy[i] fx[j]`` of its area.
     """
-    n_core = sellmeier_index(geometry.core_material, lam, temp_C)
-    n_sub = sellmeier_index(geometry.substrate_material, lam, temp_C)
-    n_sup = geometry.superstrate_index
     w, h = geometry.core_width_um, geometry.core_height_um
     ww, wh = geometry.window_width_um, geometry.window_height_um
     hx = ww / geometry.grid_nx
@@ -170,12 +199,64 @@ def index_map(geometry: WaveguideGeometry, lam: Wavelength, temp_C: float) -> tu
     core_top = 0.5 * (wh + h)
     fx = _overlap_fraction(x - 0.5 * hx, x + 0.5 * hx, 0.5 * (ww - w), 0.5 * (ww + w))
     fy = _overlap_fraction(y - 0.5 * hy, y + 0.5 * hy, core_bottom, core_top)
+    f_sub = _overlap_fraction(y - 0.5 * hy, y + 0.5 * hy, -np.inf, core_bottom)
+    return x, y, fx, fy, f_sub
+
+
+def index_map(geometry: WaveguideGeometry, lam: Wavelength, temp_C: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+    """Sampled refractive index n(x, y) on cell centers.
+
+    n^2 is area-averaged over each cell (exact rectangle overlaps), which
+    removes the staircase error of binary sampling at the core boundary.
+    Returns (n, x_um, y_um, n_core, n_clad_max).
+    """
+    n_core = sellmeier_index(geometry.core_material, lam, temp_C)
+    n_sub = sellmeier_index(geometry.substrate_material, lam, temp_C)
+    n_sup = geometry.superstrate_index
+    x, y, fx, fy, f_sub = _area_weights(geometry)
     f_core = np.outer(fy, fx)
-    f_sub = _overlap_fraction(y - 0.5 * hy, y + 0.5 * hy, -np.inf, core_bottom)[:, None]
-    f_sub = np.broadcast_to(f_sub, f_core.shape)
+    f_sub = np.broadcast_to(f_sub[:, None], f_core.shape)
     f_sup = 1.0 - f_core - f_sub
     n2 = f_core * n_core**2 + f_sub * n_sub**2 + f_sup * n_sup**2
     return np.sqrt(n2), x, y, n_core, max(n_sub, n_sup)
+
+
+def _separable_tops(geometry: WaveguideGeometry, lam: Wavelength, temp_C: float) -> tuple[float, float]:
+    """Top eigenvalues of the x-even and the x-odd block of the separable
+    stencil: the 5-point stencil of :func:`_stencil` with n^2 replaced by
+    n_x^2(x) + n_y^2(y) - n_core^2.
+
+    n_x^2 = fx n_core^2 + (1 - fx) n_sup^2 and n_y^2 = fy n_core^2 +
+    f_sub n_sub^2 + (1 - fy - f_sub) n_sup^2 are the area-weighted
+    profiles through the core, with the weights of :func:`index_map`.
+    The operator is a sum of a tridiagonal x and a tridiagonal y operator,
+    so its eigenvalues are sums of theirs.  The x profile is mirror
+    symmetric, so the top x eigenvector is even and the second is odd
+    (they alternate, by Sturm oscillation): the x-even block's top is the
+    top x eigenvalue plus the top y eigenvalue, the x-odd block's the
+    second x eigenvalue plus the same.
+    """
+    from scipy.linalg import eigh_tridiagonal  # deferred: only eigen-solves need it
+
+    n2_core = sellmeier_index(geometry.core_material, lam, temp_C) ** 2
+    n2_sub = sellmeier_index(geometry.substrate_material, lam, temp_C) ** 2
+    n2_sup = geometry.superstrate_index**2
+    _, _, fx, fy, f_sub = _area_weights(geometry)
+    k0 = 2.0 * math.pi / lam.um
+
+    def top_eigenvalues(n2, h, wanted):
+        inv_h2 = 1.0 / (h * h)
+        return eigh_tridiagonal(
+            (k0 * k0) * n2 - 2.0 * inv_h2, np.full(n2.size - 1, inv_h2),
+            eigvals_only=True, select="i", select_range=(n2.size - wanted, n2.size - 1),
+        )
+
+    hx = geometry.window_width_um / geometry.grid_nx
+    hy = geometry.window_height_um / geometry.grid_ny
+    x_odd, x_even = top_eigenvalues(fx * n2_core + (1.0 - fx) * n2_sup, hx, 2)
+    (y_top,) = top_eigenvalues(fy * n2_core + f_sub * n2_sub + (1.0 - fy - f_sub) * n2_sup, hy, 1)
+    offset = y_top - (k0 * k0) * n2_core
+    return x_even + offset, x_odd + offset
 
 
 def _stencil(n: np.ndarray, hx: float, hy: float, k0: float, mirror_edge=(0.0, 1.0)):
@@ -284,12 +365,15 @@ def solve_modes(
 
     Returns up to ``count`` solutions; if fewer guided modes exist a
     :class:`ModeShortfallWarning` is emitted and the shorter list is
-    returned.  Raises :class:`NumericError` if the eigensolver fails to
-    converge, a shifted block is not positive definite, or a solution
-    violates the residual contract.
+    returned.  Raises :class:`DomainError`, before any factorization,
+    unless 1 <= ``count`` <= the x-even block's cell count less 2 (the
+    most eigenpairs a Lanczos run on it can return).  Raises
+    :class:`NumericError` if the eigensolver fails to converge, a block
+    shifted at sigma0 = (k0 n_core)^2 is not positive definite, or a
+    solution violates the residual contract.
 
-    ``sigma I - A`` is a symmetric irreducible nonsingular M-matrix:
-    sigma exceeds every eigenvalue of A, its off-diagonal entries are
+    ``sigma0 I - A`` is a symmetric irreducible nonsingular M-matrix:
+    sigma0 exceeds every eigenvalue of A, its off-diagonal entries are
     <= 0 and the grid graph is connected.  So it is positive definite
     and, by Perron-Frobenius, its inverse is entrywise positive; the top
     eigenvalue of A, the fundamental mode, is then simple with a positive
@@ -299,14 +383,22 @@ def solve_modes(
     factors both blocks and runs one Lanczos iteration on each, asking
     the even block for ``count`` eigenpairs and the odd block, which
     cannot hold mode 1, for ``count - 1``, each with a Krylov basis of
-    max(6, 2k + 1) vectors (see the module docstring for its cost).  The
-    merged eigenvalues are sorted, and those outside the guided band
-    dropped.  Each block B is A on an invariant subspace in an
-    orthonormal basis, so ``sigma I - B`` is positive definite too
-    (and again an M-matrix), and LAPACK's banded Cholesky factors it;
-    ``pbtrf`` reporting otherwise raises :class:`NumericError`.  The
-    factor costs O(N kd^2) for N cells and half-bandwidth kd =
-    ceil(nx / 2); see the module docstring for where a sparse LU wins.
+    max(6, 2k + 1) vectors.  The merged eigenvalues are sorted, and
+    those outside the guided band dropped.  Each block B is A on an
+    invariant subspace in an orthonormal basis.
+
+    Each block is shifted to sigma_b = est_b + 0.1 (sigma0 - est_b),
+    capped at sigma0, where est_b is the top eigenvalue of the same block
+    of the separable operator (see the module docstring): a lower bound
+    on B's top eigenvalue, in the Loewner order.  LAPACK's banded
+    Cholesky (``pbtrf``) succeeding on ``sigma_b I - B`` certifies that
+    sigma_b lies above B's spectrum, so the eigenvalues nearest sigma_b
+    are B's top ones.  When it fails, the block is factored again at
+    sigma0, where ``sigma0 I - B`` is positive definite (and again an
+    M-matrix); ``pbtrf`` failing there too raises :class:`NumericError`.
+    The factor costs O(N kd^2) for N cells and half-bandwidth kd =
+    ceil(nx / 2); see the module docstring for where a sparse LU wins
+    and for the number of inverse applications a solve takes.
 
     Each field is scaled to unit L2 norm and signed so that its largest
     value in the left half of the window, columns ``[: ceil(nx / 2)]``,
@@ -316,8 +408,12 @@ def solve_modes(
     import scipy.sparse.linalg as sparse_linalg  # deferred: only eigen-solves need it
     from scipy.linalg.lapack import get_lapack_funcs
 
-    if count < 1:
-        raise DomainError("count must be >= 1")
+    even_size = geometry.grid_ny * ((geometry.grid_nx + 1) // 2)
+    if not 1 <= count <= even_size - 2:
+        raise DomainError(
+            f"count must be >= 1 and <= {even_size - 2}, the x-even block's "
+            f"{even_size} cells less 2; got {count}"
+        )
     n, x, y, n_core, n_clad = index_map(geometry, lam, temp_C)
     if n_core <= n_clad:
         warnings.warn("no index contrast; no guided modes", ModeShortfallWarning)
@@ -326,15 +422,21 @@ def solve_modes(
     hx = geometry.window_width_um / geometry.grid_nx
     hy = geometry.window_height_um / geometry.grid_ny
     blocks = _parity_blocks(n, hx, hy, k0, count)
-    sigma = (k0 * n_core) ** 2
+    sigma0 = (k0 * n_core) ** 2
     pbtrf, pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
+    tops = _separable_tops(geometry, lam, temp_C)
     pairs = []
     # The odd block holds at most count - 1 of the top modes: mode 1 is even.
-    for odd, (block, k) in enumerate(zip(blocks, (count, count - 1))):
+    for odd, (block, k, top) in enumerate(zip(blocks, (count, count - 1), tops)):
         size = block[0].size
         k = min(k, size - 2)
-        factor, info = pbtrf(_shifted_band(block, sigma), lower=0, overwrite_ab=1)
-        if info != 0:
+        # pbtrf succeeding certifies the shift lies above the block's spectrum.
+        shift = min(top + _SHIFT_GAP * (sigma0 - top), sigma0)
+        for sigma in (shift, sigma0):
+            factor, info = pbtrf(_shifted_band(block, sigma), lower=0, overwrite_ab=1)
+            if info == 0:
+                break
+        else:
             raise NumericError(
                 f"shifted Helmholtz block is not positive definite (pbtrf info {info})"
             )
@@ -356,12 +458,11 @@ def solve_modes(
         pairs += [(val, odd, vec) for val, vec in zip(vals, vecs.T)]
     pairs.sort(key=lambda pair: pair[0], reverse=True)
     beta2_low = (k0 * n_clad) ** 2
-    beta2_high = (k0 * n_core) ** 2
     full = _stencil(n, hx, hy, k0)
     left_cols = (n.shape[1] + 1) // 2
     out: list[ModeSolution] = []
     for beta2, odd, vec in pairs:
-        if not (beta2_low < beta2 < beta2_high):
+        if not (beta2_low < beta2 < sigma0):
             continue
         psi = _unfold(vec, *n.shape, odd)
         psi = psi / np.linalg.norm(psi)

@@ -76,7 +76,7 @@ def lineshape_analytic(delta_k_per_mm, length_mm):
     return shape if is_array(delta_k_per_mm) or is_array(length_mm) else float(shape)
 
 
-# Largest scratch array of one weighted_sinc2_sum block, in float64 elements (256 KB).
+# Largest scratch array of weighted_sinc2_sum, in float64 elements (256 KB).
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -104,35 +104,57 @@ def weighted_sinc2_sum(dk, length, weights: Sequence, panels: int = 1024) -> np.
 
     ``dk`` (rad/mm), ``length`` (mm) and every weight coefficient
     broadcast; the result has their broadcast shape.  Evaluated by panel
-    splitting (module docstring) in blocks whose scratch arrays stay
-    within 256 KB each; degrees whose coefficients are all zero are
-    skipped.  At |phi| P < 1e-9 the sum takes its phi = 0 limit, which
-    every sinc^2 factor has reached to rounding.
+    splitting (module docstring) in blocks that share one set of scratch
+    arrays of at most 256 KB each; only ``dk`` is copied to the broadcast
+    shape, and degrees whose coefficients are all zero are skipped.  At
+    |phi| P < 1e-9 the sum takes its phi = 0 limit, which every sinc^2
+    factor has reached to rounding.
     """
     if len(weights) == 0:
         raise DomainError("need at least one weight coefficient")
-    parts = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (dk, length, *weights)))
-    shape = parts[0].shape
-    dk, length, *coeffs = (p.ravel() for p in parts)
-    degrees = tuple(j for j, a in enumerate(coeffs) if np.any(a != 0.0)) or (0,)
+    operands = [np.asarray(v, dtype=float) for v in (dk, length, *weights)]
+    shape = np.broadcast_shapes(*(v.shape for v in operands))
+    degrees = tuple(j for j, a in enumerate(operands[2:]) if np.any(a != 0.0)) or (0,)
+    dk = np.broadcast_to(operands[0], shape).ravel()
+    # The length and the weights stay one element when they have one, and
+    # are otherwise read a block at a time from their broadcast views.
+    length, *coeffs = (
+        v.reshape(1) if v.size == 1 else np.broadcast_to(v, shape) for v in operands[1:]
+    )
+
+    def part(v, block):
+        return v if v.size == 1 else v.flat[block]
+
     q, steps, forms, limits = _panel_split(panels, degrees)
     out = np.empty(dk.size)
-    rows = max(1, _BLOCK_ELEMENTS // (3 * len(degrees) * q))
+    rows = max(1, min(dk.size, _BLOCK_ELEMENTS // (3 * len(degrees) * q)))
+    # One block's scratch, reused by every block.
+    sin_buf, cos_buf = np.empty((rows, 2 * q)), np.empty((rows, 2 * q))
+    left_buf, right_buf = np.empty((rows, 3, q)), np.empty((rows, 3, q))
+    bilinear_buf = np.empty((3 * rows, len(degrees) * q))
     for lo in range(0, dk.size, rows):
         block = slice(lo, lo + rows)
-        span = length[block]
+        span = part(length, block)
         phi = dk[block] * span / (4.0 * panels)
         limit = np.abs(phi) * panels < 1e-9
         phi = np.where(limit, 1.0, phi)
-        angle = phi[:, None] * steps
-        sin, cos = np.sin(angle), np.cos(angle)
+        n = phi.size
+        angle = np.multiply(phi[:, None], steps, out=cos_buf[:n])
+        sin, cos = np.sin(angle, out=sin_buf[:n]), np.cos(angle, out=angle)
         sin_a, sin_b, cos_a, cos_b = sin[:, :q], sin[:, q:], cos[:, :q], cos[:, q:]
-        left = np.stack([sin_a * sin_a, 2.0 * sin_a * cos_a, cos_a * cos_a], axis=1)
-        right = np.stack([cos_b * cos_b, sin_b * cos_b, sin_b * sin_b], axis=1)
-        bilinear = (left.reshape(-1, q) @ forms).reshape(-1, 3, len(degrees), q)
-        sums = np.einsum("nfjb,nfb->nj", bilinear, right) / (phi * phi)[:, None]
+        left, right = left_buf[:n], right_buf[:n]
+        np.multiply(sin_a, sin_a, out=left[:, 0])
+        np.multiply(2.0, sin_a, out=left[:, 1])
+        left[:, 1] *= cos_a
+        np.multiply(cos_a, cos_a, out=left[:, 2])
+        np.multiply(cos_b, cos_b, out=right[:, 0])
+        np.multiply(sin_b, cos_b, out=right[:, 1])
+        np.multiply(sin_b, sin_b, out=right[:, 2])
+        bilinear = np.matmul(left.reshape(-1, q), forms, out=bilinear_buf[: 3 * n])
+        sums = np.einsum("nfjb,nfb->nj", bilinear.reshape(n, 3, len(degrees), q), right)
+        sums /= (phi * phi)[:, None]
         sums[limit] = limits
-        total = sum(coeffs[j][block] * span**j * sums[:, i] for i, j in enumerate(degrees))
+        total = sum(part(coeffs[j], block) * span**j * sums[:, i] for i, j in enumerate(degrees))
         out[block] = total * span / panels
     return out.reshape(shape)
 

@@ -533,6 +533,16 @@ class TestErrorHandling:
         assert "code=domain_error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_count_no_block_can_hold_exits_three(self, tmp_path, capsys):
+        out = tmp_path / "modes.json"
+        code = main(["modes", "--device", DEVICE, "--lam", "1561.62", "--t", "59.26",
+                     "--count", "100000000", "-o", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("code=domain_error, msg=count must be >= 1 and <= 2046")
+        assert not out.exists()
+
     def test_malformed_number_in_data_exits_three(self, tmp_path, capsys):
         data = tmp_path / "scan.csv"
         data.write_text("wavelength_nm,intensity\n2152.0,0.5\n2152.5,0.9x\n2153.0,0.4\n")

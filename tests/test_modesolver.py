@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from qpmcascade import modesolver
@@ -321,6 +321,73 @@ class TestSolveModes:
         solve_modes(default_geometry, Wavelength(lam_nm), TEMP, count=1)
         assert 0 < lapack_calls.solves <= 20
 
+    @pytest.mark.parametrize("lam_nm", [637.2, 905.08, 1561.62, 2152.9])
+    @pytest.mark.parametrize("count, limit", [(1, 10), (2, 40)])
+    def test_shift_above_each_block_top_bounds_the_inverse_applications(
+        self, default_geometry, lapack_calls, lam_nm, count, limit
+    ):
+        """Work counter: shifted just above each block's top mode, a
+        one-mode solve of the reference 64^2 geometry makes at most 10
+        pbtrs calls and a two-mode solve at most 40, with one pbtrf per
+        block.  Shifted at (k0 n_core)^2 they made 16-19 and 50-53."""
+        solve_modes(default_geometry, Wavelength(lam_nm), TEMP, count=count)
+        assert len(lapack_calls.bands) == count
+        assert 0 < lapack_calls.solves <= limit
+
+    def test_reference_geometry_never_falls_back(self, default_geometry, lapack_calls, monkeypatch):
+        """Work counter: exactly one pbtrf per block on the reference
+        geometry over 640-2200 nm x 20/60/120/200 C x count 1-3, so every
+        shifted factorization succeeds.  A block is factored before its
+        Lanczos run, so eigsh is replaced by a stub whose eigenvalues lie
+        below the guided band (each solve then finds no mode)."""
+        import scipy.sparse.linalg as sparse_linalg
+
+        def no_guided_pairs(a_op, k, **kwargs):
+            return np.full(k, -1.0), np.zeros((a_op.shape[0], k))
+
+        monkeypatch.setattr(sparse_linalg, "eigsh", no_guided_pairs)
+        block = (33, 64 * 32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ModeShortfallWarning)
+            for lam_nm in np.linspace(640.0, 2200.0, 40):
+                for temp_C in (20.0, 60.0, 120.0, 200.0):
+                    for count in (1, 2, 3):
+                        lapack_calls.bands.clear()
+                        solve_modes(default_geometry, Wavelength(lam_nm), temp_C, count=count)
+                        assert lapack_calls.bands == [block] * min(count, 2), (lam_nm, temp_C, count)
+
+    def test_failed_shifted_factorization_refactors_at_sigma0(self, lithium_niobate, lithium_tantalate, lapack_calls):
+        """A 2 um square core in a 16 um square window with a symmetric
+        surround, at 2152.9 nm: the fundamental lies 18% of the way from
+        its block's separable estimate up to (k0 n_core)^2, above the
+        shift.  pbtrf fails there and the x-even block is factored again
+        at (k0 n_core)^2; n_eff is within 1e-12 of the full-matrix oracle."""
+        lam = Wavelength(2152.9)
+        geometry = WaveguideGeometry(
+            core_width_um=2.0,
+            core_height_um=2.0,
+            core_material=lithium_niobate,
+            substrate_material=lithium_tantalate,
+            superstrate_index=sellmeier_index(lithium_tantalate, lam, TEMP),
+            window_width_um=16.0,
+            window_height_um=16.0,
+        )
+        sols = solve_modes(geometry, lam, TEMP, count=1)
+        assert lapack_calls.bands == [(33, 64 * 32)] * 2
+        expected = full_matrix_modes(geometry, lam, 1)
+        assert len(sols) == len(expected) == 1
+        assert abs(sols[0].n_eff - expected[0][0]) <= 1e-12
+
+    @pytest.mark.parametrize("nx, ny", [(64, 64), (65, 48)])
+    def test_count_no_block_can_hold_is_refused_before_factoring(self, default_geometry, lapack_calls, nx, ny):
+        """A count above the x-even block's cell count less 2 raises
+        DomainError before any factorization."""
+        even_size = ny * math.ceil(nx / 2)
+        for count in (even_size - 1, 100_000_000):
+            with pytest.raises(DomainError, match=f"count must be >= 1 and <= {even_size - 2}"):
+                solve_modes(default_geometry.with_grid(nx, ny), LAM, TEMP, count=count)
+        assert lapack_calls.bands == []
+
     @pytest.mark.parametrize("lam_nm", [637.2, 1561.62, 2152.9])
     def test_degenerate_pair_across_the_parity_blocks(self, lithium_niobate, lithium_tantalate, lam_nm):
         """A square core in a square window and a symmetric surround: the
@@ -375,8 +442,8 @@ class TestSolveModes:
             assert left.flat[np.argmax(np.abs(left))] > 0
 
 
-@settings(max_examples=30, deadline=None)
-@given(
+# Random centered-core geometries: hypothesis draws for the tests below.
+RANDOM_GEOMETRY = dict(
     core_w=st.floats(2.0, 12.0),
     core_h=st.floats(1.5, 9.0),
     margin_w=st.floats(1.0, 14.0),
@@ -387,6 +454,26 @@ class TestSolveModes:
     lam_nm=st.sampled_from([637.2, 905.08, 1561.62, 2152.9]),
     count=st.integers(1, 3),
 )
+
+
+def random_geometry(core_material, substrate_material, core_w, core_h, margin_w, margin_h, superstrate, nx, ny):
+    """The geometry of one RANDOM_GEOMETRY draw: the margins split evenly
+    on both sides of the core."""
+    return WaveguideGeometry(
+        core_width_um=core_w,
+        core_height_um=core_h,
+        core_material=core_material,
+        substrate_material=substrate_material,
+        superstrate_index=superstrate,
+        grid_nx=nx,
+        grid_ny=ny,
+        window_width_um=core_w + margin_w,
+        window_height_um=core_h + margin_h,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(**RANDOM_GEOMETRY)
 def test_parity_split_matches_the_full_matrix(
     lithium_niobate, lithium_tantalate, core_w, core_h, margin_w, margin_h, superstrate, nx, ny, lam_nm, count
 ):
@@ -395,16 +482,8 @@ def test_parity_split_matches_the_full_matrix(
     field its own mirror image."""
     from scipy.sparse.linalg import eigsh
 
-    geometry = WaveguideGeometry(
-        core_width_um=core_w,
-        core_height_um=core_h,
-        core_material=lithium_niobate,
-        substrate_material=lithium_tantalate,
-        superstrate_index=superstrate,
-        grid_nx=nx,
-        grid_ny=ny,
-        window_width_um=core_w + margin_w,
-        window_height_um=core_h + margin_h,
+    geometry = random_geometry(
+        lithium_niobate, lithium_tantalate, core_w, core_h, margin_w, margin_h, superstrate, nx, ny
     )
     lam = Wavelength(lam_nm)
     n, _, _, n_core, n_clad = modesolver.index_map(geometry, lam, TEMP)
@@ -429,6 +508,63 @@ def test_parity_split_matches_the_full_matrix(
     if count == 1 and sols:
         field = sols[0].field
         assert np.allclose(field, field[:, ::-1], rtol=0.0, atol=1e-15)
+
+
+def parity_block_top(a_mat, nx, sigma0, wide, sign):
+    """Oracle: the top eigenvalue of the full matrix on x-even (``sign``
+    +1) or x-odd (-1) fields, from a full-grid shift-invert eigsh at
+    sigma0 with the other parity pushed ``wide`` below the spectrum."""
+    import scipy.sparse as sparse
+    from scipy.sparse.linalg import eigsh
+
+    size = a_mat.shape[0]
+    cells = np.arange(size).reshape(-1, nx)
+    mirror = sparse.csr_matrix((np.ones(size), (cells.ravel(), cells[:, ::-1].ravel())), shape=(size, size))
+    other = 0.5 * (sparse.identity(size, format="csr") - sign * mirror)
+    v0 = np.random.default_rng(modesolver._V0_SEED).standard_normal(size)
+    return eigsh(a_mat - wide * other, k=1, sigma=sigma0, which="LM", v0=v0)[0][0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(**RANDOM_GEOMETRY)
+# A 2 um core in a near-symmetric surround at 2152.9 nm: the fundamental
+# lies 18% of the way from its block's estimate up to sigma0, above the
+# shift, so both blocks are factored again at sigma0.
+@example(core_w=2.0, core_h=2.0, margin_w=14.0, margin_h=14.0, superstrate=2.1,
+         nx=48, ny=48, lam_nm=2152.9, count=2)
+# The reference core: neither block falls back.
+@example(core_w=10.0, core_h=8.0, margin_w=20.0, margin_h=16.0, superstrate=1.0,
+         nx=48, ny=48, lam_nm=1561.62, count=2)
+def test_separable_estimate_is_below_each_block_top(
+    lithium_niobate, lithium_tantalate, core_w, core_h, margin_w, margin_h, superstrate, nx, ny, lam_nm, count
+):
+    """Loewner order: each parity block's separable estimate is at most the
+    block's top eigenvalue from the full matrix, and the solve matches the
+    full-matrix eigsh within 1e-12 whether or not a block fell back to
+    sigma0 (its shift at or below that top)."""
+    geometry = random_geometry(
+        lithium_niobate, lithium_tantalate, core_w, core_h, margin_w, margin_h, superstrate, nx, ny
+    )
+    lam = Wavelength(lam_nm)
+    n, _, _, n_core, _ = modesolver.index_map(geometry, lam, TEMP)
+    k0 = 2.0 * math.pi / lam.um
+    hx, hy = geometry.window_width_um / nx, geometry.window_height_um / ny
+    a_mat = modesolver._helmholtz_matrix(n, hx, hy, k0)
+    sigma0 = (k0 * n_core) ** 2
+    wide = sigma0 + 8.0 / hx**2 + 8.0 / hy**2
+    for parity, sign, estimate in zip(("even", "odd"), (1, -1), modesolver._separable_tops(geometry, lam, TEMP)):
+        top = parity_block_top(a_mat, nx, sigma0, wide, sign)
+        assert estimate <= top
+        shift = estimate + modesolver._SHIFT_GAP * (sigma0 - estimate)
+        event(f"x-{parity} block falls back: {shift <= top}")
+    expected = full_matrix_modes(geometry, lam, count)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModeShortfallWarning)
+        sols = solve_modes(geometry, lam, TEMP, count=count)
+    assert len(sols) == len(expected)
+    for sol, (n_eff, _) in zip(sols, expected):
+        assert abs(sol.n_eff - n_eff) <= 1e-12
+        assert sol.residual <= 1e-8
 
 
 class TestGeometryValidation:
