@@ -23,7 +23,6 @@ from .dispersion import (
     OffsetIndexProvider,
     SellmeierModel,
     builtin_material,
-    effective_index,
     group_and_phase_terms,
     load_material,
     sellmeier_index,

@@ -184,15 +184,21 @@ def _cmd_noise(args, device):
 
 
 def _cmd_lineshape(args, device):
+    grid = args.grid
+    if not np.all(np.diff(grid) > 0):
+        raise DomainError("wavelength grid must be strictly increasing")
     if args.analytic:
-        grid = np.asarray(args.grid)
+        if args.weights is not None or args.planck_K is not None:
+            raise DomainError(
+                "--analytic is the flat-seed closed form; it takes no --weights or --planck-K"
+            )
         dk = grid_mismatch(lambda lam: thermal_sfg_mismatch(device.step2, device.pump, lam), grid)
         rows = csv_rows(grid, lineshape_analytic(dk, device.step2.length_mm))
     else:
         spec = thermal_sfg_lineshape(
             device.step2,
             device.pump,
-            args.grid,
+            grid,
             weights=tuple(args.weights) if args.weights else (1.0,),
             planck_temperature_K=args.planck_K,
         )

@@ -25,16 +25,22 @@ output.  A solved period is stored at ``expansion_ref_C``, so the
 section's thermal expansion restores it at ``solve_at.T_C``.  Sections
 whose ``index_provider`` blocks are equal share one provider object, so a
 mode-solver device solves each (wavelength, T, mode) once for both
-sections.  Unknown and missing keys are rejected with a named error, and
-so is a value of the wrong JSON type: numeric fields must be JSON numbers
-(integers for ``qpm_order``, ``mode`` and the grid sizes), names and
-labels strings, and every block an object.
+sections.  An ``index_provider`` block takes only the keys its ``kind``
+reads: ``material`` for ``bulk``; ``material`` and ``delta_n`` for
+``offset``; ``mode`` for ``modesolver``.
+
+Unknown and missing keys are rejected with a named error, and so is a
+value of the wrong JSON type: numeric fields must be finite JSON numbers
+(integers for ``qpm_order``, ``mode`` and the grid sizes; ``NaN`` and
+``Infinity`` are refused), names and labels strings, and every block an
+object.  Material files are read and checked by the same functions of
+:mod:`qpmcascade.errors`.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
@@ -47,21 +53,18 @@ from .dispersion import (
     builtin_material,
     load_material,
 )
-from .errors import DeviceFileError
+from .errors import DeviceFileError, check_keys, json_value, read_json
 from .modesolver import ModeSolverIndexProvider, WaveguideGeometry
 from .qpm import ProcessSpec, SectionSpec, delta_k, qpm_transfer, solve_poling_period
 from .spectral import ProcessKind, Wavelength, dfg_target, output_nm
 
 
-def _check_keys(doc: dict, required: set[str], optional: set[str], where: str) -> None:
-    if not isinstance(doc, dict):
-        raise DeviceFileError(f"{where} must be a JSON object, got {doc!r}")
-    unknown = set(doc) - required - optional
-    if unknown:
-        raise DeviceFileError(f"unknown key(s) {sorted(unknown)} in {where}")
-    missing = required - set(doc)
-    if missing:
-        raise DeviceFileError(f"missing key(s) {sorted(missing)} in {where}")
+_check_keys = functools.partial(check_keys, DeviceFileError)
+_value = functools.partial(json_value, DeviceFileError)
+
+# The keys each index_provider kind reads besides "kind": (required, optional).
+_PROVIDER_KEYS = {"bulk": ({"material"}, set()), "offset": ({"material"}, {"delta_n"}),
+                  "modesolver": (set(), {"mode"})}
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,37 +131,22 @@ class TwoStepDevice:
         return output_nm(ProcessKind.DFG, output_nm(ProcessKind.DFG, lam_in_nm, pump), pump)
 
 
-def _load_materials(entries: list, base_dir: Path) -> dict[str, SellmeierModel]:
-    if not isinstance(entries, list) or not entries:
-        raise DeviceFileError("materials must be a non-empty list")
+def _load_materials(entries, base_dir: Path) -> dict[str, SellmeierModel]:
     loaded: dict[str, SellmeierModel] = {}
-    for entry in entries:
-        if not isinstance(entry, str):
-            raise DeviceFileError(f"material entry must be a string, got {entry!r}")
+    for i, entry in enumerate(_value(entries, list, "materials")):
+        entry = _value(entry, str, f"materials[{i}]")
         if entry.startswith("builtin:"):
             model = builtin_material(entry.removeprefix("builtin:"))
         else:
-            model = load_material((base_dir / entry).resolve())
+            model = load_material(base_dir / entry)
         loaded[model.name] = model
+    if not loaded:
+        raise DeviceFileError("materials must be a non-empty list")
     return loaded
 
 
-def _number(value, path: str, integer: bool = False):
-    """``value`` as a float, or as an int when ``integer``.
-
-    Anything but a JSON number of that kind (a string, a bool, a
-    fractional count) is a :class:`DeviceFileError` naming ``path``.
-    """
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        kind = "an integer" if integer else "a number"
-        raise DeviceFileError(f"{path} must be {kind}, got {value!r}")
-    return value if integer else float(value)
-
-
 def _material_for(name, materials: Mapping[str, SellmeierModel], where: str) -> SellmeierModel:
-    if name is None:
-        raise DeviceFileError(f"{where} needs a material name; loaded: {sorted(materials)}")
-    if not isinstance(name, str) or name not in materials:
+    if _value(name, str, where) not in materials:
         raise DeviceFileError(
             f"{where} references material {name!r}; loaded: {sorted(materials)}"
         )
@@ -173,8 +161,8 @@ def _build_geometry(doc: dict, materials: Mapping[str, SellmeierModel]) -> Waveg
         where="geometry",
     )
 
-    def field(key, default=None, integer=False):
-        return _number(doc.get(key, default), f"geometry.{key}", integer)
+    def field(key, default=None, kind=float):
+        return _value(doc.get(key, default), kind, f"geometry.{key}")
 
     return WaveguideGeometry(
         core_width_um=field("core_width_um"),
@@ -184,29 +172,29 @@ def _build_geometry(doc: dict, materials: Mapping[str, SellmeierModel]) -> Waveg
             doc["substrate_material"], materials, "geometry.substrate_material"
         ),
         superstrate_index=field("superstrate_index", 1.0),
-        grid_nx=field("grid_nx", 64, integer=True),
-        grid_ny=field("grid_ny", 64, integer=True),
+        grid_nx=field("grid_nx", 64, int),
+        grid_ny=field("grid_ny", 64, int),
         window_width_um=field("window_width_um", 30.0),
         window_height_um=field("window_height_um", 24.0),
     )
 
 
 def _build_provider(doc: dict, materials, geometry: WaveguideGeometry | None, where: str):
-    _check_keys(doc, required={"kind"}, optional={"material", "delta_n", "mode"}, where=where)
-    kind = doc["kind"]
-    if kind == "bulk":
-        return BulkIndexProvider(_material_for(doc.get("material"), materials, where))
-    if kind == "offset":
-        return OffsetIndexProvider(
-            _material_for(doc.get("material"), materials, where),
-            delta_n=_number(doc.get("delta_n", 0.0), f"{where}.delta_n"),
-        )
+    doc = _value(doc, dict, where)
+    kind = _value(doc.get("kind"), str, f"{where}.kind")
+    if kind not in _PROVIDER_KEYS:
+        raise DeviceFileError(f"{where}: unknown index_provider kind {kind!r}")
+    required, optional = _PROVIDER_KEYS[kind]
+    _check_keys(doc, required={"kind", *required}, optional=optional, where=where)
     if kind == "modesolver":
         if geometry is None:
             raise DeviceFileError(f"{where}: modesolver provider needs a geometry block")
-        mode = _number(doc.get("mode", 1), f"{where}.mode", integer=True)
+        mode = _value(doc.get("mode", 1), int, f"{where}.mode")
         return ModeSolverIndexProvider(geometry, default_mode=mode)
-    raise DeviceFileError(f"{where}: unknown index_provider kind {kind!r}")
+    model = _material_for(doc["material"], materials, f"{where}.material")
+    if kind == "bulk":
+        return BulkIndexProvider(model)
+    return OffsetIndexProvider(model, delta_n=_value(doc.get("delta_n", 0.0), float, f"{where}.delta_n"))
 
 
 def _build_section(
@@ -224,8 +212,9 @@ def _build_section(
         optional={"poling_period_um", "solve_at", "qpm_order", "expansion_per_C", "expansion_ref_C"},
         where=where,
     )
-    if not isinstance(doc["role"], str) or doc["role"] not in chain:
-        raise DeviceFileError(f"{where}: role must be one of {sorted(chain)}, got {doc['role']!r}")
+    roles = sorted(chain)
+    if doc["role"] not in roles:  # list membership compares by ==, so any JSON value is safe
+        raise DeviceFileError(f"{where}: role must be one of {roles}, got {doc['role']!r}")
     if ("poling_period_um" in doc) == ("solve_at" in doc):
         raise DeviceFileError(
             f"{where}: exactly one of poling_period_um and solve_at is required"
@@ -235,23 +224,26 @@ def _build_section(
     if provider is None:
         provider = _build_provider(block, materials, geometry, f"{where}.index_provider")
         providers.append((block, provider))
-    qpm_order = _number(doc.get("qpm_order", 1), f"{where}.qpm_order", integer=True)
-    expansion_per_C = _number(doc.get("expansion_per_C", 0.0), f"{where}.expansion_per_C")
-    expansion_ref_C = _number(doc.get("expansion_ref_C", 25.0), f"{where}.expansion_ref_C")
+    qpm_order = _value(doc.get("qpm_order", 1), int, f"{where}.qpm_order")
+    expansion_per_C = _value(doc.get("expansion_per_C", 0.0), float, f"{where}.expansion_per_C")
+    expansion_ref_C = _value(doc.get("expansion_ref_C", 25.0), float, f"{where}.expansion_ref_C")
     if "solve_at" in doc:
         _check_keys(doc["solve_at"], required={"T_C"}, optional=set(), where=f"{where}.solve_at")
-        temp_C = _number(doc["solve_at"]["T_C"], f"{where}.solve_at.T_C")
+        temp_C = _value(doc["solve_at"]["T_C"], float, f"{where}.solve_at.T_C")
         period = solve_poling_period(
             ProcessKind.DFG, chain[doc["role"]], pump, temp_C, provider, qpm_order=qpm_order
         )
-        period /= 1.0 + expansion_per_C * (temp_C - expansion_ref_C)
+        stretch = 1.0 + expansion_per_C * (temp_C - expansion_ref_C)
+        if not stretch > 0.0:
+            raise DeviceFileError(f"{where}: expansion factor {stretch!r} at solve_at.T_C is not positive")
+        period /= stretch
     else:
-        period = _number(doc["poling_period_um"], f"{where}.poling_period_um")
+        period = _value(doc["poling_period_um"], float, f"{where}.poling_period_um")
     return SectionSpec(
         role=doc["role"],
-        length_mm=_number(doc["length_mm"], f"{where}.length_mm"),
+        length_mm=_value(doc["length_mm"], float, f"{where}.length_mm"),
         poling_period_um=period,
-        temperature_C=_number(doc["temperature_C"], f"{where}.temperature_C"),
+        temperature_C=_value(doc["temperature_C"], float, f"{where}.temperature_C"),
         index_provider=provider,
         qpm_order=qpm_order,
         expansion_per_C=expansion_per_C,
@@ -266,13 +258,13 @@ def device_from_dict(doc: dict, base_dir: Path, sha256: str = "") -> TwoStepDevi
         optional={"geometry"},
         where="device",
     )
-    signal = Wavelength(_number(doc["signal_nm"], "signal_nm"))
-    pump = Wavelength(_number(doc["pump_nm"], "pump_nm"))
+    signal = Wavelength(_value(doc["signal_nm"], float, "signal_nm"))
+    pump = Wavelength(_value(doc["pump_nm"], float, "pump_nm"))
     chain = {"step1": signal, "step2": dfg_target(signal, pump)}
     materials = _load_materials(doc["materials"], base_dir)
     geometry = _build_geometry(doc["geometry"], materials) if "geometry" in doc else None
-    sections = doc["sections"]
-    if not isinstance(sections, list) or len(sections) != 2:
+    sections = _value(doc["sections"], list, "sections")
+    if len(sections) != 2:
         raise DeviceFileError("sections must list exactly one step1 and one step2")
     providers: list = []
     built = {}
@@ -286,20 +278,16 @@ def device_from_dict(doc: dict, base_dir: Path, sha256: str = "") -> TwoStepDevi
     _check_keys(coupling_doc, required={"pump", "signal", "aux"}, optional=set(), where="coupling")
     coupling = {}
     for key, value in coupling_doc.items():
-        v = _number(value, f"coupling.{key}")
+        v = _value(value, float, f"coupling.{key}")
         if not 0.0 < v <= 1.0:
             raise DeviceFileError(f"coupling.{key} = {value!r} outside (0, 1]")
         coupling[key] = v
 
-    budget_doc = doc["loss_budget"]
-    if not isinstance(budget_doc, list):
-        raise DeviceFileError("loss_budget must be a list of {label, transmission}")
     pairs = []
-    for i, item in enumerate(budget_doc):
+    for i, item in enumerate(_value(doc["loss_budget"], list, "loss_budget")):
         _check_keys(item, required={"label", "transmission"}, optional=set(), where=f"loss_budget[{i}]")
-        if not isinstance(item["label"], str):
-            raise DeviceFileError(f"loss_budget[{i}].label must be a string, got {item['label']!r}")
-        pairs.append((item["label"], _number(item["transmission"], f"loss_budget[{i}].transmission")))
+        pairs.append((_value(item["label"], str, f"loss_budget[{i}].label"),
+                      _value(item["transmission"], float, f"loss_budget[{i}].transmission")))
 
     return TwoStepDevice(
         step1=built["step1"],
@@ -316,11 +304,7 @@ def device_from_dict(doc: dict, base_dir: Path, sha256: str = "") -> TwoStepDevi
 
 def load_device(path: str | Path) -> TwoStepDevice:
     path = Path(path)
-    raw = path.read_bytes()
-    try:
-        doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DeviceFileError(f"{path}: invalid JSON: {exc}") from exc
+    doc, raw = read_json(DeviceFileError, path)
     return device_from_dict(doc, path.parent, sha256=hashlib.sha256(raw).hexdigest())
 
 

@@ -32,6 +32,7 @@ see :func:`qpmcascade.errors.screen` for invalid inputs.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -42,7 +43,17 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import CapabilityError, MaterialFileError, NumericError, RangeError, is_array, screen
+from .errors import (
+    CapabilityError,
+    MaterialFileError,
+    NumericError,
+    RangeError,
+    check_keys,
+    is_array,
+    json_value,
+    read_json,
+    screen,
+)
 from .spectral import Wavelength
 
 # The forms are elementwise arithmetic, written with products rather than
@@ -98,9 +109,10 @@ class SellmeierModel:
     """A named dispersion model n(lam, T) with declared validity ranges.
 
     ``coefficients`` is immutable after construction.  ``mid_ir_absorptive``
-    is a qualitative flag consumed by the noise model: it marks materials
-    that absorb mid-infrared light strongly enough that they do not
-    transmit thermal seed photons.
+    is descriptive: it records that the material absorbs mid-infrared light
+    strongly enough not to transmit thermal seed photons.  No computation
+    reads it; :func:`qpmcascade.noisemodel.enumerate_parasitics` consults
+    the second section only, by design.
     """
 
     name: str
@@ -208,7 +220,6 @@ class BulkIndexProvider:
     the guided structure is ignored.
     """
 
-    kind = "bulk"
     delta_n = 0.0
 
     def __init__(self, model: SellmeierModel):
@@ -232,8 +243,6 @@ class OffsetIndexProvider(BulkIndexProvider):
     deviations between bulk and guided-mode indices (geometry, doping).
     """
 
-    kind = "offset"
-
     def __init__(self, model: SellmeierModel, delta_n: float):
         super().__init__(model)
         self.delta_n = float(delta_n)
@@ -242,52 +251,39 @@ class OffsetIndexProvider(BulkIndexProvider):
         return f"OffsetIndexProvider({self.model.name!r}, delta_n={self.delta_n!r})"
 
 
-def effective_index(provider, lam, temp_C, mode: int = 1):
-    """Evaluate any index provider; each takes ``lam`` and ``temp_C`` as
-    :func:`sellmeier_index` does."""
-    return provider.effective_index(lam, temp_C, mode=mode)
-
-
 # --- material file I/O ----------------------------------------------------
 
-_REQUIRED_FILE_KEYS = (
-    "name",
-    "polarization",
-    "temperature_form",
-    "coefficients",
-    "wavelength_range_um",
-    "temperature_range_C",
-)
-_OPTIONAL_FILE_KEYS = ("mid_ir_absorptive", "notes")
+_value = functools.partial(json_value, MaterialFileError)
 
 
 def material_from_dict(doc: dict) -> SellmeierModel:
-    if not isinstance(doc, dict):
-        raise MaterialFileError(f"material document must be an object, got {type(doc).__name__}")
-    unknown = set(doc) - set(_REQUIRED_FILE_KEYS) - set(_OPTIONAL_FILE_KEYS)
-    if unknown:
-        raise MaterialFileError(f"unknown material file key(s): {sorted(unknown)}")
-    missing = set(_REQUIRED_FILE_KEYS) - set(doc)
-    if missing:
-        raise MaterialFileError(f"missing material file key(s): {sorted(missing)}")
-    coeff = doc["coefficients"]
-    if not isinstance(coeff, dict) or not all(
-        isinstance(v, (int, float)) for v in coeff.values()
-    ):
-        raise MaterialFileError("coefficients must be an object of numbers")
-    for key in ("wavelength_range_um", "temperature_range_C"):
-        rng = doc[key]
-        if not (isinstance(rng, list) and len(rng) == 2 and rng[0] < rng[1]):
-            raise MaterialFileError(f"{key} must be a [low, high] pair with low < high")
+    """A material from its JSON document, checked like a device file
+    (:mod:`qpmcascade.device`): unknown or missing keys and values of the
+    wrong JSON type, ``NaN`` and ``Infinity`` included, raise
+    :class:`MaterialFileError` naming the key."""
+    required = {"name", "polarization", "temperature_form", "coefficients",
+                "wavelength_range_um", "temperature_range_C"}
+    check_keys(MaterialFileError, doc, required, {"mid_ir_absorptive", "notes"}, "material")
+
+    def field(key, kind, default=None):
+        return _value(doc.get(key, default), kind, f"material.{key}")
+
+    def bounds(key):
+        pair = [_value(v, float, f"material.{key}[{i}]") for i, v in enumerate(field(key, list))]
+        if len(pair) != 2 or not pair[0] < pair[1]:
+            raise MaterialFileError(f"material.{key} must be a [low, high] pair with low < high")
+        return tuple(pair)
+
     return SellmeierModel(
-        name=doc["name"],
-        polarization=doc["polarization"],
-        temperature_form=doc["temperature_form"],
-        coefficients={k: float(v) for k, v in coeff.items()},
-        wavelength_range_um=(float(doc["wavelength_range_um"][0]), float(doc["wavelength_range_um"][1])),
-        temperature_range_C=(float(doc["temperature_range_C"][0]), float(doc["temperature_range_C"][1])),
-        mid_ir_absorptive=bool(doc.get("mid_ir_absorptive", False)),
-        notes=str(doc.get("notes", "")),
+        name=field("name", str),
+        polarization=field("polarization", str),
+        temperature_form=field("temperature_form", str),
+        coefficients={k: _value(v, float, f"material.coefficients.{k}")
+                      for k, v in field("coefficients", dict).items()},
+        wavelength_range_um=bounds("wavelength_range_um"),
+        temperature_range_C=bounds("temperature_range_C"),
+        mid_ir_absorptive=field("mid_ir_absorptive", bool, False),
+        notes=field("notes", str, ""),
     )
 
 
@@ -309,12 +305,7 @@ def material_to_json(model: SellmeierModel) -> str:
 
 
 def load_material(path: str | Path) -> SellmeierModel:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MaterialFileError(f"{path}: invalid JSON: {exc}") from exc
-    return material_from_dict(doc)
+    return material_from_dict(read_json(MaterialFileError, Path(path))[0])
 
 
 def save_material(model: SellmeierModel, path: str | Path) -> None:
@@ -333,4 +324,4 @@ def builtin_material(name: str) -> SellmeierModel:
         raise MaterialFileError(
             f"no built-in material {name!r}; available: {builtin_material_names()}"
         )
-    return material_from_dict(json.loads(ref.read_text(encoding="utf-8")))
+    return material_from_dict(read_json(MaterialFileError, ref)[0])

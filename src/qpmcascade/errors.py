@@ -5,10 +5,16 @@ single-line diagnostics of the form ``code=<code>, msg=<text>``.  Where a
 scalar evaluation raises, an array evaluation masks the element with NaN
 instead (:func:`screen`), :func:`masked_cells` can record why and
 :func:`mask_counts` tallies the record.
+
+Device and material files share one reader (:func:`read_json`) and one
+set of checks (:func:`check_keys`, :func:`json_value`); each names the
+file error class it raises.
 """
 
 from __future__ import annotations
 
+import json
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Callable
@@ -87,6 +93,50 @@ class RankDeficiencyError(NumericError):
     """The normal matrix of a least-squares problem is singular."""
 
     code = "rank_deficiency"
+
+
+def read_json(error: type[ConverterError], source) -> tuple[object, bytes]:
+    """The JSON document in ``source`` (a path or package resource) and
+    its raw bytes.  Bytes that are not UTF-8 JSON raise ``error``, and so
+    does a path Python refuses to open (one holding a NUL); an OS refusal
+    stays an :class:`OSError`."""
+    try:
+        raw = source.read_bytes()
+        return json.loads(raw.decode("utf-8")), raw
+    except ValueError as exc:
+        raise error(f"{str(source)!r}: invalid JSON: {exc}") from exc
+
+
+_JSON_KINDS = {float: "a number", int: "an integer", str: "a string", bool: "a boolean",
+               dict: "a JSON object", list: "a list"}
+_FLOAT_MAX = sys.float_info.max
+
+
+def json_value(error: type[ConverterError], value, kind: type, path: str):
+    """``value`` if it is a JSON value of ``kind``, else ``error`` naming ``path``.
+
+    ``kind`` is one of the keys of ``_JSON_KINDS``; a number (float) is
+    returned as a float and must be finite, since Python's ``json``
+    accepts ``NaN`` and ``Infinity``.  A bool is not a number.
+    """
+    if not isinstance(value, (int, float) if kind is float else kind) or (
+            isinstance(value, bool) and kind is not bool):
+        raise error(f"{path} must be {_JSON_KINDS[kind]}, got {value!r}")
+    if kind is float and not abs(value) <= _FLOAT_MAX:
+        raise error(f"{path} must be a finite number, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def check_keys(error: type[ConverterError], doc, required: set, optional: set, where: str) -> None:
+    """Raise ``error`` unless ``doc`` is a JSON object with every
+    ``required`` key and no key outside ``required | optional``."""
+    json_value(error, doc, dict, where)
+    unknown = set(doc) - required - optional
+    if unknown:
+        raise error(f"unknown key(s) {sorted(unknown)} in {where}")
+    missing = required - set(doc)
+    if missing:
+        raise error(f"missing key(s) {sorted(missing)} in {where}")
 
 
 # The reasons of the current masked_cells block, if one is open.

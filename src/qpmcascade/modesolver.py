@@ -91,8 +91,7 @@ index at the evaluation point produces a symmetric surround, which is the
 configuration the slab-limit tests use.
 
 The window is an artificial truncation; users are responsible for choosing
-it large enough that the mode has decayed at the walls (see
-``window_convergence_check``).
+it large enough that the mode has decayed at the walls.
 """
 
 from __future__ import annotations
@@ -492,26 +491,6 @@ def solve_modes(
     return out
 
 
-def window_convergence_check(
-    geometry: WaveguideGeometry, lam: Wavelength, temp_C: float, factor: float = 1.25
-) -> float:
-    """Change in fundamental n_eff when the window is enlarged by ``factor``.
-
-    A large value means the window truncates the mode; the caller decides
-    what tolerance is acceptable.
-    """
-    base = solve_modes(geometry, lam, temp_C, count=1)
-    bigger = replace(
-        geometry,
-        window_width_um=geometry.window_width_um * factor,
-        window_height_um=geometry.window_height_um * factor,
-    )
-    enlarged = solve_modes(bigger, lam, temp_C, count=1)
-    if not base or not enlarged:
-        raise NumericError("no guided mode to compare in window_convergence_check")
-    return abs(base[0].n_eff - enlarged[0].n_eff)
-
-
 def slab_kappa(k0: float, n_core: float, n_a: float, n_b: float, thickness: float, m: int) -> float | None:
     """Transverse wavenumber of scalar slab mode ``m`` (0-based), or None.
 
@@ -579,8 +558,6 @@ class ModeSolverIndexProvider:
     are cached per (wavelength, temperature, mode); an array query looks
     up each element and masks (NaN) those a scalar query would raise on.
     """
-
-    kind = "modesolver"
 
     def __init__(self, geometry: WaveguideGeometry, default_mode: int = 1):
         if default_mode < 1:

@@ -26,8 +26,10 @@ bilinear forms against one fixed q x q matrix: 4q sines and cosines per
 sample instead of P.  It is the same sum, to rounding.
 
 Only the section owning the phase-matched grating generates thermal
-noise: upstream sections are excluded because the core material absorbs
-the mid-infrared seed (``mid_ir_absorptive`` flag on the material).
+noise: :func:`enumerate_parasitics` checks step 2 by design, because the
+core material absorbs the mid-infrared seed upstream.  The material's
+``mid_ir_absorptive`` flag records that absorption; it is descriptive,
+and no computation reads it.
 """
 
 from __future__ import annotations

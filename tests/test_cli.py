@@ -1,11 +1,17 @@
 import argparse
+import contextlib
+import copy
+import io
 import itertools
 import json
+import math
 import re
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qpmcascade import __version__
 from qpmcascade.cli import build_parser, main
@@ -18,6 +24,7 @@ from qpmcascade.conversion import (
     step_efficiency,
 )
 from qpmcascade.device import load_device, reference_device_path
+from qpmcascade.dispersion import builtin_material, material_to_json
 from qpmcascade.errors import ConverterError, RangeError
 from qpmcascade.modesolver import solve_modes
 from qpmcascade.noisemodel import lineshape_analytic, thermal_sfg_lineshape, thermal_sfg_mismatch
@@ -224,6 +231,28 @@ class TestLineshapeCommand:
             x, y = spec.wavelength_nm, spec.intensity
         rows = [f"{float(a)!r},{float(b)!r}" for a, b in zip(x, y)]
         assert_rows(out, "wavelength_nm,intensity", rows)
+
+    def test_analytic_refuses_weights_and_planck(self, tmp_path, capsys):
+        for extra in (["--weights", "1,2", "--planck-K", "300"], ["--weights", "1,2"],
+                      ["--planck-K", "300"]):
+            out = tmp_path / "line.csv"
+            assert main(["lineshape", "--device", DEVICE, "--grid", "1548:1568:21", "--analytic",
+                         *extra, "-o", str(out)]) == 3
+            assert capsys.readouterr().err == (
+                "code=domain_error, msg=--analytic is the flat-seed closed form; "
+                "it takes no --weights or --planck-K\n"
+            )
+            assert not out.exists()
+
+    def test_decreasing_grid_exits_three_on_both_paths(self, tmp_path, capsys):
+        for extra in ([], ["--analytic"]):
+            out = tmp_path / "line.csv"
+            assert main(["lineshape", "--device", DEVICE, "--grid", "1575:1540:5", *extra,
+                         "-o", str(out)]) == 3
+            assert capsys.readouterr().err == (
+                "code=domain_error, msg=wavelength grid must be strictly increasing\n"
+            )
+            assert not out.exists()
 
 
 class TestConvertSpectrumCommand:
@@ -691,3 +720,148 @@ class TestErrorHandling:
         assert code == 3
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []
+
+
+# --- device and material files through the CLI ----------------------------------
+
+def leaf_paths(doc, prefix=()) -> list[tuple]:
+    """Key/index path of every non-container value of a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return [prefix]
+    return [path for key, value in items for path in leaf_paths(value, (*prefix, key))]
+
+
+def with_leaf(doc, path, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def solve_device_on(directory, device: dict, material=None) -> tuple[int, str, bool]:
+    """Run ``solve-device`` on ``device``; with ``material`` (a document or
+    raw bytes) the device's first material is that file.  Returns the exit
+    code, stderr and whether an artifact was written (then removed)."""
+    if material is not None:
+        path = directory / "material.json"
+        path.write_bytes(material if isinstance(material, bytes) else json.dumps(material).encode())
+        device = with_leaf(device, ("materials", 0), path.name)
+    device_path = directory / "device.json"
+    device_path.write_text(json.dumps(device))
+    out = directory / "solved.json"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["solve-device", "--device", str(device_path), "-o", str(out)])
+    written = out.exists()
+    if written:
+        out.unlink()
+    return code, err.getvalue(), written
+
+
+DEVICE_DOC = json.loads(reference_device_path().read_text())
+MATERIAL_DOC = json.loads(material_to_json(builtin_material("lithium_niobate_e")))
+JSON_KINDS = ["x", True, None, [1.0], {"k": 1.0}, math.nan, math.inf]
+
+
+class TestInputFileRefusals:
+    @pytest.mark.parametrize("path, value, message", [
+        (("wavelength_range_um",), ["a", "b"], "material.wavelength_range_um[0] must be a number, got 'a'"),
+        (("wavelength_range_um",), [0.3, "5"], "material.wavelength_range_um[1] must be a number, got '5'"),
+        (("name",), 5, "material.name must be a string, got 5"),
+        (("mid_ir_absorptive",), "false", "material.mid_ir_absorptive must be a boolean, got 'false'"),
+        (("notes",), 7, "material.notes must be a string, got 7"),
+        (("coefficients", "a1"), True, "material.coefficients.a1 must be a number, got True"),
+        (("coefficients", "a1"), math.inf, "material.coefficients.a1 must be a finite number, got inf"),
+        (("coefficients", "b1"), math.nan, "material.coefficients.b1 must be a finite number, got nan"),
+        (("temperature_range_C",), [20.0], "material.temperature_range_C must be a [low, high] pair"),
+    ])
+    def test_material_value_exits_three(self, tmp_path, path, value, message):
+        code, err, written = solve_device_on(tmp_path, DEVICE_DOC, with_leaf(MATERIAL_DOC, path, value))
+        assert (code, written) == (3, False)
+        assert err.startswith(f"code=material_file_error, msg={message}")
+        assert err.count("\n") == 1
+
+    def test_undecodable_material_exits_three(self, tmp_path):
+        code, err, written = solve_device_on(tmp_path, DEVICE_DOC, b'{"name": "\xff\xfe"}')
+        assert (code, written) == (3, False)
+        path = str(tmp_path / "material.json")
+        assert err.startswith(f"code=material_file_error, msg={path!r}: invalid JSON")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("path, value, error, message", [
+        (("sections", 0, "index_provider", "mode"), 2, "device_file_error",
+         "unknown key(s) ['mode'] in sections[0].index_provider"),
+        (("sections", 0, "index_provider", "delta_n"), 0.5, "device_file_error",
+         "unknown key(s) ['delta_n'] in sections[0].index_provider"),
+        (("sections", 0, "index_provider", "kind"), ["bulk"], "device_file_error",
+         "sections[0].index_provider.kind must be a string, got ['bulk']"),
+        (("sections", 0, "length_mm"), math.inf, "device_file_error",
+         "sections[0].length_mm must be a finite number, got inf"),
+        (("pump_nm",), math.nan, "device_file_error", "pump_nm must be a finite number, got nan"),
+        (("materials", 1), "bad\0name.json", "material_file_error",
+         "name.json': invalid JSON: embedded null byte"),
+    ])
+    def test_device_value_exits_three(self, tmp_path, path, value, error, message):
+        code, err, written = solve_device_on(tmp_path, with_leaf(DEVICE_DOC, path, value))
+        assert (code, written) == (3, False)
+        assert err.startswith(f"code={error}, msg=") and message in err
+        assert err.count("\n") == 1
+
+    def test_zero_thermal_expansion_factor_exits_three(self, tmp_path):
+        # 1 + (-0.01 / C) * (125 C - 25 C) = 0 would divide the solved period by zero
+        device = with_leaf(DEVICE_DOC, ("sections", 0, "expansion_per_C"), -0.01)
+        device = with_leaf(device, ("sections", 0, "solve_at", "T_C"), 125.0)
+        code, err, written = solve_device_on(tmp_path, device)
+        assert (code, written) == (3, False)
+        assert err == (
+            "code=device_file_error, "
+            "msg=sections[0]: expansion factor 0.0 at solve_at.T_C is not positive\n"
+        )
+
+    def test_every_leaf_is_visited(self):
+        assert len(leaf_paths(DEVICE_DOC)) + len(leaf_paths(MATERIAL_DOC)) == 57
+
+
+LEAVES = [("device", path) for path in leaf_paths(DEVICE_DOC)] + [
+    ("material", path) for path in leaf_paths(MATERIAL_DOC)]
+
+
+def _every_leaf_of_every_kind(test):
+    """Explicit examples: each leaf of both files set to each of JSON_KINDS."""
+    for leaf in LEAVES:
+        for value in JSON_KINDS:
+            test = example(leaf=leaf, value=value)(test)
+    return test
+
+
+json_values = st.one_of(
+    st.text(max_size=6), st.booleans(), st.none(), st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.lists(st.one_of(st.integers(), st.text(max_size=3)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@_every_leaf_of_every_kind
+@given(leaf=st.sampled_from(LEAVES), value=json_values)
+def test_any_corrupted_leaf_exits_zero_or_three(tmp_path_factory, leaf, value):
+    """Any leaf of the reference device or of its LiNbO3 file set to a
+    JSON value of another type (or NaN, Infinity) loads or is refused with
+    exit 3 and one ``code=`` line; ``main`` never raises."""
+    directory = tmp_path_factory.getbasetemp() / "corrupted_leaf"
+    directory.mkdir(exist_ok=True)
+    doc, path = leaf
+    if doc == "device":
+        code, err, written = solve_device_on(directory, with_leaf(DEVICE_DOC, path, value))
+    else:
+        code, err, written = solve_device_on(directory, DEVICE_DOC, with_leaf(MATERIAL_DOC, path, value))
+    assert code in (0, 3)
+    assert written == (code == 0)
+    if code == 3:
+        assert err.startswith("code=") and err.count("\n") == 1

@@ -9,7 +9,6 @@ from qpmcascade.dispersion import (
     SellmeierModel,
     builtin_material,
     builtin_material_names,
-    effective_index,
     group_and_phase_terms,
     load_material,
     material_to_json,
@@ -160,7 +159,7 @@ class TestIndexProviders:
         bulk = BulkIndexProvider(lithium_niobate)
         offset = OffsetIndexProvider(lithium_niobate, delta_n=0.0)
         lam = Wavelength(1561.6)
-        assert effective_index(offset, lam, 59.0) == effective_index(bulk, lam, 59.0)
+        assert offset.effective_index(lam, 59.0) == bulk.effective_index(lam, 59.0)
 
     def test_offset_is_exact_constant_shift(self, lithium_niobate):
         bulk = BulkIndexProvider(lithium_niobate)

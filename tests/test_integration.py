@@ -1,8 +1,10 @@
 """Cross-module paths: mode-solver-backed dispersion inside a device,
-window convergence checking, and the remaining CLI option surfaces."""
+the reference window's truncation error, and the remaining CLI option
+surfaces."""
 
 import json
 import os
+from dataclasses import replace
 import subprocess
 import sys
 from pathlib import Path
@@ -13,18 +15,26 @@ import pytest
 import qpmcascade
 from qpmcascade.cli import main
 from qpmcascade.device import device_from_dict, reference_device_path
-from qpmcascade.modesolver import window_convergence_check
+from qpmcascade.modesolver import solve_modes
 from qpmcascade.qpm import phase_mismatch
 from qpmcascade.spectral import Wavelength
 
 DEVICE = str(reference_device_path())
 
 
-def test_window_convergence_check_small(reference_device):
-    drift = window_convergence_check(
-        reference_device.geometry, Wavelength(1561.62), 59.26, factor=1.25
-    )
-    assert drift < 5e-4
+def test_reference_window_does_not_truncate_the_mode(reference_device):
+    """Enlarging the window by 1.25 at the same cell size (64^2 over
+    30 x 24 um -> 80^2 over 37.5 x 30 um) moves the fundamental n_eff by
+    less than 1e-8 at each wavelength of the chain; a fixed cell count
+    would measure grid error instead."""
+    geometry = reference_device.geometry
+    wider = replace(geometry, window_width_um=37.5, window_height_um=30.0, grid_nx=80, grid_ny=80)
+    assert wider.window_width_um / wider.grid_nx == geometry.window_width_um / geometry.grid_nx
+    assert wider.window_height_um / wider.grid_ny == geometry.window_height_um / geometry.grid_ny
+    for lam_nm in (905.08, 1561.62, 2152.9):
+        base, = solve_modes(geometry, Wavelength(lam_nm), 59.26, count=1)
+        enlarged, = solve_modes(wider, Wavelength(lam_nm), 59.26, count=1)
+        assert abs(enlarged.n_eff - base.n_eff) < 1e-8, lam_nm
 
 
 def test_device_with_modesolver_provider(tmp_path):
