@@ -304,8 +304,18 @@ def material_to_json(model: SellmeierModel) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _read_material(source) -> SellmeierModel:
+    """The material in ``source`` (a path or package resource); a check
+    that fails names the file after its own message."""
+    doc = read_json(MaterialFileError, source)[0]
+    try:
+        return material_from_dict(doc)
+    except MaterialFileError as exc:
+        raise MaterialFileError(f"{exc} (in {str(source)!r})") from exc
+
+
 def load_material(path: str | Path) -> SellmeierModel:
-    return material_from_dict(read_json(MaterialFileError, Path(path))[0])
+    return _read_material(Path(path))
 
 
 def save_material(model: SellmeierModel, path: str | Path) -> None:
@@ -318,10 +328,13 @@ def builtin_material_names() -> list[str]:
 
 
 def builtin_material(name: str) -> SellmeierModel:
-    """Load a material shipped with the package, e.g. ``lithium_niobate_e``."""
+    """Load a material shipped with the package, e.g. ``lithium_niobate_e``.
+
+    Only a name :func:`builtin_material_names` lists is accepted, so a
+    name cannot reach a file outside the package's ``materials`` folder.
+    """
+    names = builtin_material_names()
+    if name not in names:
+        raise MaterialFileError(f"no built-in material {name!r}; available: {names}")
     ref = resources.files("qpmcascade").joinpath("materials").joinpath(f"{name}.json")
-    if not ref.is_file():
-        raise MaterialFileError(
-            f"no built-in material {name!r}; available: {builtin_material_names()}"
-        )
-    return material_from_dict(read_json(MaterialFileError, ref)[0])
+    return _read_material(ref)

@@ -99,15 +99,16 @@ class FitResult:
 def _jacobian(
     func: Callable[[np.ndarray], np.ndarray],
     params: np.ndarray,
+    base: np.ndarray,
     bounds: Sequence[tuple[float, float]],
     rel_step: float = _REL_STEP,
 ) -> np.ndarray:
     """Central-difference Jacobian, one-sided at parameter bounds.
 
+    ``base`` is ``func(params)``, which the caller already holds.
     Per-parameter step h_i = rel_step * max(|p_i|, 1): relative above unit
     magnitude with an absolute floor so zero-valued parameters still move.
     """
-    base = func(params)
     jac = np.empty((base.size, params.size))
     for i, p in enumerate(params):
         h = rel_step * max(abs(p), 1.0)
@@ -166,7 +167,7 @@ def fit(
     converged = False
     iterations = 0
     trace = [cost]
-    jac = _jacobian(residuals, p, model.bounds)
+    jac = _jacobian(residuals, p, r, model.bounds)
     while iterations < max_iterations:
         iterations += 1
         a_mat = jac.T @ jac
@@ -195,7 +196,7 @@ def fit(
             p, r, cost = candidate, r_new, cost_new
             trace.append(cost)
             damping = max(damping / 10.0, 1e-12)
-            jac = _jacobian(residuals, p, model.bounds)
+            jac = _jacobian(residuals, p, r, model.bounds)
             stall = stall + 1 if decrease < _REL_DECREASE else 0
         else:
             damping = min(damping * 10.0, 1e12)

@@ -17,18 +17,24 @@ The root-bracket kernel (:func:`_brackets`, :func:`_first_roots`) also
 serves the slab dispersion equation of
 :func:`qpmcascade.modesolver.slab_kappa` and the half-maximum crossings of
 :func:`qpmcascade.conversion.spectrum_fwhm`.
+
+The degenerate operating point, one temperature and one pump at which
+both steps phase-match, is solved by Newton's method from the best cell
+of a coarse map to |dk| <= 1e-9 rad/mm on both steps
+(:func:`degenerate_operating_point`); windows that hold no common point
+raise :class:`NoSolutionError`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DesignError, DomainError, NoSolutionError, is_array, mask_counts, masked_cells
-from .spectral import ProcessKind, Wavelength, dfg_target, energy_residual, output_nm, process_output
+from .spectral import ProcessKind, Wavelength, dfg_target, output_nm, process_output
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,8 +43,6 @@ PUMP_WINDOW_NM = (1980.0, 2528.0)
 # Target wavelength search window (nm): the tunable filter range.
 TARGET_WINDOW_NM = (1480.0, 1620.0)
 
-_ENERGY_TOL = 1e-9
-
 # Points of each bracket-narrowing scan of a root solve, and the relative
 # bracket width at which the root is interpolated.
 _ZOOM_POINTS = 33
@@ -46,9 +50,13 @@ _ROOT_RTOL = 1e-12
 # Initial scan points of the pump and target root solves.
 _PUMP_SCAN_POINTS = 257
 _TARGET_SCAN_POINTS = 181
-# Points per axis, and zoom levels, of the degenerate-point grid search.
+# Points per axis of the degenerate-point start map; the half-width of its
+# Newton stencil (C in T, nm in pump), the mismatch (rad/mm) at which
+# Newton stops, and the most stencil evaluations it may take.
 _DEGENERATE_GRID = 81
-_DEGENERATE_ZOOMS = 4
+_DEGENERATE_STEP = 1e-2
+_DEGENERATE_DK_TOL = 1e-9
+_DEGENERATE_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -91,40 +99,26 @@ class SectionSpec:
 class ProcessSpec:
     """A three-wave process bound to one section.
 
-    The wavelength triple must satisfy energy conservation to better than
-    1e-9 relative; use :meth:`for_kind` to construct consistent triples.
+    ``lam_out`` is not an argument: it is the energy-conserving output
+    :func:`~qpmcascade.spectral.process_output` of (kind, lam_in,
+    lam_pump), so a triple with no output (a DFG pump shorter than its
+    signal, unequal SHG inputs) raises :class:`DomainError` here.  At the
+    point :func:`degenerate_operating_point` returns, :func:`phase_mismatch`
+    of each step's process is at most 1e-9 rad/mm.
     """
 
     kind: ProcessKind
     lam_in: Wavelength
     lam_pump: Wavelength
-    lam_out: Wavelength
     section: SectionSpec
+    lam_out: Wavelength = field(init=False)
 
     def __post_init__(self):
-        residual = energy_residual(self.kind, self.lam_in, self.lam_pump, self.lam_out)
-        if residual > _ENERGY_TOL:
-            raise DomainError(
-                f"{self.kind.value} triple violates energy conservation by "
-                f"{residual:.3e} relative (tolerance {_ENERGY_TOL})"
-            )
-
-    @classmethod
-    def for_kind(
-        cls, kind: ProcessKind, lam_in: Wavelength, lam_pump: Wavelength, section: SectionSpec
-    ) -> "ProcessSpec":
-        return cls(
-            kind=kind,
-            lam_in=lam_in,
-            lam_pump=lam_pump,
-            lam_out=process_output(kind, lam_in, lam_pump),
-            section=section,
-        )
+        object.__setattr__(self, "lam_out", process_output(self.kind, self.lam_in, self.lam_pump))
 
     @classmethod
     def dfg(cls, lam_signal: Wavelength, lam_pump: Wavelength, section: SectionSpec) -> "ProcessSpec":
-        return cls.for_kind(ProcessKind.DFG, lam_signal, lam_pump, section)
-
+        return cls(ProcessKind.DFG, lam_signal, lam_pump, section)
 
 
 def delta_k(kind: ProcessKind, lam_in, lam_pump, temp_C, section: SectionSpec):
@@ -418,27 +412,43 @@ def degenerate_operating_point(
     t_window: tuple[float, float],
     pump_window: tuple[float, float] = PUMP_WINDOW_NM,
 ) -> tuple[float, float, float, float]:
-    """Common (T, pump) where both steps convert simultaneously.
+    """Common (T, pump) where both steps are phase-matched at once.
 
-    Maximizes min(step1, step2) transfer by a deterministic coarse scan
-    followed by grid zoom.  Returns (T_C, pump_nm, transfer1, transfer2).
+    The best min(step1, step2) cell of an 81x81 :func:`phasematch_map`
+    starts Newton's method on (dk1, dk2) = 0 with a central-difference
+    Jacobian (Dennis & Schnabel, 1983, ch. 5).  Each step evaluates both
+    mismatches on a 5-point (T, pump) stencil, one :func:`delta_k` call
+    per section; it stops at max |dk| <= 1e-9 rad/mm.  An iterate outside
+    either window, or no convergence in ``_DEGENERATE_STEPS`` evaluations,
+    raises :class:`NoSolutionError` naming both windows.  Returns (T_C,
+    pump_nm, transfer1, transfer2), the transfers read from
+    :func:`phasematch_map` at the solved point.
     """
-    t_lo, t_hi = t_window
-    p_lo, p_hi = pump_window
-    best = (t_lo, p_lo, -1.0, 0.0, 0.0)
-    for _ in range(_DEGENERATE_ZOOMS):
-        axes = (np.linspace(t_lo, t_hi, _DEGENERATE_GRID), np.linspace(p_lo, p_hi, _DEGENERATE_GRID))
-        pm = phasematch_map(step1, step2, signal, *axes)
-        score = np.fmin(pm.step1, pm.step2)
-        score_flat = np.where(np.isnan(score), -1.0, score).ravel()
-        idx = int(np.argmax(score_flat))
-        i, j = divmod(idx, _DEGENERATE_GRID)
-        t_best, p_best = float(pm.temperature_C[i]), float(pm.pump_nm[j])
-        best = (t_best, p_best, score_flat[idx], float(pm.step1[i, j]), float(pm.step2[i, j]))
-        t_half = 1.5 * (t_hi - t_lo) / (_DEGENERATE_GRID - 1)
-        p_half = 1.5 * (p_hi - p_lo) / (_DEGENERATE_GRID - 1)
-        t_lo, t_hi = t_best - t_half, t_best + t_half
-        p_lo, p_hi = p_best - p_half, p_best + p_half
-    if best[2] < 0.0:
-        raise NoSolutionError("no cell of the scan evaluated successfully")
-    return best[0], best[1], best[3], best[4]
+    (t_lo, t_hi), (p_lo, p_hi) = t_window, pump_window
+    axes = (np.linspace(t_lo, t_hi, _DEGENERATE_GRID), np.linspace(p_lo, p_hi, _DEGENERATE_GRID))
+    pm = phasematch_map(step1, step2, signal, *axes)
+    score = np.fmin(pm.step1, pm.step2)
+    # An all-NaN map starts at a NaN cell, whose NaN step leaves the windows.
+    i, j = np.unravel_index(np.argmax(np.where(np.isnan(score), -1.0, score)), score.shape)
+    point = np.array([axes[0][i], axes[1][j]])
+    offsets = np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]]) * _DEGENERATE_STEP
+    for _ in range(_DEGENERATE_STEPS):
+        temp, pump = (point + offsets).T
+        with masked_cells():
+            mid = output_nm(ProcessKind.DFG, signal.nm, pump)
+            dk = np.stack([delta_k(ProcessKind.DFG, signal.nm, pump, temp, step1),
+                           delta_k(ProcessKind.DFG, mid, pump, temp, step2)])
+        if np.max(np.abs(dk[:, 0])) <= _DEGENERATE_DK_TOL:
+            cell = phasematch_map(step1, step2, signal, point[:1], point[1:])
+            return float(point[0]), float(point[1]), float(cell.step1[0, 0]), float(cell.step2[0, 0])
+        jacobian = (dk[:, 1::2] - dk[:, 2::2]) / (2.0 * _DEGENERATE_STEP)
+        try:
+            point = point - np.linalg.solve(jacobian, dk[:, 0])
+        except np.linalg.LinAlgError:
+            break
+        if not (t_lo <= point[0] <= t_hi and p_lo <= point[1] <= p_hi):
+            break
+    raise NoSolutionError(
+        f"no common phase-matched point of both steps inside T window [{t_lo}, {t_hi}] C "
+        f"and pump window [{p_lo}, {p_hi}] nm"
+    )

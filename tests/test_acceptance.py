@@ -207,12 +207,19 @@ def test_criterion_08_qpm_solver_round_trips(device):
     temp, pump_nm, t1, t2 = degenerate_operating_point(
         device.step1, device.step2, device.signal, (40.0, 100.0), (2100.0, 2200.0)
     )
-    ok = worst_period < 1e-9 and worst_pump < 1e-9 and t1 > 0.99 and t2 > 0.99
+    pump = Wavelength(pump_nm)
+    worst_degenerate = max(
+        abs(phase_mismatch(ProcessSpec.dfg(device.signal, pump, device.step1), temp_C=temp)),
+        abs(phase_mismatch(
+            ProcessSpec.dfg(dfg_target(device.signal, pump), pump, device.step2), temp_C=temp)),
+    )
+    ok = (worst_period < 1e-9 and worst_pump < 1e-9 and t1 > 0.99 and t2 > 0.99
+          and worst_degenerate <= 1e-9)
     report(
         8,
         f"round-trip |dk| worst {max(worst_period, worst_pump):.2e} rad/mm; "
         f"degenerate point ({temp:.2f} C, {pump_nm:.1f} nm) transfers "
-        f"({t1:.4f}, {t2:.4f})",
+        f"({t1:.4f}, {t2:.4f}), |dk| worst {worst_degenerate:.2e} rad/mm",
         ok,
     )
 

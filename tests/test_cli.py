@@ -24,7 +24,7 @@ from qpmcascade.conversion import (
     step_efficiency,
 )
 from qpmcascade.device import load_device, reference_device_path
-from qpmcascade.dispersion import builtin_material, material_to_json
+from qpmcascade.dispersion import builtin_material, builtin_material_names, material_to_json
 from qpmcascade.errors import ConverterError, RangeError
 from qpmcascade.modesolver import solve_modes
 from qpmcascade.noisemodel import lineshape_analytic, thermal_sfg_lineshape, thermal_sfg_mismatch
@@ -786,6 +786,28 @@ class TestInputFileRefusals:
         assert (code, written) == (3, False)
         assert err.startswith(f"code=material_file_error, msg={message}")
         assert err.count("\n") == 1
+
+    def test_second_material_file_is_named_in_its_error(self, tmp_path):
+        good, bad = tmp_path / "niobate.json", tmp_path / "tantalate.json"
+        good.write_text(json.dumps(MATERIAL_DOC))
+        tantalate = json.loads(material_to_json(builtin_material("lithium_tantalate_e")))
+        bad.write_text(json.dumps(with_leaf(tantalate, ("name",), 5)))
+        device = with_leaf(DEVICE_DOC, ("materials",), [good.name, bad.name])
+        code, err, written = solve_device_on(tmp_path, device)
+        assert (code, written) == (3, False)
+        assert err == (f"code=material_file_error, msg=material.name must be a string, got 5 "
+                       f"(in {str(bad)!r})\n")
+
+    @pytest.mark.parametrize("escape", ["../devices/reference_device", "ABSOLUTE"])
+    def test_builtin_name_outside_the_shipped_list_exits_three(self, tmp_path, escape):
+        if escape == "ABSOLUTE":
+            (tmp_path / "lithium_niobate_e.json").write_text(json.dumps(MATERIAL_DOC))
+            escape = str(tmp_path / "lithium_niobate_e")
+        device = with_leaf(DEVICE_DOC, ("materials", 0), f"builtin:{escape}")
+        code, err, written = solve_device_on(tmp_path, device)
+        assert (code, written) == (3, False)
+        assert err == (f"code=material_file_error, msg=no built-in material {escape!r}; "
+                       f"available: {builtin_material_names()}\n")
 
     def test_undecodable_material_exits_three(self, tmp_path):
         code, err, written = solve_device_on(tmp_path, DEVICE_DOC, b'{"name": "\xff\xfe"}')

@@ -86,6 +86,22 @@ class TestFitCore:
         with pytest.raises(RankDeficiencyError):
             fit(model, x, 2.0 * x + 0.01, np.array([1.0, 0.0]))
 
+    def test_central_jacobian_evaluates_two_points_per_parameter(self, sinc2_model):
+        """The residual at the point itself is passed in, not re-evaluated."""
+        from qpmcascade.fitting import _jacobian
+
+        calls = []
+
+        def residuals(p):
+            calls.append(p.copy())
+            return -sinc2_model.evaluate(p, SCAN_X)
+
+        base = residuals(SCAN_TRUTH)
+        calls.clear()
+        _jacobian(residuals, SCAN_TRUTH, base, sinc2_model.bounds)
+        assert len(calls) == 2 * SCAN_TRUTH.size
+        assert not any(np.array_equal(p, SCAN_TRUTH) for p in calls)
+
     def test_iteration_cap_returns_unconverged(self, sinc2_model):
         rng = np.random.default_rng(5)
         y = sinc2_model.evaluate(SCAN_TRUTH, SCAN_X) + rng.normal(0, 0.05, SCAN_X.size)
@@ -250,8 +266,9 @@ class TestRegistry:
         for model in model_registry():
             x, params = cases[model.name]
             residuals = lambda p: -model.evaluate(p, x)
-            coarse = _jacobian(residuals, params, model.bounds, rel_step=1e-6)
-            fine = _jacobian(residuals, params, model.bounds, rel_step=1e-8)
+            base = residuals(params)
+            coarse = _jacobian(residuals, params, base, model.bounds, rel_step=1e-6)
+            fine = _jacobian(residuals, params, base, model.bounds, rel_step=1e-8)
             scale = np.abs(fine).max(axis=0)
             scale[scale == 0.0] = 1.0
             assert np.max(np.abs(coarse - fine) / scale) < 1e-4

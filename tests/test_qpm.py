@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpmcascade import qpm
 from qpmcascade.dispersion import BulkIndexProvider
 from qpmcascade.errors import DesignError, DomainError, NoSolutionError, RangeError, mask_counts, masked_cells
 from qpmcascade.qpm import (
@@ -107,16 +108,20 @@ class TestSectionSpec:
 
 
 class TestProcessSpec:
-    def test_energy_conservation_enforced(self, solved_sections):
+    def test_output_is_derived_not_passed(self, solved_sections):
         step1, _ = solved_sections
-        with pytest.raises(DomainError, match="energy conservation"):
-            ProcessSpec(
-                kind=ProcessKind.DFG,
-                lam_in=SIGNAL,
-                lam_pump=PUMP,
-                lam_out=Wavelength(900.0),
-                section=step1,
-            )
+        process = ProcessSpec(ProcessKind.DFG, SIGNAL, PUMP, step1)
+        assert process.lam_out == dfg_target(SIGNAL, PUMP)
+        assert process == ProcessSpec.dfg(SIGNAL, PUMP, step1)
+        with pytest.raises(TypeError):
+            ProcessSpec(ProcessKind.DFG, SIGNAL, PUMP, step1, lam_out=Wavelength(900.0))
+
+    def test_impossible_triple_refused_at_construction(self, solved_sections):
+        step1, _ = solved_sections
+        with pytest.raises(DomainError, match="DFG requires lam_pump > lam_signal"):
+            ProcessSpec.dfg(PUMP, SIGNAL, step1)
+        with pytest.raises(DomainError, match="SHG inputs must be degenerate"):
+            ProcessSpec(ProcessKind.SHG, SIGNAL, PUMP, step1)
 
     def test_factory_builds_consistent_triple(self, solved_sections):
         step1, _ = solved_sections
@@ -275,6 +280,32 @@ class TestPhasematchMap:
         )
         assert t1 > 0.99 and t2 > 0.99
         assert 40.0 <= temp <= 100.0 and 2100.0 <= pump_nm <= 2200.0
+        assert _worst_mismatch(step1, step2, SIGNAL, temp, pump_nm) <= 1e-9
+
+    def test_degenerate_work_is_one_map_and_a_few_stencils(self, solved_sections, monkeypatch):
+        """One 81x81 start map, 5-point stencils until |dk| <= 1e-9 (three
+        here: two Newton steps), and the returned cell; a delta_k call per
+        section each."""
+        step1, step2 = solved_sections
+        shapes = []
+        original = qpm.delta_k
+
+        def counting(kind, lam_in, lam_pump, temp_C, section):
+            shapes.append(np.broadcast(lam_pump, temp_C).shape)
+            return original(kind, lam_in, lam_pump, temp_C, section)
+
+        monkeypatch.setattr(qpm, "delta_k", counting)
+        degenerate_operating_point(step1, step2, SIGNAL, (40.0, 100.0), (2100.0, 2200.0))
+        assert shapes == [(81, 81)] * 2 + [(5,)] * 6 + [(1, 1)] * 2
+
+    @pytest.mark.parametrize("t_window", [(100.0, 150.0), (200.0, 260.0)])
+    def test_degenerate_point_outside_the_windows_is_no_solution(self, reference_device, t_window):
+        dev = reference_device
+        with pytest.raises(NoSolutionError) as exc:
+            degenerate_operating_point(dev.step1, dev.step2, dev.signal, t_window)
+        message = str(exc.value)
+        assert f"T window [{t_window[0]}, {t_window[1]}] C" in message
+        assert "pump window [1980.0, 2528.0] nm" in message
 
 
 class TestTuningCurve:
@@ -364,6 +395,33 @@ def test_degenerate_search_reaches_both_steps(reference_device):
         temp, pump_nm, t1, t2 = degenerate_operating_point(dev.step1, dev.step2, dev.signal, window)
         assert t1 > 0.99 and t2 > 0.99
         assert window[0] <= temp <= window[1]
+        assert _worst_mismatch(dev.step1, dev.step2, dev.signal, temp, pump_nm) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    t_window=st.tuples(st.floats(20.0, 55.0), st.floats(64.0, 240.0)),
+    pump_window=st.tuples(st.floats(1980.0, 2150.0), st.floats(2156.0, 2528.0)),
+)
+def test_degenerate_point_is_solved_inside_any_window_holding_it(reference_device, t_window, pump_window):
+    dev = reference_device
+    temp, pump_nm, t1, t2 = degenerate_operating_point(
+        dev.step1, dev.step2, dev.signal, t_window, pump_window
+    )
+    assert t_window[0] <= temp <= t_window[1] and pump_window[0] <= pump_nm <= pump_window[1]
+    assert _worst_mismatch(dev.step1, dev.step2, dev.signal, temp, pump_nm) <= 1e-9
+    cell = phasematch_map(dev.step1, dev.step2, dev.signal, [temp], [pump_nm])
+    assert t1 == pytest.approx(cell.step1[0, 0], abs=1e-12)
+    assert t2 == pytest.approx(cell.step2[0, 0], abs=1e-12)
+
+
+def _worst_mismatch(step1, step2, signal, temp, pump_nm):
+    """max(|dk1|, |dk2|) in rad/mm of the chain at (temp, pump), by the scalar path."""
+    pump = Wavelength(pump_nm)
+    return max(
+        abs(phase_mismatch(ProcessSpec.dfg(signal, pump, step1), temp_C=temp)),
+        abs(phase_mismatch(ProcessSpec.dfg(dfg_target(signal, pump), pump, step2), temp_C=temp)),
+    )
 
 
 def _scalar_cell(section, lam_in, pump, temp):
