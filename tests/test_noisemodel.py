@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qpmcascade.errors import DomainError, RangeError
 from qpmcascade.noisemodel import (
+    _BLOCK_ELEMENTS,
     LineShapeParams,
     ParasiticProcess,
     enumerate_parasitics,
@@ -190,9 +191,16 @@ class TestWeightedLineShape:
 )
 @example(panels=256, weights=[5e-324], length=3.0, dk_l=[3.0])
 @example(panels=256, weights=[0.0, 5e-324], length=647.5, dk_l=[0.0])
+@example(panels=256, weights=[1.0, -0.1], length=20.0, dk_l=[32 * math.pi])
+@example(panels=256, weights=[1.0, -0.1], length=20.0, dk_l=[1024 * math.pi / 11])
 def test_panel_split_kernel_is_the_per_panel_sum(panels, weights, length, dk_l):
     """Within 1e-13 of the same sum taken with |a_j|, the scale of its
     rounding, for |dk L| up to 300, exactly 0 and +-1e-300.
+
+    The last two examples put a half angle on pi/2, where the kernel's
+    tangent is about +-1.6e16: with P = 256, q = 16 and phi = dk L/(4P),
+    q a phi = pi/2 at a = 1 for dk L = 32 pi, and (b + 1/2) phi = pi/2 at
+    b = 5 for dk L = 1024 pi/11.
 
     A result below the normal range rounds by up to half a subnormal ulp
     u = 5e-324 in absolute terms, where the relative bound underflows to
@@ -209,6 +217,43 @@ def test_panel_split_kernel_is_the_per_panel_sum(panels, weights, length, dk_l):
     scale = per_panel_oracle(dk, length, [abs(a) for a in weights], panels)
     floor = (2 * len(weights) + 3) * 5e-324 * max(1.0, length)
     assert np.all(np.abs(got - oracle) <= 1e-13 * scale + floor)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    panels=st.sampled_from([256, 1000, 1024]),
+    degrees=st.integers(1, 3),
+    size=st.integers(1, 2100),
+    shared=st.lists(st.booleans(), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batch_elements_are_the_single_element_calls(panels, degrees, size, shared, seed):
+    """Each element of a broadcast batch is bitwise the kernel called on
+    that element alone, wherever it falls among the blocks of rows and the
+    SIMD lanes.  Batches run from 1 element to over 3 blocks of rows for
+    every panel count and degree count drawn (a block has at most 682
+    rows), and most sizes are not multiples of 8.  The length and each
+    weight are per element or shared, as ``shared`` draws.
+
+    The panel counts have q = 16 and 32.  At some other q, such as 17
+    (P = 257 to 289), OpenBLAS's dgemm gives a row of the bilinear product
+    a last-bit difference that depends on how many rows the call has, so
+    there a batch element and its single call can differ in the last
+    bit."""
+    rng = np.random.default_rng(seed)
+    dk = rng.uniform(-300.0, 300.0, size) / 20.0
+    dk[rng.random(size) < 0.05] = 0.0
+    length = 20.0 if shared[0] else rng.uniform(0.5, 50.0, size)
+    weights = [
+        rng.uniform(1.0, 10.0) if same else rng.uniform(1.0, 10.0, size) * rng.choice([-1, 1], size)
+        for same in shared[1 : 1 + degrees]
+    ]
+    batch = weighted_sinc2_sum(dk, length, weights, panels)
+    rows = _BLOCK_ELEMENTS // (3 * degrees * (math.isqrt(panels - 1) + 1))
+    assert rows <= 682
+    for i in range(size):
+        one = [w if np.ndim(w) == 0 else w[i] for w in (length, *weights)]
+        assert np.array_equal(batch[i], weighted_sinc2_sum(dk[i], one[0], one[1:], panels)), i
 
 
 @settings(max_examples=60, deadline=None)
@@ -244,6 +289,16 @@ class TestWeightedKernel:
     def test_nan_detuning_stays_nan(self):
         out = weighted_sinc2_sum(np.array([np.nan, 0.1]), LENGTH, (1.0,))
         assert np.isnan(out[0]) and np.isfinite(out[1])
+
+    @pytest.mark.parametrize("panels", [0, -4, 2.5])
+    def test_panel_count_must_be_a_positive_integer(self, panels):
+        with pytest.raises(DomainError):
+            weighted_sinc2_sum(0.1, LENGTH, (1.0,), panels)
+
+    @pytest.mark.parametrize("length", [-1.0, 0.0, np.array([20.0, -1.0])])
+    def test_non_positive_length_rejected(self, length):
+        with pytest.raises(DomainError):
+            weighted_sinc2_sum(0.1, length, (1.0,))
 
 
 class TestPlanckWeight:
