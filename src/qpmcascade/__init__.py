@@ -20,7 +20,6 @@ from .conversion import (
 from .device import TwoStepDevice, load_device
 from .dispersion import (
     BulkIndexProvider,
-    OffsetIndexProvider,
     SellmeierModel,
     builtin_material,
     group_and_phase_terms,

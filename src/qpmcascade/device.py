@@ -24,10 +24,9 @@ the DFG chain at that pump: step 1 from the signal, step 2 from step 1's
 output.  A solved period is stored at ``expansion_ref_C``, so the
 section's thermal expansion restores it at ``solve_at.T_C``.  Sections
 whose ``index_provider`` blocks are equal share one provider object, so a
-mode-solver device solves each (wavelength, T, mode) once for both
-sections.  An ``index_provider`` block takes only the keys its ``kind``
-reads: ``material`` for ``bulk``; ``material`` and ``delta_n`` for
-``offset``; ``mode`` for ``modesolver``.
+mode-solver device solves each (wavelength, T) once for both sections.
+An ``index_provider`` block takes only the keys its ``kind`` reads:
+``material`` for ``bulk``; ``mode`` for ``modesolver``.
 
 Unknown and missing keys are rejected with a named error, and so is a
 value of the wrong JSON type: numeric fields must be finite JSON numbers
@@ -48,7 +47,6 @@ from typing import Callable, Mapping
 from .conversion import LossBudget
 from .dispersion import (
     BulkIndexProvider,
-    OffsetIndexProvider,
     SellmeierModel,
     builtin_material,
     load_material,
@@ -63,8 +61,7 @@ _check_keys = functools.partial(check_keys, DeviceFileError)
 _value = functools.partial(json_value, DeviceFileError)
 
 # The keys each index_provider kind reads besides "kind": (required, optional).
-_PROVIDER_KEYS = {"bulk": ({"material"}, set()), "offset": ({"material"}, {"delta_n"}),
-                  "modesolver": (set(), {"mode"})}
+_PROVIDER_KEYS = {"bulk": ({"material"}, set()), "modesolver": (set(), {"mode"})}
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,10 +188,7 @@ def _build_provider(doc: dict, materials, geometry: WaveguideGeometry | None, wh
             raise DeviceFileError(f"{where}: modesolver provider needs a geometry block")
         mode = _value(doc.get("mode", 1), int, f"{where}.mode")
         return ModeSolverIndexProvider(geometry, default_mode=mode)
-    model = _material_for(doc["material"], materials, f"{where}.material")
-    if kind == "bulk":
-        return BulkIndexProvider(model)
-    return OffsetIndexProvider(model, delta_n=_value(doc.get("delta_n", 0.0), float, f"{where}.delta_n"))
+    return BulkIndexProvider(_material_for(doc["material"], materials, f"{where}.material"))
 
 
 def _build_section(

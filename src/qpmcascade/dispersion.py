@@ -21,10 +21,12 @@ form.  Two published forms are built in:
 ``constant``
     n^2 = n2 exactly; a synthetic form for tests and toy media.
 
-The module also defines the effective-index provider abstraction: a
-provider maps (wavelength, temperature, transverse mode number) to one
-refractive index.  Bulk and offset-corrected providers live here; the
-mode-solver-backed provider is in :mod:`qpmcascade.modesolver`.
+The module also defines the bulk effective-index provider.  A provider
+maps (wavelength, temperature) to the index of the one transverse mode it
+was built for, through ``effective_index(lam, temp_C)``; the
+mode-solver-backed provider is in :mod:`qpmcascade.modesolver`.  No
+provider adds a constant index offset: every process here conserves
+energy, so a constant offset cancels from every delta-k.
 
 Index evaluation broadcasts over arrays of wavelength (nm) and temperature;
 see :func:`qpmcascade.errors.screen` for invalid inputs.
@@ -44,7 +46,6 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import (
-    CapabilityError,
     MaterialFileError,
     NumericError,
     RangeError,
@@ -216,39 +217,18 @@ def group_and_phase_terms(
 class BulkIndexProvider:
     """Effective index approximated by the bulk material index.
 
-    Supports the fundamental transverse mode only; geometric dispersion of
+    Stands for the fundamental transverse mode; geometric dispersion of
     the guided structure is ignored.
     """
-
-    delta_n = 0.0
 
     def __init__(self, model: SellmeierModel):
         self.model = model
 
-    def effective_index(self, lam, temp_C, mode: int = 1):
-        if mode != 1:
-            raise CapabilityError(
-                f"{type(self).__name__} supports mode 1 only, got mode {mode}"
-            )
-        return sellmeier_index(self.model, lam, temp_C) + self.delta_n
+    def effective_index(self, lam, temp_C):
+        return sellmeier_index(self.model, lam, temp_C)
 
     def __repr__(self):
         return f"BulkIndexProvider({self.model.name!r})"
-
-
-class OffsetIndexProvider(BulkIndexProvider):
-    """Bulk index plus a constant additive correction.
-
-    The offset ``delta_n`` is a free parameter meant to absorb systematic
-    deviations between bulk and guided-mode indices (geometry, doping).
-    """
-
-    def __init__(self, model: SellmeierModel, delta_n: float):
-        super().__init__(model)
-        self.delta_n = float(delta_n)
-
-    def __repr__(self):
-        return f"OffsetIndexProvider({self.model.name!r}, delta_n={self.delta_n!r})"
 
 
 # --- material file I/O ----------------------------------------------------

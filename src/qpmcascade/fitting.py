@@ -220,12 +220,9 @@ def fit(
 def _standard_errors(
     model: FitModel, jac: np.ndarray, cost: float, n_data: int, n_par: int
 ) -> np.ndarray:
-    dof = n_data - n_par
-    if dof <= 0:
-        return np.zeros(n_par)
     a_mat = jac.T @ jac
     try:
-        cov = np.linalg.inv(a_mat) * (cost / dof)
+        cov = np.linalg.inv(a_mat) * (cost / (n_data - n_par))
     except np.linalg.LinAlgError as exc:
         raise RankDeficiencyError(
             f"normal matrix of model {model.name!r} is singular at the solution"

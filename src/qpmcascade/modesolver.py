@@ -552,11 +552,11 @@ def marcatili_index(
 class ModeSolverIndexProvider:
     """Effective index backed by the finite-difference mode solver.
 
-    ``default_mode`` selects which eigenmode this provider reports when the
-    caller does not ask for a specific one; this is how higher-order-mode
-    conversion branches are wired into the phase-matching engine.  Results
-    are cached per (wavelength, temperature, mode); an array query looks
-    up each element and masks (NaN) those a scalar query would raise on.
+    The provider reports eigenmode ``default_mode`` of the geometry; this
+    is how higher-order-mode conversion branches are wired into the
+    phase-matching engine, one provider per mode.  Results are cached per
+    (wavelength, temperature); an array query looks up each element and
+    masks (NaN) those a scalar query would raise on.
     """
 
     def __init__(self, geometry: WaveguideGeometry, default_mode: int = 1):
@@ -564,30 +564,28 @@ class ModeSolverIndexProvider:
             raise DomainError("default_mode must be >= 1")
         self.geometry = geometry
         self.default_mode = default_mode
-        self._cache: dict[tuple[float, float, int], float] = {}
+        self._cache: dict[tuple[float, float], float] = {}
 
-    def effective_index(self, lam, temp_C, mode: int | None = None):
-        mode = self.default_mode if mode is None else mode
-        if mode < 1:
-            raise CapabilityError(f"mode numbers start at 1, got {mode}")
+    def effective_index(self, lam, temp_C):
         lam_nm = lam.nm if isinstance(lam, Wavelength) else lam
         if not (is_array(lam_nm) or is_array(temp_C)):
-            return self._lookup(float(lam_nm), float(temp_C), mode)
+            return self._lookup(float(lam_nm), float(temp_C))
         lam_nm, temp_C = np.broadcast_arrays(np.asarray(lam_nm, float), np.asarray(temp_C, float))
         out = np.empty(lam_nm.shape)
         why = np.full(lam_nm.shape, "", dtype=object)
         for i in np.ndindex(out.shape):
             try:
-                out[i] = self._lookup(float(lam_nm[i]), float(temp_C[i]), mode)
+                out[i] = self._lookup(float(lam_nm[i]), float(temp_C[i]))
             except (DomainError, CapabilityError) as exc:
                 why[i] = exc.quantity if isinstance(exc, RangeError) else exc.code
         for reason in dict.fromkeys(why[why != ""]):
             out = screen(out, why != reason, reason, None)
         return out
 
-    def _lookup(self, lam_nm: float, temp_C: float, mode: int) -> float:
-        key = (lam_nm, temp_C, mode)
+    def _lookup(self, lam_nm: float, temp_C: float) -> float:
+        key = (lam_nm, temp_C)
         if key not in self._cache:
+            mode = self.default_mode
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ModeShortfallWarning)
                 solutions = solve_modes(self.geometry, Wavelength(lam_nm), temp_C, count=mode)
@@ -596,8 +594,7 @@ class ModeSolverIndexProvider:
                     f"geometry guides only {len(solutions)} mode(s) at "
                     f"{lam_nm} nm, {temp_C} C; mode {mode} unavailable"
                 )
-            for sol in solutions:
-                self._cache[(lam_nm, temp_C, sol.mode_index)] = sol.n_eff
+            self._cache[key] = solutions[mode - 1].n_eff
         return self._cache[key]
 
     def __repr__(self):

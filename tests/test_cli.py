@@ -828,6 +828,8 @@ class TestInputFileRefusals:
         (("pump_nm",), math.nan, "device_file_error", "pump_nm must be a finite number, got nan"),
         (("materials", 1), "bad\0name.json", "material_file_error",
          "name.json': invalid JSON: embedded null byte"),
+        (("sections", 0, "index_provider", "kind"), "offset", "device_file_error",
+         "sections[0].index_provider: unknown index_provider kind 'offset'"),
     ])
     def test_device_value_exits_three(self, tmp_path, path, value, error, message):
         code, err, written = solve_device_on(tmp_path, with_leaf(DEVICE_DOC, path, value))

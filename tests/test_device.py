@@ -195,16 +195,15 @@ class TestDeviceFileValidation:
         device = load_device(device_path)
         assert "lithium_niobate_e" in device.materials
 
-    def test_offset_provider_kind(self, tmp_path):
+    def test_refuses_offset_provider_kind(self, tmp_path):
         doc = reference_doc()
-        for section in doc["sections"]:
-            section["index_provider"] = {
-                "kind": "offset",
-                "material": "lithium_niobate_e",
-                "delta_n": 0.002,
-            }
-        device = device_from_dict(doc, tmp_path)
-        assert device.step1.index_provider.delta_n == 0.002
+        doc["sections"][0]["index_provider"] = {
+            "kind": "offset",
+            "material": "lithium_niobate_e",
+            "delta_n": 0.002,
+        }
+        with pytest.raises(DeviceFileError, match="'offset'"):
+            device_from_dict(doc, tmp_path)
 
     def test_unknown_provider_kind(self, tmp_path):
         doc = reference_doc()

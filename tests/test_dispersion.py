@@ -2,10 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpmcascade.dispersion import (
     BulkIndexProvider,
-    OffsetIndexProvider,
     SellmeierModel,
     builtin_material,
     builtin_material_names,
@@ -15,8 +16,9 @@ from qpmcascade.dispersion import (
     save_material,
     sellmeier_index,
 )
-from qpmcascade.errors import CapabilityError, MaterialFileError, NumericError, RangeError, masked_cells
-from qpmcascade.spectral import Wavelength
+from qpmcascade.errors import MaterialFileError, NumericError, RangeError, masked_cells
+from qpmcascade.qpm import SectionSpec, delta_k, solve_poling_period
+from qpmcascade.spectral import ProcessKind, Wavelength
 
 
 def jundt_ne_oracle(lam_um: float, temp_C: float) -> float:
@@ -127,8 +129,7 @@ class TestArrayEvaluation:
     def test_providers_take_arrays(self, lithium_niobate):
         lam = np.array([1064.0, 1550.0])
         bulk = BulkIndexProvider(lithium_niobate).effective_index(lam, 25.0)
-        offset = OffsetIndexProvider(lithium_niobate, 0.01).effective_index(lam, 25.0)
-        assert np.array_equal(offset, bulk + 0.01)
+        assert bulk.tolist() == [sellmeier_index(lithium_niobate, x, 25.0) for x in lam.tolist()]
 
 
 class TestDerivatives:
@@ -154,30 +155,42 @@ class TestDerivatives:
             group_and_phase_terms(lithium_niobate, Wavelength(50.0), 25.0)
 
 
+class _ShiftedIndexProvider(BulkIndexProvider):
+    """The bulk index plus a constant ``dn``."""
+
+    def __init__(self, model, dn):
+        super().__init__(model)
+        self.dn = dn
+
+    def effective_index(self, lam, temp_C):
+        return sellmeier_index(self.model, lam, temp_C) + self.dn
+
+
+# DFG: a visible-to-near-IR signal and the ~2.15 um pump; SFG: a mid-IR
+# thermal driver on the same pump, as in the thermal-SFG noise process.
+_PROCESSES = st.one_of(
+    st.tuples(st.just(ProcessKind.DFG), st.floats(600.0, 1000.0)),
+    st.tuples(st.just(ProcessKind.SFG), st.floats(2500.0, 4400.0)),
+)
+
+
 class TestIndexProviders:
-    def test_offset_zero_equals_bulk(self, lithium_niobate):
+    @settings(max_examples=200, deadline=None)
+    @given(process=_PROCESSES, pump_nm=st.floats(2000.0, 2500.0),
+           temp_C=st.floats(20.0, 200.0), dn=st.floats(-0.3, 0.3))
+    def test_constant_index_offset_cancels(self, lithium_niobate, process, pump_nm, temp_C, dn):
+        """Energy conservation makes a constant index offset invisible:
+        delta_k shifts by 2 pi dn (1/lam_in - 1/lam_out - 1/lam_pump) = 0,
+        so no provider needs one."""
+        kind, lam_in = process
         bulk = BulkIndexProvider(lithium_niobate)
-        offset = OffsetIndexProvider(lithium_niobate, delta_n=0.0)
-        lam = Wavelength(1561.6)
-        assert offset.effective_index(lam, 59.0) == bulk.effective_index(lam, 59.0)
-
-    def test_offset_is_exact_constant_shift(self, lithium_niobate):
-        bulk = BulkIndexProvider(lithium_niobate)
-        offset = OffsetIndexProvider(lithium_niobate, delta_n=0.01)
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            lam = Wavelength(float(rng.uniform(500.0, 4000.0)))
-            temp = float(rng.uniform(25.0, 150.0))
-            assert offset.effective_index(lam, temp) == bulk.effective_index(lam, temp) + 0.01
-
-    def test_fundamental_mode_only(self, lithium_niobate):
-        bulk = BulkIndexProvider(lithium_niobate)
-        with pytest.raises(CapabilityError):
-            bulk.effective_index(Wavelength(1561.6), 59.0, mode=2)
-        with pytest.raises(CapabilityError):
-            OffsetIndexProvider(lithium_niobate, 0.0).effective_index(
-                Wavelength(1561.6), 59.0, mode=2
-            )
+        shifted = _ShiftedIndexProvider(lithium_niobate, dn)
+        dk = [delta_k(kind, lam_in, pump_nm, temp_C, SectionSpec("step1", 20.0, 20.0, temp_C, p))
+              for p in (bulk, shifted)]
+        assert abs(dk[1] - dk[0]) <= 1e-9
+        periods = [solve_poling_period(kind, Wavelength(lam_in), Wavelength(pump_nm), temp_C, p)
+                   for p in (bulk, shifted)]
+        assert periods[1] == pytest.approx(periods[0], rel=1e-12, abs=0.0)
 
 
 class TestMaterialFiles:

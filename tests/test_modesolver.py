@@ -647,23 +647,41 @@ class TestMarcatili:
 
 class TestModeSolverProvider:
     def test_guided_bound_and_ordering(self, default_geometry, lithium_niobate, lithium_tantalate):
-        provider = ModeSolverIndexProvider(default_geometry)
-        n1 = provider.effective_index(LAM, TEMP, mode=1)
-        n2 = provider.effective_index(LAM, TEMP, mode=2)
+        n1, n2 = (ModeSolverIndexProvider(default_geometry, default_mode=mode).effective_index(LAM, TEMP)
+                  for mode in (1, 2))
         n_core = sellmeier_index(lithium_niobate, LAM, TEMP)
         n_clad = sellmeier_index(lithium_tantalate, LAM, TEMP)
         assert n_clad < n2 < n1 < n_core
 
     def test_default_mode_configuration(self, default_geometry):
         provider = ModeSolverIndexProvider(default_geometry, default_mode=2)
-        assert provider.effective_index(LAM, TEMP) == provider.effective_index(
-            LAM, TEMP, mode=2
-        )
+        assert provider.effective_index(LAM, TEMP) == solve_modes(default_geometry, LAM, TEMP, count=2)[1].n_eff
 
     def test_unavailable_mode_raises(self, slab_geometry):
-        provider = ModeSolverIndexProvider(slab_geometry)
+        provider = ModeSolverIndexProvider(slab_geometry, default_mode=9)
         with pytest.raises(CapabilityError):
-            provider.effective_index(LAM, TEMP, mode=9)
+            provider.effective_index(LAM, TEMP)
+
+    def test_higher_mode_map_solves_once_per_distinct_key(self, default_geometry, lithium_niobate, monkeypatch):
+        solved = []
+
+        def two_mode_solve(geometry, lam, temp_C, count=1):
+            n = sellmeier_index(lithium_niobate, lam, temp_C)
+            solved.append((lam.nm, temp_C))
+            return [SimpleNamespace(mode_index=m, n_eff=n - 0.01 * m) for m in (1, 2)][:count]
+
+        monkeypatch.setattr(modesolver, "solve_modes", two_mode_solve)
+        # One provider for both sections, as a device with equal blocks has.
+        provider = ModeSolverIndexProvider(default_geometry, default_mode=2)
+        step1, step2 = (SectionSpec(role, 20.0, period, TEMP, provider)
+                        for role, period in (("step1", 12.9), ("step2", 31.8)))
+        signal = Wavelength(637.2)
+        pm = phasematch_map(step1, step2, signal, [55.0, 60.0], [2150.0, 2155.0])
+        assert np.all(np.isfinite(pm.step1)) and np.all(np.isfinite(pm.step2))
+        # Signal, two intermediates, two targets and two pumps at two temperatures.
+        assert len(solved) == len(set(solved)) == 14
+        assert provider.effective_index(signal, 55.0) == sellmeier_index(lithium_niobate, signal, 55.0) - 0.02
+        assert len(solved) == 14
 
 
     def test_map_solves_once_per_distinct_key(self, default_geometry, fake_solves):

@@ -259,9 +259,9 @@ class TestPhasematchMap:
         calls = []
         original = provider.effective_index
 
-        def counting(lam, temp_C, mode=1):
+        def counting(lam, temp_C):
             calls.append(1)
-            return original(lam, temp_C, mode)
+            return original(lam, temp_C)
 
         monkeypatch.setattr(provider, "effective_index", counting)
         counts = []
@@ -341,9 +341,9 @@ class TestTuningCurve:
         calls = []
         original = provider.effective_index
 
-        def counting(lam, temp_C, mode=1):
+        def counting(lam, temp_C):
             calls.append(1)
-            return original(lam, temp_C, mode)
+            return original(lam, temp_C)
 
         monkeypatch.setattr(provider, "effective_index", counting)
         counts = []
