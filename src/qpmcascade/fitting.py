@@ -18,7 +18,9 @@ scanned parameter varying along its own axis and every other parameter a
 scalar, so a model term is evaluated once per distinct combination of
 the axes it depends on; a lattice whose points times samples exceed
 2^15 is scored in slices along its last scanned axis, each call within
-that budget.  :func:`fit` evaluates one vector at a time.
+that budget.  :func:`fit` evaluates each Jacobian in one call, on all
+2 n_par perturbed vectors as an (n_par, 2 n_par, 1) array, and each trial
+step as one vector.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .conversion import _saturating_efficiency
-from .errors import DomainError, RankDeficiencyError
+from .errors import ConverterError, DomainError, RankDeficiencyError
 from .noisemodel import lineshape_analytic, weighted_sinc2_sum
 from .qpm import qpm_transfer
 
@@ -50,9 +52,12 @@ class FitModel:
     over ``x``.  Given a batch, a sequence of n_par arrays that broadcast
     with one another and with ``x`` (such as an (n_par, M, 1) array, or
     :func:`auto_initial`'s open mesh of (16, 1, ..., 1)-style axes and
-    scalars), it returns the curves over their broadcast shape.  A
-    closure that unpacks ``params`` and uses numpy broadcasting does this
-    without extra code.  ``bounds`` is one
+    scalars, or :func:`fit`'s (n_par, 2 n_par, 1) Jacobian batch), it
+    returns the curves over their broadcast shape.  A closure that
+    unpacks ``params`` and uses numpy broadcasting does this without extra
+    code.  Where each batch row is bitwise its vector evaluated alone, as
+    for every registry model, fit's Jacobian is bitwise the one a
+    vector-by-vector central difference gives.  ``bounds`` is one
     (low, high) pair per parameter; ``constants`` holds fixed non-fitted
     values the evaluate closure was built with (kept for reporting).
     """
@@ -108,24 +113,31 @@ def _jacobian(
     ``base`` is ``func(params)``, which the caller already holds.
     Per-parameter step h_i = rel_step * max(|p_i|, 1): relative above unit
     magnitude with an absolute floor so zero-valued parameters still move.
+    ``func`` is called once, on the 2 n_par perturbed vectors as an
+    (n_par, 2 n_par, 1) array, the up steps first and then the down steps,
+    and returns one residual row per vector.
+    Where p_i + h_i would pass its upper bound, the up row holds the point
+    itself and column i is the backward difference against ``base``;
+    otherwise, where p_i - h_i would pass its lower bound, the down row
+    holds the point and column i is the forward difference.
     """
-    jac = np.empty((base.size, params.size))
-    for i, p in enumerate(params):
-        h = rel_step * max(abs(p), 1.0)
-        lo, hi = bounds[i]
-        up = params.copy()
-        down = params.copy()
-        if p + h <= hi and p - h >= lo:
-            up[i] = p + h
-            down[i] = p - h
-            jac[:, i] = (func(up) - func(down)) / (2.0 * h)
-        elif p + h <= hi:
-            up[i] = p + h
-            jac[:, i] = (func(up) - base) / h
-        else:
-            down[i] = p - h
-            jac[:, i] = (base - func(down)) / h
-    return jac
+    n = params.size
+    lows, highs = np.array(bounds, dtype=float).T
+    h = rel_step * np.maximum(np.abs(params), 1.0)
+    up, down = params + h, params - h
+    up_ok = up <= highs
+    forward = up_ok & (down < lows)
+    batch = np.tile(params, (2 * n, 1))
+    diag = np.arange(n)
+    batch[diag, diag] = np.where(up_ok, up, params)
+    batch[n + diag, diag] = np.where(forward, params, down)
+    rows = func(batch.T[:, :, None])
+    upper = np.where(up_ok[:, None], rows[:n], base)
+    lower = np.where(forward[:, None], base, rows[n:])
+    width = np.where(up_ok & ~forward, 2.0 * h, h)
+    # C order: BLAS rounds the normal matrix jac.T @ jac differently for
+    # a Fortran-ordered jac, which moves fitted parameters in the last bits.
+    return np.ascontiguousarray(((upper - lower) / width[:, None]).T)
 
 
 def fit(
@@ -137,8 +149,11 @@ def fit(
 ) -> FitResult:
     """Levenberg-Marquardt fit of ``model`` to (x, y).
 
-    Requires at least max(3, n_parameters + 1) data points and an initial
-    guess inside the bounds.  A singular normal matrix raises
+    Requires finite data, at least max(3, n_parameters + 1) data points
+    and a finite initial guess inside the bounds.  The model must evaluate
+    a batch of parameter vectors (:class:`FitModel`), as each Jacobian is
+    one call on all of its perturbed vectors; one that does not raises
+    :class:`DomainError`.  A singular normal matrix raises
     :class:`RankDeficiencyError`; hitting the iteration cap returns a
     result flagged not converged rather than raising.
     """
@@ -152,6 +167,13 @@ def fit(
         raise DomainError(
             f"need at least {max(3, n_par + 1)} matched data points, got {x.size}"
         )
+    for label, data in (("x", x), ("y", y)):
+        bad = np.flatnonzero(~np.isfinite(data))
+        if bad.size:
+            raise DomainError(f"data {label} must be finite, got {data[bad[0]]} at index {bad[0]}")
+    for name, value in zip(model.parameter_names, p):
+        if not math.isfinite(value):
+            raise DomainError(f"initial parameter {name!r} must be finite, got {value}")
     lows = np.array([b[0] for b in model.bounds])
     highs = np.array([b[1] for b in model.bounds])
     if np.any(p < lows) or np.any(p > highs):
@@ -160,6 +182,19 @@ def fit(
     def residuals(params: np.ndarray) -> np.ndarray:
         return y - model.evaluate(params, x)
 
+    def batch_residuals(batch: np.ndarray) -> np.ndarray:
+        try:
+            rows = residuals(batch)
+            if rows.shape != (batch.shape[1], x.size):
+                raise ValueError(f"{batch.shape[1]} vectors gave curves of shape {rows.shape}")
+        except ConverterError:
+            raise
+        except ValueError as exc:
+            raise DomainError(
+                f"model {model.name!r} does not evaluate a batch of parameter vectors: {exc}"
+            ) from exc
+        return rows
+
     r = residuals(p)
     cost = float(r @ r)
     damping = 1e-3
@@ -167,7 +202,7 @@ def fit(
     converged = False
     iterations = 0
     trace = [cost]
-    jac = _jacobian(residuals, p, r, model.bounds)
+    jac = _jacobian(batch_residuals, p, r, model.bounds)
     while iterations < max_iterations:
         iterations += 1
         a_mat = jac.T @ jac
@@ -196,7 +231,7 @@ def fit(
             p, r, cost = candidate, r_new, cost_new
             trace.append(cost)
             damping = max(damping / 10.0, 1e-12)
-            jac = _jacobian(residuals, p, r, model.bounds)
+            jac = _jacobian(batch_residuals, p, r, model.bounds)
             stall = stall + 1 if decrease < _REL_DECREASE else 0
         else:
             damping = min(damping * 10.0, 1e12)

@@ -360,6 +360,19 @@ class TestFitCommand:
         assert capsys.readouterr().err.startswith("code=domain_error, msg=")
         assert not out.exists()
 
+    def test_non_finite_initial_exits_three_naming_the_parameter(self, tmp_path, capsys):
+        data = tmp_path / "scan.csv"
+        x = np.linspace(2151.9, 2153.9, 41)
+        data.write_text("\n".join(f"{a!r},{b!r}" for a, b in zip(x.tolist(), np.sinc(x - 2152.9).tolist())))
+        out = tmp_path / "fit.json"
+        code = main(["fit", "--model", "sinc2_scan", "--data", str(data), "--initial",
+                     "amplitude=nan,center=2152.9,effective_length=20,offset=0", "-o", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "code=domain_error, msg=initial parameter 'amplitude' must be finite, got nan\n"
+        )
+        assert not out.exists()
+
 
 class TestSolveDeviceCommand:
     def test_report_contents(self, tmp_path):

@@ -86,21 +86,67 @@ class TestFitCore:
         with pytest.raises(RankDeficiencyError):
             fit(model, x, 2.0 * x + 0.01, np.array([1.0, 0.0]))
 
-    def test_central_jacobian_evaluates_two_points_per_parameter(self, sinc2_model):
-        """The residual at the point itself is passed in, not re-evaluated."""
+    def test_central_jacobian_is_one_call_on_two_vectors_per_parameter(self, sinc2_model):
+        """One call per Jacobian, on 2 n_par perturbed vectors; the residual
+        at the point itself is passed in, not re-evaluated."""
         from qpmcascade.fitting import _jacobian
 
         calls = []
 
         def residuals(p):
-            calls.append(p.copy())
+            calls.append(np.array(p, dtype=float))
             return -sinc2_model.evaluate(p, SCAN_X)
 
         base = residuals(SCAN_TRUTH)
         calls.clear()
         _jacobian(residuals, SCAN_TRUTH, base, sinc2_model.bounds)
-        assert len(calls) == 2 * SCAN_TRUTH.size
-        assert not any(np.array_equal(p, SCAN_TRUTH) for p in calls)
+        assert len(calls) == 1
+        assert calls[0].shape == (SCAN_TRUTH.size, 2 * SCAN_TRUTH.size, 1)
+        vectors = calls[0][:, :, 0].T
+        assert not any(np.array_equal(v, SCAN_TRUTH) for v in vectors)
+
+    def test_fit_makes_one_batch_call_per_jacobian(self, sinc2_model):
+        # a Jacobian is taken at the start and after every accepted step,
+        # and the cost trace gains one entry at each of those points
+        batches = []
+
+        def counting(params, x):
+            if np.ndim(params[0]):
+                batches.append(np.shape(params[0]))
+            return sinc2_model.evaluate(params, x)
+
+        rng = np.random.default_rng(77)
+        y = sinc2_model.evaluate(SCAN_TRUTH, SCAN_X) + rng.normal(0, 0.01, SCAN_X.size)
+        result = fit(replace(sinc2_model, evaluate=counting), SCAN_X, y, [0.8, 2152.7, 15.0, 0.01])
+        assert batches == [(2 * SCAN_TRUTH.size, 1)] * len(result.cost_trace)
+
+    @pytest.mark.parametrize("where, message", [
+        ("initial", "initial parameter 'amplitude' must be finite, got nan"),
+        ("x", "data x must be finite, got inf at index 7"),
+        ("y", "data y must be finite, got nan at index 7"),
+    ])
+    def test_non_finite_input_refused_by_name(self, sinc2_model, where, message):
+        inputs = {"x": SCAN_X.copy(), "y": sinc2_model.evaluate(SCAN_TRUTH, SCAN_X),
+                  "initial": SCAN_TRUTH.copy()}
+        inputs[where][0 if where == "initial" else 7] = np.inf if where == "x" else np.nan
+        with pytest.raises(DomainError) as exc:
+            fit(sinc2_model, **inputs)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda p, x: np.full_like(x, p[0]),  # numpy cannot broadcast the batch
+        lambda p, x: np.mean(p[0]) + 0.0 * x,  # one curve for the whole batch
+    ])
+    def test_model_that_does_not_broadcast_refused_by_name(self, evaluate):
+        model = FitModel(
+            name="scalar_only",
+            parameter_names=("c",),
+            bounds=((-10.0, 10.0),),
+            evaluate=evaluate,
+        )
+        x = np.linspace(0.0, 1.0, 25)
+        with pytest.raises(DomainError, match="model 'scalar_only' does not evaluate a batch"):
+            fit(model, x, np.zeros_like(x), np.array([0.0]))
 
     def test_iteration_cap_returns_unconverged(self, sinc2_model):
         rng = np.random.default_rng(5)
@@ -274,6 +320,76 @@ class TestRegistry:
             assert np.max(np.abs(coarse - fine) / scale) < 1e-4
 
 
+def per_vector_jacobian(func, params, base, bounds, rel_step=1e-6):
+    """Central differences taken one parameter vector per call, one-sided
+    where a step would pass a bound."""
+    jac = np.empty((base.size, params.size))
+    for i, p in enumerate(params):
+        h = rel_step * max(abs(p), 1.0)
+        lo, hi = bounds[i]
+        up = params.copy()
+        down = params.copy()
+        if p + h <= hi and p - h >= lo:
+            up[i] = p + h
+            down[i] = p - h
+            jac[:, i] = (func(up) - func(down)) / (2.0 * h)
+        elif p + h <= hi:
+            up[i] = p + h
+            jac[:, i] = (func(up) - base) / h
+        else:
+            down[i] = p - h
+            jac[:, i] = (base - func(down)) / h
+    return jac
+
+
+# (x, point) per case: interior points, lineshape_eq2 at a1 = a2 = 0 as
+# auto_initial leaves it, and points with a parameter on a bound, where
+# the column is a forward (lower bound) or backward (upper bound)
+# difference.
+JACOBIAN_CASES = {
+    "sinc2_scan": (np.linspace(2150, 2156, 40), [
+        [1.2, 2152.5, 15.0, 0.1],
+        [0.0, 2152.5, 15.0, 0.1],
+    ]),
+    "saturation": (np.linspace(0.0, 0.2, 40), [
+        [0.8, 0.02],
+        [1.0, 0.0],
+    ]),
+    "lineshape_eq1": (np.linspace(1548, 1552, 40), [
+        [2.0, 1550.2, 18.0, 0.05],
+        [2.0, 1550.2, 1e3, 0.05],
+    ]),
+    "lineshape_eq2": (np.linspace(1548, 1552, 40), [
+        [5.0, -1.0, 0.04, 1550.2, 18.0, 0.05],
+        [1.0, 0.0, 0.0, 1550.2, 1.0, 0.0],
+        [1.0, 0.0, 0.0, 1550.2, 1e-3, 0.0],
+    ]),
+    "two_mode_sinc2": (np.linspace(2150, 2162, 60), [
+        [1.0, 2153.0, 0.5, 2158.0, 15.0, 0.0],
+        [1.0, 2153.0, 0.0, 2158.0, 15.0, 0.0],
+    ]),
+}
+
+
+@pytest.mark.parametrize("name, case", [
+    (name, k) for name, (_, points) in JACOBIAN_CASES.items() for k in range(len(points))
+])
+def test_batched_jacobian_is_the_per_vector_jacobian(name, case):
+    """Every registry model's batch rows are its single-vector calls, so
+    the one-call Jacobian is bitwise the per-vector one."""
+    from qpmcascade.fitting import _jacobian
+
+    model = registry_model(name)
+    x, points = JACOBIAN_CASES[name]
+    params = np.array(points[case])
+    y = model.evaluate(params, x) + np.random.default_rng(case).normal(0.0, 0.01, x.size)
+    residuals = lambda p: y - model.evaluate(p, x)
+    base = residuals(params)
+    batched = _jacobian(residuals, params, base, model.bounds)
+    assert np.array_equal(batched, per_vector_jacobian(residuals, params, base, model.bounds))
+    assert batched.flags.c_contiguous
+
+
 class TestGoodness:
     def test_perfect_fit_rms_zero(self, sinc2_model):
         y = sinc2_model.evaluate(SCAN_TRUTH, SCAN_X)
@@ -285,7 +401,7 @@ class TestGoodness:
             name="const",
             parameter_names=("c",),
             bounds=((-10.0, 10.0),),
-            evaluate=lambda p, x: np.full_like(x, p[0]),
+            evaluate=lambda p, x: p[0] + 0.0 * x,
         )
         x = np.linspace(0.0, 1.0, 25)
         result = fit(model, x, np.zeros_like(x), np.array([0.0]))

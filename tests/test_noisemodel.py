@@ -256,6 +256,34 @@ def test_batch_elements_are_the_single_element_calls(panels, degrees, size, shar
         assert np.array_equal(batch[i], weighted_sinc2_sum(dk[i], one[0], one[1:], panels)), i
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    panels=st.sampled_from([256, 1000, 1024]),
+    rows=st.integers(2, 12),
+    samples=st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batch_rows_with_mixed_degrees_are_the_single_row_calls(panels, rows, samples, seed):
+    """A row of an (R, M) batch, one weight vector and centre per row as a
+    fit's Jacobian passes them, is bitwise that row called alone, when
+    some rows have a1 = a2 = 0 and others do not.  Alone, such a row
+    evaluates degree 0 only; in the batch it shares degrees 1 and 2 with
+    the other rows, and each degree's sum is reduced on its own.  The
+    panel counts are those of the batch test above (q = 16 and 32)."""
+    rng = np.random.default_rng(seed)
+    x = np.linspace(-3.0, 3.0, samples)
+    center = rng.uniform(-0.5, 0.5, (rows, 1))
+    length = rng.uniform(0.5, 30.0, (rows, 1))
+    a0 = rng.uniform(-5.0, 5.0, (rows, 1))
+    a1, a2 = rng.uniform(-1.0, 1.0, (2, rows, 1)) * (rng.random((2, rows, 1)) < 0.5)
+    a1[0] = a2[0] = 0.0
+    a1[-1] = 0.5
+    batch = weighted_sinc2_sum(x - center, length, (a0, a1, a2), panels)
+    for i in range(rows):
+        alone = weighted_sinc2_sum(x - center[i, 0], length[i, 0], (a0[i, 0], a1[i, 0], a2[i, 0]), panels)
+        assert np.array_equal(batch[i], alone), i
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     length=st.floats(0.5, 100.0),
