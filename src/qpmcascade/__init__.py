@@ -48,11 +48,9 @@ from .modesolver import (
     solve_modes,
 )
 from .noisemodel import (
-    LineShapeParams,
     ParasiticProcess,
     enumerate_parasitics,
     lineshape_analytic,
-    lineshape_weighted,
     planck_weight,
     solve_thermal_sfg_output,
     thermal_sfg_lineshape,

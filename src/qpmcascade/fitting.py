@@ -4,11 +4,14 @@ saturation models used for measured or synthetic curves.
 The solver is a classic Levenberg-Marquardt descent with a numeric
 Jacobian (central differences, relative step 1e-6), multiplicative
 damping (start 1e-3, x10 on a rejected step, /10 on an accepted one) and
-projection of every step onto the parameter bounds.  It converges when
-the relative residual decrease stays below 1e-10 for three consecutive
-iterations or the parameter step norm drops below 1e-12.  Everything is
-plain double-precision arithmetic in a fixed order, so identical inputs
-give bitwise-identical results.
+projection of every step onto the parameter bounds.  It stops and
+reports convergence when the projected step norm drops below 1e-12, or
+after three consecutive iterations each of which either lowered the cost
+by less than 1e-10 relative or was rejected (did not lower it).  A
+rejected step counts toward that limit, so three rejections in a row
+end the fit as converged even where the cost is still far from a
+minimum.  Everything is plain double-precision arithmetic in a fixed
+order, so identical inputs give bitwise-identical results.
 
 Every model evaluates a batch of parameter vectors in one call: given
 ``params`` as a sequence of n_par arrays that broadcast with one another
@@ -378,9 +381,12 @@ def auto_initial(model: FitModel, x: Sequence[float], y: Sequence[float]) -> np.
 
     Heuristics fill amplitude/offset-like parameters from the data; the
     remaining (most nonlinear) parameters, at most three, are scanned on a
-    16-level lattice inside their effective bounds and the lowest-SSE
-    lattice point wins (the first one in C order over the scanned axes on
-    a tie; the guesses if no point scores finite).
+    16-level lattice and the lowest-SSE lattice point wins (the first one
+    in C order over the scanned axes on a tie; the guesses if no point
+    scores finite).  Centres span the data's x range, lengths a geometric
+    0.1-1000 and ``eta_nor`` 1e-5-10, other parameters their bounds; each
+    axis is confined to its parameter's bounds, so the guess always lies
+    inside them.
 
     ``evaluate`` receives the lattice as an open mesh: scanned parameter
     d is an array varying along axis d only, shape (1, ..., 16, ..., 1, 1)
@@ -413,15 +419,20 @@ def auto_initial(model: FitModel, x: Sequence[float], y: Sequence[float]) -> np.
             guesses.append(np.clip(max(float(y.max()), 1e-6), lo, hi))
         else:
             guesses.append(0.5 * (lo + hi))
-            axis = None
+            space = np.linspace
             if "center" in name:
-                axis = np.linspace(float(x.min()), float(x.max()), 16)
+                ends = (float(x.min()), float(x.max()))
             elif "length" in name or name == "eta_nor":
                 # scale parameters: geometric lattice
-                axis_lo, axis_hi = (0.1, 1e3) if "length" in name else (1e-5, 10.0)
-                axis = np.geomspace(axis_lo, axis_hi, 16)
+                ends = (0.1, 1e3) if "length" in name else (1e-5, 10.0)
+                space = np.geomspace
             else:
-                axis = np.linspace(lo, hi, 16)
+                ends = (lo, hi)
+            # confined to the bounds, so every lattice point is one fit() accepts
+            axis_lo, axis_hi = (min(max(end, lo), hi) for end in ends)
+            if axis_lo <= 0.0:  # a geometric lattice cannot reach zero
+                space = np.linspace
+            axis = space(axis_lo, axis_hi, 16).clip(lo, hi)
             if len(lattice_axes) < 3:
                 lattice_axes.append((i, axis))
     if not lattice_axes:

@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -190,49 +190,6 @@ def weighted_sinc2_sum(dk, length, weights: Sequence, panels: int = 1024) -> np.
     return out.reshape(shape)
 
 
-@dataclass(frozen=True)
-class LineShapeParams:
-    """Inputs of the weighted line-shape sum.
-
-    ``weights`` are the coefficients a_0..a_n of the position polynomial;
-    ``delta_k_of_lam`` maps output wavelengths in nm to rad/mm, elementwise
-    on an array (and raising on a scalar it rejects, like
-    :func:`thermal_sfg_mismatch`).
-    """
-
-    length_mm: float
-    delta_k_of_lam: Callable
-    weights: tuple[float, ...] = (1.0,)
-    z_panels: int = 1024
-
-    def __post_init__(self):
-        if not self.length_mm > 0:
-            raise DomainError("length must be positive")
-        if len(self.weights) < 1:
-            raise DomainError("need at least one weight coefficient")
-        if self.z_panels < 256:
-            raise DomainError("z discretization must use at least 256 panels")
-        object.__setattr__(self, "weights", tuple(float(a) for a in self.weights))
-
-
-def lineshape_weighted(params: LineShapeParams, lam_grid_nm: Sequence[float]) -> Spectrum:
-    """Polynomial-weighted thermal line shape over a wavelength grid.
-
-    I(lam) = sum_z w(z) sinc^2( dk(lam) (L-z)/2 ) dz  with
-    w(z) = sum_j a_j z^j over midpoint panels (:func:`weighted_sinc2_sum`).
-    ``delta_k_of_lam`` is called once on the whole grid
-    (:func:`qpmcascade.qpm.grid_mismatch`).
-    """
-    lam = np.asarray(list(lam_grid_nm), dtype=float)
-    if lam.size == 0:
-        raise DomainError("wavelength grid is empty")
-    if not np.all(np.diff(lam) > 0):
-        raise DomainError("wavelength grid must be strictly increasing")
-    dk = grid_mismatch(params.delta_k_of_lam, lam)
-    intensity = weighted_sinc2_sum(dk, params.length_mm, params.weights, params.z_panels)
-    return Spectrum(wavelength_nm=lam, intensity=intensity)
-
-
 def planck_weight(lam, temperature_K: float, band_center: Wavelength):
     """Planck spectral radiance at ``lam`` normalized to 1 at ``band_center``.
 
@@ -242,8 +199,10 @@ def planck_weight(lam, temperature_K: float, band_center: Wavelength):
     the package default for thermal seeding; Planck weighting is opt-in
     via ``thermal_sfg_lineshape``.
     """
-    if not temperature_K > 0:
-        raise DomainError("temperature must be positive kelvin")
+    if not (math.isfinite(temperature_K) and temperature_K > 0):
+        raise DomainError(
+            f"Planck temperature must be finite and positive kelvin, got {temperature_K!r}"
+        )
 
     def radiance(l_um):
         with np.errstate(over="ignore"):  # exp overflow: radiance underflows to 0
@@ -302,23 +261,31 @@ def thermal_sfg_lineshape(
 ) -> Spectrum:
     """Thermal-SFG noise line over a wavelength grid for one section.
 
+    I(lam) = sum_z w(z) sinc^2( dk(lam) (L-z)/2 ) dz  with
+    w(z) = sum_j weights[j] z^j over ``z_panels`` midpoint panels
+    (:func:`weighted_sinc2_sum`), where dk is :func:`thermal_sfg_mismatch`
+    evaluated once on the whole grid (:func:`qpmcascade.qpm.grid_mismatch`).
     With ``planck_temperature_K`` set, the flat-seed assumption is replaced
     by Planck weighting of the mid-infrared driver, normalized at the
     driver of the central grid wavelength.
+
+    The grid must be non-empty and strictly increasing, and ``z_panels``
+    at least 256.
     """
-    params = LineShapeParams(
-        length_mm=section.length_mm,
-        delta_k_of_lam=lambda out_nm: thermal_sfg_mismatch(section, pump, out_nm, temp_C),
-        weights=weights,
-        z_panels=z_panels,
-    )
-    spec = lineshape_weighted(params, lam_grid_nm)
-    if planck_temperature_K is None:
-        return spec
-    driver_nm = spectral.output_nm(ProcessKind.DFG, spec.wavelength_nm, pump.nm)
-    center_driver = Wavelength(driver_nm[driver_nm.size // 2])
-    scale = planck_weight(driver_nm, planck_temperature_K, center_driver)
-    return Spectrum(wavelength_nm=spec.wavelength_nm, intensity=spec.intensity * scale)
+    if z_panels < 256:
+        raise DomainError("z discretization must use at least 256 panels")
+    lam = np.asarray(list(lam_grid_nm), dtype=float)
+    if lam.size == 0:
+        raise DomainError("wavelength grid is empty")
+    if not np.all(np.diff(lam) > 0):
+        raise DomainError("wavelength grid must be strictly increasing")
+    dk = grid_mismatch(lambda out_nm: thermal_sfg_mismatch(section, pump, out_nm, temp_C), lam)
+    intensity = weighted_sinc2_sum(dk, section.length_mm, weights, z_panels)
+    if planck_temperature_K is not None:
+        driver_nm = spectral.output_nm(ProcessKind.DFG, lam, pump.nm)
+        center_driver = Wavelength(driver_nm[driver_nm.size // 2])
+        intensity = intensity * planck_weight(driver_nm, planck_temperature_K, center_driver)
+    return Spectrum(wavelength_nm=lam, intensity=intensity)
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,8 @@ from qpmcascade.modesolver import WaveguideGeometry, solve_modes
 from qpmcascade.noisemodel import (
     enumerate_parasitics,
     lineshape_analytic,
-    lineshape_weighted,
-    LineShapeParams,
     solve_thermal_sfg_output,
+    weighted_sinc2_sum,
 )
 from qpmcascade.qpm import (
     ProcessSpec,
@@ -121,7 +120,9 @@ def test_criterion_05_analytic_lineshape_oracle():
     u2_weight = u**2 / length
     worst = 0.0
     for dk in np.linspace(-10.0 / length, 10.0 / length, 201):
-        quad = float(np.trapezoid(u2_weight * np.sinc(0.5 * dk * u / math.pi) ** 2, u))
+        # u^2/L sinc^2(dk u/2) = 4 sin^2(dk u/2) / (L dk^2) for dk != 0
+        integrand = 4.0 * np.sin(0.5 * dk * u) ** 2 / (length * dk * dk) if dk else u2_weight
+        quad = float(np.trapezoid(integrand, u))
         worst = max(worst, abs(lineshape_analytic(float(dk), length) - quad) / quad)
     zero_rel = abs(lineshape_analytic(0.0, length) - length**2 / 3.0) / (length**2 / 3.0)
     elapsed = time.perf_counter() - start
@@ -136,18 +137,12 @@ def test_criterion_05_analytic_lineshape_oracle():
 
 def test_criterion_06_weighted_lineshape_identity():
     length = 20.0
-    params = LineShapeParams(
-        length_mm=length,
-        delta_k_of_lam=lambda lam: 0.2 * (lam - 1550.0),
-        weights=(length, -2.0, 1.0 / length),
-        z_panels=1024,
-    )
     grid = np.linspace(1545.0, 1555.0, 101)
-    spectrum = lineshape_weighted(params, grid)
+    intensity = weighted_sinc2_sum(0.2 * (grid - 1550.0), length, (length, -2.0, 1.0 / length), 1024)
     worst = max(
         abs(value - lineshape_analytic(0.2 * (lam - 1550.0), length))
         / lineshape_analytic(0.2 * (lam - 1550.0), length)
-        for lam, value in zip(spectrum.wavelength_nm, spectrum.intensity)
+        for lam, value in zip(grid, intensity)
     )
     report(6, f"weighted (L-z)^2/L vs analytic worst relative {worst:.2e}", worst < 1e-3)
 

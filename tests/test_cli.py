@@ -244,6 +244,16 @@ class TestLineshapeCommand:
             )
             assert not out.exists()
 
+    def test_non_finite_planck_temperature_exits_three_by_name(self, tmp_path, capsys, recwarn):
+        out = tmp_path / "line.csv"
+        assert main(["lineshape", "--device", DEVICE, "--grid", "1540:1575:351",
+                     "--planck-K", "inf", "-o", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "code=domain_error, msg=Planck temperature must be finite and positive kelvin, got inf\n"
+        )
+        assert not recwarn.list
+        assert not out.exists()
+
     def test_decreasing_grid_exits_three_on_both_paths(self, tmp_path, capsys):
         for extra in ([], ["--analytic"]):
             out = tmp_path / "line.csv"
@@ -372,6 +382,16 @@ class TestFitCommand:
             "code=domain_error, msg=initial parameter 'amplitude' must be finite, got nan\n"
         )
         assert not out.exists()
+
+    def test_data_outside_the_center_bounds_fits_from_the_automatic_guess(self, tmp_path):
+        # x on 50-70 lies below sinc2_scan's centre bounds (100, 20e3); the
+        # automatic guess keeps its centres inside them, so fit() takes it
+        data = tmp_path / "scan.csv"
+        x = np.linspace(50.0, 70.0, 41)
+        data.write_text("\n".join(f"{a!r},{b!r}" for a, b in zip(x.tolist(), np.sinc(x - 60.0).tolist())))
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--model", "sinc2_scan", "--data", str(data), "-o", str(out)]) == 0
+        assert 100.0 <= json.loads(out.read_text())["parameters"]["center"] <= 20e3
 
 
 class TestSolveDeviceCommand:

@@ -664,6 +664,42 @@ class TestBatchedAutoInitial:
         assert np.array_equal(picked, [1.0, 5.0])
 
 
+def test_user_length_bounds_confine_the_pick():
+    # Data of a length-8 line under length bounds (1, 5): the fixed
+    # 0.1-1000 length lattice would pick 7.36, which fit() refuses.
+    # Confined to the bounds, the pick is 5 and the fit ends on that bound.
+    model = FitModel(
+        name="short_sinc2",
+        parameter_names=("amplitude", "center", "length", "offset"),
+        bounds=((0.0, 10.0), (0.0, 10.0), (1.0, 5.0), (-5.0, 5.0)),
+        evaluate=lambda p, x: p[0] * np.sinc(0.5 * p[2] * (x - p[1]) / np.pi) ** 2 + p[3],
+    )
+    x = np.linspace(2.0, 8.0, 61)
+    y = model.evaluate([1.0, 4.7, 8.0, 0.0], x)
+    picked = auto_initial(model, x, y)
+    assert picked[2] == 5.0
+    assert fit(model, x, y, picked).parameters[2] == 5.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(TestBatchedAutoInitial.NAMES),
+    x_lo=st.floats(-1e5, 1e5),
+    x_span=st.floats(0.0, 1e5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_auto_initial_lies_inside_the_bounds(name, x_lo, x_span, seed):
+    """For any x range, inside, across or outside the centre bounds, the
+    automatic guess is a point fit() accepts."""
+    model = registry_model(name)
+    x = np.linspace(x_lo, x_lo + x_span, 21)
+    y = np.random.default_rng(seed).normal(0.0, 1.0, x.size)
+    with np.errstate(over="ignore"):
+        picked = auto_initial(model, x, y)
+    lows, highs = np.array(model.bounds).T
+    assert np.all((lows <= picked) & (picked <= highs)), picked
+
+
 PROPERTY_X = {
     "saturation": np.linspace(0.0, 0.225, 21),
     "sinc2_scan": np.linspace(2151.9, 2153.9, 21),

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from qpmcascade.errors import DomainError, RangeError
 from qpmcascade.noisemodel import (
     _BLOCK_ELEMENTS,
-    LineShapeParams,
     ParasiticProcess,
     enumerate_parasitics,
     lineshape_analytic,
-    lineshape_weighted,
     planck_weight,
     solve_thermal_sfg_output,
     thermal_sfg_lineshape,
@@ -104,54 +102,39 @@ class TestAnalyticLineShape:
 class TestWeightedLineShape:
     def test_parabolic_weight_reproduces_analytic(self):
         # a = coefficients of (L - z)^2 / L
-        params = LineShapeParams(
-            length_mm=LENGTH,
-            delta_k_of_lam=lambda lam: 0.2 * (lam - 1550.0),
-            weights=(LENGTH, -2.0, 1.0 / LENGTH),
-        )
         grid = np.linspace(1545.0, 1555.0, 101)
-        spectrum = lineshape_weighted(params, grid)
-        for lam, value in zip(spectrum.wavelength_nm, spectrum.intensity):
+        intensity = weighted_sinc2_sum(0.2 * (grid - 1550.0), LENGTH, (LENGTH, -2.0, 1.0 / LENGTH))
+        for lam, value in zip(grid, intensity):
             expected = lineshape_analytic(0.2 * (lam - 1550.0), LENGTH)
             assert value == pytest.approx(expected, rel=1e-3)
 
     def test_uniform_weight_matches_independent_quadrature(self):
-        params = LineShapeParams(
-            length_mm=LENGTH,
-            delta_k_of_lam=lambda lam: 0.2 * (lam - 1550.0),
-            weights=(1.0,),
-        )
         grid = np.linspace(1546.0, 1554.0, 41)
-        spectrum = lineshape_weighted(params, grid)
+        intensity = weighted_sinc2_sum(0.2 * (grid - 1550.0), LENGTH, (1.0,))
         z = np.linspace(0.0, LENGTH, 200_001)
-        for lam, value in zip(spectrum.wavelength_nm, spectrum.intensity):
+        for lam, value in zip(grid, intensity):
             dk = 0.2 * (lam - 1550.0)
             oracle = float(np.trapezoid(np.sinc(0.5 * dk * (LENGTH - z) / math.pi) ** 2, z))
             assert value == pytest.approx(oracle, rel=1e-3)
 
     def test_zero_weights_give_zero_spectrum(self):
-        params = LineShapeParams(
-            length_mm=LENGTH, delta_k_of_lam=lambda lam: lam - 1550.0, weights=(0.0, 0.0)
-        )
-        spectrum = lineshape_weighted(params, np.linspace(1545.0, 1555.0, 11))
-        assert np.all(spectrum.intensity == 0.0)
+        intensity = weighted_sinc2_sum(np.linspace(1545.0, 1555.0, 11) - 1550.0, LENGTH, (0.0, 0.0))
+        assert np.all(intensity == 0.0)
 
     def test_linear_in_weight_vector(self):
         grid = np.linspace(1546.0, 1554.0, 21)
-        dk = lambda lam: 0.3 * (lam - 1550.0)
-        one = lineshape_weighted(LineShapeParams(LENGTH, dk, (1.0, 0.5)), grid)
-        two = lineshape_weighted(LineShapeParams(LENGTH, dk, (0.2, 0.1)), grid)
-        combo = lineshape_weighted(LineShapeParams(LENGTH, dk, (1.2, 0.6)), grid)
-        assert np.allclose(combo.intensity, one.intensity + two.intensity, rtol=1e-12)
+        dk = 0.3 * (grid - 1550.0)
+        one = weighted_sinc2_sum(dk, LENGTH, (1.0, 0.5))
+        two = weighted_sinc2_sum(dk, LENGTH, (0.2, 0.1))
+        combo = weighted_sinc2_sum(dk, LENGTH, (1.2, 0.6))
+        assert np.allclose(combo, one + two, rtol=1e-12)
 
     def test_asymmetric_weight_with_curved_detuning_skews_peak(self):
         # quadratic detuning map makes the wavelength-space shape sensitive
         # to the position weight; the skew sign must match a fine quadrature
         dk = lambda lam: 0.25 * (lam - 1550.0) + 0.01 * (lam - 1550.0) ** 2
         grid = np.linspace(1544.0, 1556.0, 241)
-        spectrum = lineshape_weighted(
-            LineShapeParams(LENGTH, dk, (0.0, 1.0)), grid,
-        )
+        intensity = weighted_sinc2_sum(dk(grid), LENGTH, (0.0, 1.0))
 
         def skew(lams, vals):
             total = np.sum(vals)
@@ -159,7 +142,7 @@ class TestWeightedLineShape:
             var = np.sum((lams - mean) ** 2 * vals) / total
             return float(np.sum((lams - mean) ** 3 * vals) / total / var**1.5)
 
-        measured = skew(spectrum.wavelength_nm, spectrum.intensity)
+        measured = skew(grid, intensity)
         z = np.linspace(0.0, LENGTH, 100_001)
         oracle_vals = np.array(
             [
@@ -171,15 +154,6 @@ class TestWeightedLineShape:
         assert abs(measured) > 1e-3
         assert math.copysign(1.0, measured) == math.copysign(1.0, oracle)
         assert measured == pytest.approx(oracle, rel=1e-2)
-
-    def test_minimum_panel_count_enforced(self):
-        with pytest.raises(DomainError):
-            LineShapeParams(LENGTH, lambda lam: 0.0, (1.0,), z_panels=100)
-
-    def test_empty_grid_rejected(self):
-        params = LineShapeParams(LENGTH, lambda lam: 0.0, (1.0,))
-        with pytest.raises(DomainError):
-            lineshape_weighted(params, [])
 
 
 @settings(max_examples=60, deadline=None)
@@ -293,8 +267,7 @@ def test_parabolic_weights_give_the_analytic_line(length, dk_l):
     """Weights (L, -2, 1/L), i.e. (L - z)^2 / L, reproduce the analytic line
     within criterion 6's 1e-3 relative for |dk L| <= 20."""
     grid = np.array(sorted(dk_l))  # the abscissa is dk L itself
-    params = LineShapeParams(length, lambda x: x / length, (length, -2.0, 1.0 / length))
-    weighted = lineshape_weighted(params, grid).intensity
+    weighted = weighted_sinc2_sum(grid / length, length, (length, -2.0, 1.0 / length))
     analytic = lineshape_analytic(grid / length, length)
     assert np.all(np.abs(weighted - analytic) <= 1e-3 * analytic)
 
@@ -355,6 +328,12 @@ class TestPlanckWeight:
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(DomainError):
             planck_weight(Wavelength(5325.0), 0.0, Wavelength(5325.0))
+
+    @pytest.mark.parametrize("temperature", [math.inf, -math.inf, math.nan])
+    def test_non_finite_temperature_rejected_by_name(self, temperature, recwarn):
+        with pytest.raises(DomainError, match="Planck temperature must be finite"):
+            planck_weight(np.array([5300.0, 5325.0]), temperature, Wavelength(5325.0))
+        assert not recwarn.list
 
     def test_underflowing_band_center_rejected(self):
         # c2 / (lam T) > 709: the radiance at the band center is 0
@@ -424,6 +403,16 @@ class TestThermalSfg:
         ratio = planck.intensity / flat.intensity
         assert not np.allclose(ratio, 1.0)
         assert np.all(np.abs(ratio - 1.0) < 0.2)
+
+    def test_minimum_panel_count_enforced(self, solved_sections):
+        _, step2 = solved_sections
+        with pytest.raises(DomainError, match="^z discretization must use at least 256 panels$"):
+            thermal_sfg_lineshape(step2, PUMP, np.linspace(1550.0, 1565.0, 31), z_panels=100)
+
+    def test_empty_grid_rejected(self, solved_sections):
+        _, step2 = solved_sections
+        with pytest.raises(DomainError, match="^wavelength grid is empty$"):
+            thermal_sfg_lineshape(step2, PUMP, [])
 
     def test_rejected_sample_raises_the_scalar_error(self, solved_sections):
         # one grid sample at or above the pump, or a temperature outside
