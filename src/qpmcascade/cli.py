@@ -225,8 +225,6 @@ def _cmd_fit(args, device):
     if args.data.suffix != ".csv":
         raise DomainError("fit expects a CSV data file")
     x, y = read_xy_csv(args.data)
-    if not np.all(np.isfinite(x) & np.isfinite(y)):
-        raise DomainError(f"fit data in {args.data} holds a non-finite number")
     if args.initial:
         missing = [name for name in model.parameter_names if name not in args.initial]
         if missing:

@@ -146,21 +146,28 @@ class SellmeierModel:
     def index_unchecked(self, lam_um, temp_C):
         """Evaluate the raw formula without range validation (used for
         finite-difference probes a hair outside the declared ranges).
-        Elementwise on arrays; NaN inputs give NaN, any other invalid n^2
-        raises :class:`NumericError`."""
+        Elementwise on arrays; NaN inputs give NaN.  Where the inputs are
+        not NaN, an index outside (1, 4) (a broken coefficient table)
+        raises :class:`NumericError` naming the first such (n, lam, T)."""
         form = TEMPERATURE_FORMS[self.temperature_form]
         if not (is_array(lam_um) or is_array(temp_C)):
             n2 = form(self.coefficients, lam_um, temp_C)
-            if not (n2 > 0.0 and math.isfinite(n2)):
-                raise NumericError(
-                    f"material {self.name!r}: n^2 = {n2!r} at lam={lam_um} um, T={temp_C} C"
-                )
-            return math.sqrt(n2)
+            n = math.sqrt(n2) if n2 >= 0.0 else math.nan
+            if not 1.0 < n < 4.0:
+                raise self._broken(n, lam_um, temp_C)
+            return n
         with np.errstate(divide="ignore", invalid="ignore"):
-            n2 = form(self.coefficients, lam_um, temp_C)
-        if np.any(~((n2 > 0.0) & np.isfinite(n2)) & ~np.isnan(lam_um + temp_C)):
-            raise NumericError(f"material {self.name!r}: n^2 not positive and finite at some (lam, T)")
-        return np.sqrt(n2)
+            n = np.sqrt(form(self.coefficients, lam_um, temp_C))
+        bad = ~((1.0 < n) & (n < 4.0)) & ~np.isnan(lam_um + temp_C)
+        if bad.any():
+            at = np.unravel_index(np.argmax(bad), bad.shape)
+            raise self._broken(*(np.broadcast_to(v, bad.shape)[at] for v in (n, lam_um, temp_C)))
+        return n
+
+    def _broken(self, n, lam_um, temp_C) -> NumericError:
+        return NumericError(
+            f"material {self.name!r}: index {n} outside (1, 4) at lam={lam_um} um, T={temp_C} C"
+        )
 
 
 def _in_range(model: SellmeierModel, quantity: str, value, low: float, high: float):
@@ -175,23 +182,16 @@ def sellmeier_index(model: SellmeierModel, lam, temp_C):
 
     ``lam`` is a :class:`Wavelength` or wavelengths in nm, broadcast
     against ``temp_C``.  A scalar call raises :class:`RangeError` naming
-    the violated bound; an array call masks it (NaN).  Both raise
-    :class:`NumericError` if the formula yields an index outside (1, 4),
-    which indicates a broken coefficient table.
+    the violated bound; an array call masks it (NaN).  The index is
+    checked by :meth:`SellmeierModel.index_unchecked`, the one (1, 4)
+    check, which also covers :func:`group_and_phase_terms`' probes.
     """
     lam_um = (lam.nm if isinstance(lam, Wavelength) else lam) * 1e-3
     if is_array(lam_um) or is_array(temp_C):
         lam_um, temp_C = np.asarray(lam_um, float), np.asarray(temp_C, float)
     lam_um = _in_range(model, "wavelength_um", lam_um, *model.wavelength_range_um)
     temp_C = _in_range(model, "temperature_C", temp_C, *model.temperature_range_C)
-    n = model.index_unchecked(lam_um, temp_C)
-    bad = (n <= 1.0) | (n >= 4.0)  # masked (NaN) elements are not bad
-    if bad.any() if is_array(bad) else bad:
-        raise NumericError(
-            f"material {model.name!r}: index {n} outside (1, 4) at "
-            f"lam={lam_um} um, T={temp_C} C"
-        )
-    return n
+    return model.index_unchecked(lam_um, temp_C)
 
 
 def group_and_phase_terms(

@@ -104,6 +104,19 @@ class FitResult:
         }
 
 
+def _read_data(x: Sequence[float], y: Sequence[float], least: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) as float arrays: matched, ``least`` points or more, finite."""
+    x = np.asarray(list(x), dtype=float)
+    y = np.asarray(list(y), dtype=float)
+    if x.size != y.size or x.size < least:
+        raise DomainError(f"need {least} or more matched data points, got {x.size} x and {y.size} y")
+    for label, data in (("x", x), ("y", y)):
+        bad = np.flatnonzero(~np.isfinite(data))
+        if bad.size:
+            raise DomainError(f"data {label} must be finite, got {data[bad[0]]} at index {bad[0]}")
+    return x, y
+
+
 def _jacobian(
     func: Callable[[np.ndarray], np.ndarray],
     params: np.ndarray,
@@ -152,28 +165,20 @@ def fit(
 ) -> FitResult:
     """Levenberg-Marquardt fit of ``model`` to (x, y).
 
-    Requires finite data, at least max(3, n_parameters + 1) data points
-    and a finite initial guess inside the bounds.  The model must evaluate
-    a batch of parameter vectors (:class:`FitModel`), as each Jacobian is
-    one call on all of its perturbed vectors; one that does not raises
+    Requires matched finite data (a non-finite value is named by column
+    and index) of at least max(3, n_parameters + 1) points and a finite
+    initial guess inside the bounds.  The model must evaluate a batch of
+    parameter vectors (:class:`FitModel`), as each Jacobian is one call on
+    all of its perturbed vectors; one that does not raises
     :class:`DomainError`.  A singular normal matrix raises
     :class:`RankDeficiencyError`; hitting the iteration cap returns a
     result flagged not converged rather than raising.
     """
-    x = np.asarray(list(x), dtype=float)
-    y = np.asarray(list(y), dtype=float)
     p = np.asarray(list(initial), dtype=float)
     n_par = len(model.parameter_names)
     if p.size != n_par:
         raise DomainError(f"model {model.name!r} takes {n_par} parameters, got {p.size}")
-    if x.size != y.size or x.size < max(3, n_par + 1):
-        raise DomainError(
-            f"need at least {max(3, n_par + 1)} matched data points, got {x.size}"
-        )
-    for label, data in (("x", x), ("y", y)):
-        bad = np.flatnonzero(~np.isfinite(data))
-        if bad.size:
-            raise DomainError(f"data {label} must be finite, got {data[bad[0]]} at index {bad[0]}")
+    x, y = _read_data(x, y, max(3, n_par + 1))
     for name, value in zip(model.parameter_names, p):
         if not math.isfinite(value):
             raise DomainError(f"initial parameter {name!r} must be finite, got {value}")
@@ -270,14 +275,11 @@ def _standard_errors(
 
 
 def goodness(result: FitResult, x: Sequence[float], y: Sequence[float]) -> dict:
-    """RMS residual and per-point residuals of a fit against data."""
-    x = np.asarray(list(x), dtype=float)
-    y = np.asarray(list(y), dtype=float)
-    if x.size == 0 or x.size != y.size:
-        raise DomainError("goodness needs matched non-empty data")
+    """Per-point residuals of a fit against data, read as fit reads it, and their RMS."""
+    x, y = _read_data(x, y, 1)
     per_point = y - result.model.evaluate(result.parameters, x)
     return {
-        "rms": float(np.sqrt(result.residual_norm / x.size)),
+        "rms": float(np.sqrt((per_point @ per_point) / x.size)),
         "residuals": per_point,
     }
 
@@ -379,14 +381,16 @@ def registry_model(name: str, length_mm: float = 20.0) -> FitModel:
 def auto_initial(model: FitModel, x: Sequence[float], y: Sequence[float]) -> np.ndarray:
     """Deterministic grid-seeded initial guess.
 
-    Heuristics fill amplitude/offset-like parameters from the data; the
-    remaining (most nonlinear) parameters, at most three, are scanned on a
-    16-level lattice and the lowest-SSE lattice point wins (the first one
-    in C order over the scanned axes on a tie; the guesses if no point
-    scores finite).  Centres span the data's x range, lengths a geometric
-    0.1-1000 and ``eta_nor`` 1e-5-10, other parameters their bounds; each
-    axis is confined to its parameter's bounds, so the guess always lies
-    inside them.
+    Heuristics fill amplitude/offset-like parameters from the data (read
+    as :func:`fit` reads it, one point at least) and zero ``a`` plus
+    digits (``lineshape_eq2``'s a1, a2); the remaining (most nonlinear)
+    parameters, at most three, are scanned on a 16-level lattice and the
+    lowest-SSE lattice point wins (the first one in C order over the
+    scanned axes on a tie; the guesses if no point scores finite).
+    Centres span the data's x range, lengths a geometric 0.1-1000 and
+    ``eta_nor`` 1e-5-10, other parameters their bounds; each axis is
+    confined to its parameter's bounds, so the guess always lies inside
+    them.
 
     ``evaluate`` receives the lattice as an open mesh: scanned parameter
     d is an array varying along axis d only, shape (1, ..., 16, ..., 1, 1)
@@ -400,10 +404,7 @@ def auto_initial(model: FitModel, x: Sequence[float], y: Sequence[float]) -> np.
     takes one call but ``two_mode_sinc2``, whose 16^3-point lattice takes
     16, one per ``effective_length`` level.
     """
-    x = np.asarray(list(x), dtype=float)
-    y = np.asarray(list(y), dtype=float)
-    if x.size == 0 or x.size != y.size:
-        raise DomainError("auto_initial needs matched non-empty data")
+    x, y = _read_data(x, y, 1)
     span = float(y.max() - y.min())
     guesses: list[float] = []
     lattice_axes: list[tuple[int, np.ndarray]] = []
@@ -413,7 +414,7 @@ def auto_initial(model: FitModel, x: Sequence[float], y: Sequence[float]) -> np.
             guesses.append(np.clip(span if span > 0 else 1.0, lo, hi))
         elif name == "offset":
             guesses.append(np.clip(float(y.min()), lo, hi))
-        elif name.startswith("a"):
+        elif name[:1] == "a" and name[1:].isdigit():
             guesses.append(np.clip(0.0, lo, hi))
         elif name == "eta_max":
             guesses.append(np.clip(max(float(y.max()), 1e-6), lo, hi))

@@ -421,8 +421,8 @@ def degenerate_operating_point(
     per section; it stops at max |dk| <= 1e-9 rad/mm.  An iterate outside
     either window, or no convergence in ``_DEGENERATE_STEPS`` evaluations,
     raises :class:`NoSolutionError` naming both windows.  Returns (T_C,
-    pump_nm, transfer1, transfer2), the transfers read from
-    :func:`phasematch_map` at the solved point.
+    pump_nm, transfer1, transfer2), the transfers from the last stencil's
+    centre, bitwise the :func:`phasematch_map` cell at the solved point.
     """
     (t_lo, t_hi), (p_lo, p_hi) = t_window, pump_window
     axes = (np.linspace(t_lo, t_hi, _DEGENERATE_GRID), np.linspace(p_lo, p_hi, _DEGENERATE_GRID))
@@ -439,8 +439,8 @@ def degenerate_operating_point(
             dk = np.stack([delta_k(ProcessKind.DFG, signal.nm, pump, temp, step1),
                            delta_k(ProcessKind.DFG, mid, pump, temp, step2)])
         if np.max(np.abs(dk[:, 0])) <= _DEGENERATE_DK_TOL:
-            cell = phasematch_map(step1, step2, signal, point[:1], point[1:])
-            return float(point[0]), float(point[1]), float(cell.step1[0, 0]), float(cell.step2[0, 0])
+            transfer1, transfer2 = qpm_transfer(dk[:, 0], (step1.length_mm, step2.length_mm))
+            return float(point[0]), float(point[1]), float(transfer1), float(transfer2)
         jacobian = (dk[:, 1::2] - dk[:, 2::2]) / (2.0 * _DEGENERATE_STEP)
         try:
             point = point - np.linalg.solve(jacobian, dk[:, 0])

@@ -370,6 +370,17 @@ class TestFitCommand:
         assert capsys.readouterr().err.startswith("code=domain_error, msg=")
         assert not out.exists()
 
+    @pytest.mark.parametrize("initial", [[], ["--initial", "amplitude=1,center=2153,effective_length=20,offset=0"]])
+    def test_non_finite_data_is_named_by_column_and_row(self, tmp_path, capsys, initial):
+        """With or without --initial (auto_initial or fit reads the data
+        first), the refusal names the column and the row."""
+        data = tmp_path / "scan.csv"
+        data.write_text("2152.0,0.5\n2152.5,0.7\n2153.0,0.4\n2153.5,0.1\n2154.0,0.0\ninf,0.0\n")
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--model", "sinc2_scan", "--data", str(data), *initial, "-o", str(out)]) == 3
+        assert capsys.readouterr().err == "code=domain_error, msg=data x must be finite, got inf at index 5\n"
+        assert not out.exists()
+
     def test_non_finite_initial_exits_three_naming_the_parameter(self, tmp_path, capsys):
         data = tmp_path / "scan.csv"
         x = np.linspace(2151.9, 2153.9, 41)

@@ -126,6 +126,63 @@ class TestArrayEvaluation:
         with pytest.raises(NumericError):
             sellmeier_index(model, np.array([1500.0, 9000.0]), 25.0)
 
+    # n^2 = 4 + lam^2 (lam in um): the index leaves (1, 4) above 3.46 um
+    RISING = SellmeierModel(
+        name="rising", polarization="none", temperature_form="kelvin2_pole",
+        coefficients={"A": 4.0, "B": 0.0, "C": 0.0, "D": 1.0, "E": 0.0, "F": 0.0,
+                      "bT": 0.0, "cT": 0.0},
+        wavelength_range_um=(0.5, 5.0), temperature_range_C=(0.0, 100.0),
+    )
+
+    def test_broken_table_names_the_scalar_element(self):
+        lam_um = 3500.0 * 1e-3
+        n = np.sqrt(4.0 + lam_um * lam_um)
+        with pytest.raises(NumericError) as exc:
+            sellmeier_index(self.RISING, Wavelength(3500.0), 25.0)
+        assert str(exc.value) == (
+            f"material 'rising': index {n} outside (1, 4) at lam={lam_um} um, T=25.0 C"
+        )
+
+    def test_broken_table_names_the_first_array_element(self):
+        lam = np.array([[1000.0], [3600.0], [4000.0]])
+        with pytest.raises(NumericError) as exc:
+            sellmeier_index(self.RISING, lam, np.array([20.0, 30.0]))
+        lam_um = 3600.0 * 1e-3
+        n = np.sqrt(4.0 + lam_um * lam_um)
+        assert str(exc.value) == (
+            f"material 'rising': index {n} outside (1, 4) at lam={lam_um} um, T=20.0 C"
+        )
+
+    def test_negative_n2_is_refused_on_both_paths(self):
+        model = SellmeierModel(
+            name="negative", polarization="none", temperature_form="constant",
+            coefficients={"n2": -1.0}, wavelength_range_um=(0.5, 5.0),
+            temperature_range_C=(0.0, 100.0),
+        )
+        message = "material 'negative': index nan outside (1, 4) at lam=1.5 um, T=25.0 C"
+        with pytest.raises(NumericError) as scalar:
+            model.index_unchecked(1.5, 25.0)
+        with pytest.raises(NumericError) as array:
+            model.index_unchecked(np.array([np.nan, 1.5]), 25.0)
+        assert str(scalar.value) == str(array.value) == message
+
+    @settings(max_examples=40, deadline=None)
+    @given(lam=st.lists(st.one_of(st.floats(500.0, 3400.0), st.floats(3600.0, 9000.0)),
+                        min_size=1, max_size=12))
+    def test_masked_elements_never_raise(self, lam):
+        """Past 3.6 um every wavelength gives a bad index; past 5 um the
+        range masks it, and only an unmasked one raises."""
+        lam = np.array(lam)
+        masked = lam * 1e-3 > 5.0
+        if np.any((lam >= 3600.0) & ~masked):
+            with pytest.raises(NumericError):
+                sellmeier_index(self.RISING, lam, 25.0)
+            return
+        n = sellmeier_index(self.RISING, lam, 25.0)
+        assert np.array_equal(np.isnan(n), masked)
+        nan_inputs = np.where(masked, np.nan, lam * 1e-3)
+        assert np.array_equal(self.RISING.index_unchecked(nan_inputs, 25.0), n, equal_nan=True)
+
     def test_providers_take_arrays(self, lithium_niobate):
         lam = np.array([1064.0, 1550.0])
         bulk = BulkIndexProvider(lithium_niobate).effective_index(lam, 25.0)

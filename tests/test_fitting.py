@@ -423,6 +423,64 @@ class TestGoodness:
         with pytest.raises(DomainError):
             goodness(result, [], [])
 
+    def test_rms_is_that_of_the_returned_residuals_on_other_data(self):
+        model = FitModel(
+            name="const",
+            parameter_names=("c",),
+            bounds=((-10.0, 10.0),),
+            evaluate=lambda p, x: p[0] + 0.0 * x,
+        )
+        x = np.linspace(0.0, 1.0, 25)
+        result = fit(model, x, np.zeros_like(x), np.array([0.0]))
+        shifted = goodness(result, x, np.ones_like(x))
+        assert shifted["rms"] == np.sqrt(np.mean(shifted["residuals"] ** 2)) == 1.0
+
+    def test_rms_on_the_fits_own_data_is_its_residual_norm(self, sinc2_model):
+        y = sinc2_model.evaluate(SCAN_TRUTH, SCAN_X) + np.random.default_rng(3).normal(0, 0.01, SCAN_X.size)
+        result = fit(sinc2_model, SCAN_X, y, auto_initial(sinc2_model, SCAN_X, y))
+        assert goodness(result, SCAN_X, y)["rms"] == np.sqrt(result.residual_norm / SCAN_X.size)
+
+
+def _refusal(call, x, y) -> str:
+    with pytest.raises(DomainError) as exc:
+        call(x, y)
+    return str(exc.value)
+
+
+class TestDataRefusals:
+    """fit, auto_initial and goodness read (x, y) through one reader, so
+    each refuses bad data with the same message."""
+
+    @pytest.fixture(scope="class")
+    def calls(self):
+        model = registry_model("sinc2_scan")
+        y = model.evaluate(SCAN_TRUTH, SCAN_X)
+        result = fit(model, SCAN_X, y, SCAN_TRUTH)
+        return {
+            "fit": lambda x, y: fit(model, x, y, SCAN_TRUTH),
+            "auto_initial": lambda x, y: auto_initial(model, x, y),
+            "goodness": lambda x, y: goodness(result, x, y),
+        }
+
+    @pytest.mark.parametrize("column, index, value", [
+        ("x", 7, np.nan), ("x", 0, np.inf), ("y", 7, np.nan), ("y", 200, -np.inf),
+    ])
+    def test_non_finite_value_named_by_column_and_index(self, calls, column, index, value):
+        data = {"x": SCAN_X.copy(), "y": registry_model("sinc2_scan").evaluate(SCAN_TRUTH, SCAN_X)}
+        data[column][index] = value
+        expected = f"data {column} must be finite, got {value} at index {index}"
+        for name, call in calls.items():
+            assert _refusal(call, data["x"], data["y"]) == expected, name
+
+    def test_mismatched_lengths_refused_alike(self, calls):
+        y = np.zeros(SCAN_X.size - 1)
+        messages = {name: _refusal(call, SCAN_X, y) for name, call in calls.items()}
+        assert messages == {
+            "fit": "need 5 or more matched data points, got 201 x and 200 y",
+            "auto_initial": "need 1 or more matched data points, got 201 x and 200 y",
+            "goodness": "need 1 or more matched data points, got 201 x and 200 y",
+        }
+
 
 def test_standard_errors_shrink_with_noise(sinc2_model=None):
     model = registry_model("sinc2_scan")
@@ -679,6 +737,25 @@ def test_user_length_bounds_confine_the_pick():
     picked = auto_initial(model, x, y)
     assert picked[2] == 5.0
     assert fit(model, x, y, picked).parameters[2] == 5.0
+
+
+def test_parameter_named_alpha_is_scanned_not_zeroed():
+    """Only ``a`` followed by digits (lineshape_eq2's a1, a2) starts at
+    zero; a user's ``alpha`` is scanned over its bounds like any other
+    parameter, and the Gaussian it scales is recovered."""
+    model = FitModel(
+        name="gauss",
+        parameter_names=("alpha", "center", "width"),
+        bounds=((0.0, 10.0), (0.0, 100.0), (0.1, 20.0)),
+        evaluate=lambda p, x: p[0] * np.exp(-0.5 * ((x - p[1]) / p[2]) ** 2),
+    )
+    x = np.linspace(0.0, 100.0, 101)
+    y = model.evaluate(np.array([3.0, 40.0, 5.0]), x)
+    picked = auto_initial(model, x, y)
+    assert picked[0] > 0.0
+    result = fit(model, x, y, picked)
+    assert result.converged
+    assert result.parameters == pytest.approx([3.0, 40.0, 5.0], rel=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
