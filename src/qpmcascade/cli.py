@@ -45,12 +45,12 @@ from .errors import ConverterError, DomainError, mask_counts, masked_cells
 from .fitting import auto_initial, fit, goodness, registry_model
 from .modesolver import ModeShortfallWarning, field_to_csv_rows, solve_modes
 from .noisemodel import (
+    _thermal_sfg_grid_mismatch,
     enumerate_parasitics,
     lineshape_analytic,
     thermal_sfg_lineshape,
-    thermal_sfg_mismatch,
 )
-from .qpm import TARGET_WINDOW_NM, grid_mismatch, phasematch_map, tuning_curve
+from .qpm import TARGET_WINDOW_NM, phasematch_map, tuning_curve
 from .spectral import Wavelength
 
 
@@ -184,21 +184,18 @@ def _cmd_noise(args, device):
 
 
 def _cmd_lineshape(args, device):
-    grid = args.grid
     if args.analytic:
         if args.weights is not None or args.planck_K is not None:
             raise DomainError(
                 "--analytic is the flat-seed closed form; it takes no --weights or --planck-K"
             )
-        if not np.all(np.diff(grid) > 0):
-            raise DomainError("wavelength grid must be strictly increasing")
-        dk = grid_mismatch(lambda lam: thermal_sfg_mismatch(device.step2, device.pump, lam), grid)
-        rows = csv_rows(grid, lineshape_analytic(dk, device.step2.length_mm))
+        lam, dk = _thermal_sfg_grid_mismatch(device.step2, device.pump, args.grid)
+        rows = csv_rows(lam, lineshape_analytic(dk, device.step2.length_mm))
     else:
         spec = thermal_sfg_lineshape(
             device.step2,
             device.pump,
-            grid,
+            args.grid,
             weights=tuple(args.weights) if args.weights else (1.0,),
             planck_temperature_K=args.planck_K,
         )

@@ -252,24 +252,21 @@ def read_xy_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """The two numeric columns of a CSV file, as (x, y) float arrays.
 
     Blank lines, ``#`` comments and a ``wavelength_nm,intensity`` header
-    are skipped; a row that is not two numbers raises :class:`DomainError`.
-    The values are not otherwise checked.
+    are skipped; a row that is not two numbers raises :class:`DomainError`
+    naming its 1-based line number.  The values are not otherwise checked.
     """
     xs: list[float] = []
     ys: list[float] = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for number, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.lower().replace(" ", "") == "wavelength_nm,intensity":
             continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise DomainError(f"bad spectrum row: {raw!r}")
         try:
-            x, y = float(parts[0]), float(parts[1])
+            x, y = map(float, line.split(","))  # a row of other than two fields fails to unpack
         except ValueError:
-            raise DomainError(f"bad number in spectrum row: {raw!r}") from None
+            raise DomainError(f"line {number} is not two numbers: {raw!r}") from None
         xs.append(x)
         ys.append(y)
     return np.array(xs), np.array(ys)

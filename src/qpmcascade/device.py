@@ -17,6 +17,35 @@ A device file is a JSON document:
       "geometry": { ... }            // optional waveguide cross-section
     }
 
+Each block's keys with their JSON kinds; a key with a default (that of
+``SectionSpec``, ``ModeSolverIndexProvider`` or ``WaveguideGeometry``)
+may be omitted:
+
+    top level       materials: list of strings, "builtin:NAME" or a path
+                    relative to the device file; signal_nm, pump_nm:
+                    numbers; sections: list of two sections; coupling:
+                    object; loss_budget: list of loss items; geometry:
+                    object, default none
+    section         role: "step1" or "step2"; length_mm, temperature_C:
+                    numbers; index_provider: object; exactly one of
+                    poling_period_um (number) and solve_at (object);
+                    qpm_order: integer, default 1; expansion_per_C:
+                    number, default 0.0; expansion_ref_C: number,
+                    default 25.0
+    solve_at        T_C: number
+    index_provider  kind: "bulk", with material: string; or
+                    "modesolver", with mode: integer, default 1
+    coupling        pump, signal, aux: numbers in (0, 1]
+    loss item       label: string; transmission: number
+    geometry        core_width_um, core_height_um: numbers;
+                    core_material, substrate_material: strings;
+                    superstrate_index: number, default 1.0; grid_nx,
+                    grid_ny: integers, default 64; window_width_um,
+                    window_height_um: numbers, default 30.0 and 24.0
+
+A material named by ``material``, ``core_material`` or
+``substrate_material`` must be one the ``materials`` list loaded.
+
 The operating point is stated once, by the top-level ``signal_nm`` and
 ``pump_nm``.  Each section states either an explicit ``poling_period_um``
 or a ``solve_at`` temperature at which its period is solved on load, on
@@ -25,22 +54,17 @@ output.  A solved period is stored at ``expansion_ref_C``, so the
 section's thermal expansion restores it at ``solve_at.T_C``.  Sections
 whose ``index_provider`` blocks are equal share one provider object, so a
 mode-solver device solves each (wavelength, T) once for both sections.
-An ``index_provider`` block takes only the keys its ``kind`` reads:
-``material`` for ``bulk``; ``mode`` for ``modesolver``.
 
-Unknown and missing keys are rejected with a named error, and so is a
-value of the wrong JSON type: numeric fields must be finite JSON numbers
-(integers for ``qpm_order``, ``mode`` and the grid sizes; ``NaN`` and
-``Infinity`` are refused), names and labels strings, and every block an
-object.  Material files are read and checked by the same functions of
-:mod:`qpmcascade.errors`.
+Unknown and missing keys, values of the wrong JSON type (a bool is not a
+number) and ``NaN`` or ``Infinity`` are refused with an error naming
+them, as in material files (:func:`~qpmcascade.errors.json_fields`).
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -51,17 +75,33 @@ from .dispersion import (
     builtin_material,
     load_material,
 )
-from .errors import DeviceFileError, check_keys, json_value, read_json
+from .errors import DeviceFileError, json_fields, json_value, read_json
 from .modesolver import ModeSolverIndexProvider, WaveguideGeometry
 from .qpm import ProcessSpec, SectionSpec, delta_k, qpm_transfer, solve_poling_period
 from .spectral import ProcessKind, Wavelength, dfg_target, output_nm
 
 
-_check_keys = functools.partial(check_keys, DeviceFileError)
+_fields = functools.partial(json_fields, DeviceFileError)
 _value = functools.partial(json_value, DeviceFileError)
 
-# The keys each index_provider kind reads besides "kind": (required, optional).
-_PROVIDER_KEYS = {"bulk": ({"material"}, set()), "modesolver": (set(), {"mode"})}
+# Each block's keys and their JSON kinds (None: checked by the loader),
+# in the order their values are checked.
+_DEVICE = dict(required={"signal_nm": float, "pump_nm": float, "materials": list, "sections": list,
+                         "coupling": dict, "loss_budget": list}, optional={"geometry": dict})
+_GEOMETRY = dict(
+    required={"core_width_um": float, "core_height_um": float, "core_material": str,
+              "substrate_material": str},
+    optional={"superstrate_index": float, "grid_nx": int, "grid_ny": int, "window_width_um": float,
+              "window_height_um": float})
+_SECTION = dict(
+    required={"role": None, "length_mm": float, "temperature_C": float, "index_provider": dict},
+    optional={"poling_period_um": float, "solve_at": dict, "qpm_order": int, "expansion_per_C": float,
+              "expansion_ref_C": float})
+_SOLVE_AT = dict(required={"T_C": float}, optional={})
+_PROVIDERS = {"bulk": dict(required={"kind": str, "material": str}, optional={}),
+              "modesolver": dict(required={"kind": str}, optional={"mode": int})}
+_COUPLING = dict(required={"pump": float, "signal": float, "aux": float}, optional={})
+_LOSS_ITEM = dict(required={"label": str, "transmission": float}, optional={})
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,9 +168,9 @@ class TwoStepDevice:
         return output_nm(ProcessKind.DFG, output_nm(ProcessKind.DFG, lam_in_nm, pump), pump)
 
 
-def _load_materials(entries, base_dir: Path) -> dict[str, SellmeierModel]:
+def _load_materials(entries: list, base_dir: Path) -> dict[str, SellmeierModel]:
     loaded: dict[str, SellmeierModel] = {}
-    for i, entry in enumerate(_value(entries, list, "materials")):
+    for i, entry in enumerate(entries):
         entry = _value(entry, str, f"materials[{i}]")
         if entry.startswith("builtin:"):
             model = builtin_material(entry.removeprefix("builtin:"))
@@ -142,8 +182,8 @@ def _load_materials(entries, base_dir: Path) -> dict[str, SellmeierModel]:
     return loaded
 
 
-def _material_for(name, materials: Mapping[str, SellmeierModel], where: str) -> SellmeierModel:
-    if _value(name, str, where) not in materials:
+def _material_for(name: str, materials: Mapping[str, SellmeierModel], where: str) -> SellmeierModel:
+    if name not in materials:
         raise DeviceFileError(
             f"{where} references material {name!r}; loaded: {sorted(materials)}"
         )
@@ -151,44 +191,23 @@ def _material_for(name, materials: Mapping[str, SellmeierModel], where: str) -> 
 
 
 def _build_geometry(doc: dict, materials: Mapping[str, SellmeierModel]) -> WaveguideGeometry:
-    _check_keys(
-        doc,
-        required={"core_width_um", "core_height_um", "core_material", "substrate_material"},
-        optional={"superstrate_index", "grid_nx", "grid_ny", "window_width_um", "window_height_um"},
-        where="geometry",
-    )
-
-    def field(key, default=None, kind=float):
-        return _value(doc.get(key, default), kind, f"geometry.{key}")
-
-    return WaveguideGeometry(
-        core_width_um=field("core_width_um"),
-        core_height_um=field("core_height_um"),
-        core_material=_material_for(doc["core_material"], materials, "geometry.core_material"),
-        substrate_material=_material_for(
-            doc["substrate_material"], materials, "geometry.substrate_material"
-        ),
-        superstrate_index=field("superstrate_index", 1.0),
-        grid_nx=field("grid_nx", 64, int),
-        grid_ny=field("grid_ny", 64, int),
-        window_width_um=field("window_width_um", 30.0),
-        window_height_um=field("window_height_um", 24.0),
-    )
+    fields = _fields(doc, "geometry", **_GEOMETRY)
+    for key in ("core_material", "substrate_material"):
+        fields[key] = _material_for(fields[key], materials, f"geometry.{key}")
+    return WaveguideGeometry(**fields)
 
 
 def _build_provider(doc: dict, materials, geometry: WaveguideGeometry | None, where: str):
-    doc = _value(doc, dict, where)
     kind = _value(doc.get("kind"), str, f"{where}.kind")
-    if kind not in _PROVIDER_KEYS:
+    if kind not in _PROVIDERS:
         raise DeviceFileError(f"{where}: unknown index_provider kind {kind!r}")
-    required, optional = _PROVIDER_KEYS[kind]
-    _check_keys(doc, required={"kind", *required}, optional=optional, where=where)
+    fields = _fields(doc, where, **_PROVIDERS[kind])
     if kind == "modesolver":
         if geometry is None:
             raise DeviceFileError(f"{where}: modesolver provider needs a geometry block")
-        mode = _value(doc.get("mode", 1), int, f"{where}.mode")
-        return ModeSolverIndexProvider(geometry, default_mode=mode)
-    return BulkIndexProvider(_material_for(doc["material"], materials, f"{where}.material"))
+        mode = {"default_mode": fields["mode"]} if "mode" in fields else {}
+        return ModeSolverIndexProvider(geometry, **mode)
+    return BulkIndexProvider(_material_for(fields["material"], materials, f"{where}.material"))
 
 
 def _build_section(
@@ -200,88 +219,55 @@ def _build_section(
     ``providers`` holds the (block, provider) pairs built so far, and a
     section whose index_provider block equals an earlier one shares its
     provider (and so a mode-solver cache)."""
-    _check_keys(
-        doc,
-        required={"role", "length_mm", "temperature_C", "index_provider"},
-        optional={"poling_period_um", "solve_at", "qpm_order", "expansion_per_C", "expansion_ref_C"},
-        where=where,
-    )
+    fields = _fields(doc, where, **_SECTION)
     roles = sorted(chain)
-    if doc["role"] not in roles:  # list membership compares by ==, so any JSON value is safe
-        raise DeviceFileError(f"{where}: role must be one of {roles}, got {doc['role']!r}")
-    if ("poling_period_um" in doc) == ("solve_at" in doc):
+    if fields["role"] not in roles:  # list membership compares by ==, so any JSON value is safe
+        raise DeviceFileError(f"{where}: role must be one of {roles}, got {fields['role']!r}")
+    if ("poling_period_um" in fields) == ("solve_at" in fields):
         raise DeviceFileError(
             f"{where}: exactly one of poling_period_um and solve_at is required"
         )
-    block = doc["index_provider"]
+    block = fields.pop("index_provider")
     provider = next((built for seen, built in providers if seen == block), None)
     if provider is None:
         provider = _build_provider(block, materials, geometry, f"{where}.index_provider")
         providers.append((block, provider))
-    qpm_order = _value(doc.get("qpm_order", 1), int, f"{where}.qpm_order")
-    expansion_per_C = _value(doc.get("expansion_per_C", 0.0), float, f"{where}.expansion_per_C")
-    expansion_ref_C = _value(doc.get("expansion_ref_C", 25.0), float, f"{where}.expansion_ref_C")
-    if "solve_at" in doc:
-        _check_keys(doc["solve_at"], required={"T_C"}, optional=set(), where=f"{where}.solve_at")
-        temp_C = _value(doc["solve_at"]["T_C"], float, f"{where}.solve_at.T_C")
-        period = solve_poling_period(
-            ProcessKind.DFG, chain[doc["role"]], pump, temp_C, provider, qpm_order=qpm_order
-        )
-        stretch = 1.0 + expansion_per_C * (temp_C - expansion_ref_C)
-        if not stretch > 0.0:
-            raise DeviceFileError(f"{where}: expansion factor {stretch!r} at solve_at.T_C is not positive")
-        period /= stretch
-    else:
-        period = _value(doc["poling_period_um"], float, f"{where}.poling_period_um")
-    return SectionSpec(
-        role=doc["role"],
-        length_mm=_value(doc["length_mm"], float, f"{where}.length_mm"),
-        poling_period_um=period,
-        temperature_C=_value(doc["temperature_C"], float, f"{where}.temperature_C"),
-        index_provider=provider,
-        qpm_order=qpm_order,
-        expansion_per_C=expansion_per_C,
-        expansion_ref_C=expansion_ref_C,
-    )
+    if "poling_period_um" in fields:
+        return SectionSpec(**fields, index_provider=provider)
+    temp_C = _fields(fields.pop("solve_at"), f"{where}.solve_at", **_SOLVE_AT)["T_C"]
+    # Built at a unit period, the section's period at T_C is its expansion factor there.
+    section = SectionSpec(**fields, poling_period_um=1.0, index_provider=provider)
+    period = solve_poling_period(ProcessKind.DFG, chain[section.role], pump, temp_C, provider,
+                                 qpm_order=section.qpm_order)
+    stretch = section.period_um_at(temp_C)
+    if not stretch > 0.0:
+        raise DeviceFileError(f"{where}: expansion factor {stretch!r} at solve_at.T_C is not positive")
+    return replace(section, poling_period_um=period / stretch)
 
 
 def device_from_dict(doc: dict, base_dir: Path, sha256: str = "") -> TwoStepDevice:
-    _check_keys(
-        doc,
-        required={"materials", "signal_nm", "pump_nm", "sections", "coupling", "loss_budget"},
-        optional={"geometry"},
-        where="device",
-    )
-    signal = Wavelength(_value(doc["signal_nm"], float, "signal_nm"))
-    pump = Wavelength(_value(doc["pump_nm"], float, "pump_nm"))
+    fields = _fields(doc, "device", prefix="", **_DEVICE)
+    signal = Wavelength(fields["signal_nm"])
+    pump = Wavelength(fields["pump_nm"])
     chain = {"step1": signal, "step2": dfg_target(signal, pump)}
-    materials = _load_materials(doc["materials"], base_dir)
-    geometry = _build_geometry(doc["geometry"], materials) if "geometry" in doc else None
-    sections = _value(doc["sections"], list, "sections")
-    if len(sections) != 2:
+    materials = _load_materials(fields["materials"], base_dir)
+    geometry = _build_geometry(fields["geometry"], materials) if "geometry" in fields else None
+    if len(fields["sections"]) != 2:
         raise DeviceFileError("sections must list exactly one step1 and one step2")
     providers: list = []
     built = {}
-    for i, sec_doc in enumerate(sections):
+    for i, sec_doc in enumerate(fields["sections"]):
         section = _build_section(sec_doc, materials, geometry, f"sections[{i}]", providers, chain, pump)
         built[section.role] = section
     if set(built) != {"step1", "step2"}:
         raise DeviceFileError("sections must list exactly one step1 and one step2")
 
-    coupling_doc = doc["coupling"]
-    _check_keys(coupling_doc, required={"pump", "signal", "aux"}, optional=set(), where="coupling")
-    coupling = {}
-    for key, value in coupling_doc.items():
-        v = _value(value, float, f"coupling.{key}")
+    coupling = _fields(fields["coupling"], "coupling", **_COUPLING)
+    for key, v in coupling.items():
         if not 0.0 < v <= 1.0:
-            raise DeviceFileError(f"coupling.{key} = {value!r} outside (0, 1]")
-        coupling[key] = v
+            raise DeviceFileError(f"coupling.{key} = {fields['coupling'][key]!r} outside (0, 1]")
 
-    pairs = []
-    for i, item in enumerate(_value(doc["loss_budget"], list, "loss_budget")):
-        _check_keys(item, required={"label", "transmission"}, optional=set(), where=f"loss_budget[{i}]")
-        pairs.append((_value(item["label"], str, f"loss_budget[{i}].label"),
-                      _value(item["transmission"], float, f"loss_budget[{i}].transmission")))
+    items = [_fields(item, f"loss_budget[{i}]", **_LOSS_ITEM) for i, item in enumerate(fields["loss_budget"])]
 
     return TwoStepDevice(
         step1=built["step1"],
@@ -289,7 +275,7 @@ def device_from_dict(doc: dict, base_dir: Path, sha256: str = "") -> TwoStepDevi
         signal=signal,
         pump=pump,
         coupling=coupling,
-        loss_budget=LossBudget.from_pairs(pairs),
+        loss_budget=LossBudget.from_pairs([(item["label"], item["transmission"]) for item in items]),
         materials=materials,
         geometry=geometry,
         source_sha256=sha256,

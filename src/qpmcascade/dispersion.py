@@ -49,8 +49,8 @@ from .errors import (
     MaterialFileError,
     NumericError,
     RangeError,
-    check_keys,
     is_array,
+    json_fields,
     json_value,
     read_json,
     screen,
@@ -235,36 +235,30 @@ class BulkIndexProvider:
 
 _value = functools.partial(json_value, MaterialFileError)
 
+# A material file's keys and their JSON kinds, in the order their values are checked.
+_MATERIAL = dict(
+    required={"name": str, "polarization": str, "temperature_form": str, "coefficients": dict,
+              "wavelength_range_um": list, "temperature_range_C": list},
+    optional={"mid_ir_absorptive": bool, "notes": str},
+)
+
 
 def material_from_dict(doc: dict) -> SellmeierModel:
     """A material from its JSON document, checked like a device file
     (:mod:`qpmcascade.device`): unknown or missing keys and values of the
     wrong JSON type, ``NaN`` and ``Infinity`` included, raise
-    :class:`MaterialFileError` naming the key."""
-    required = {"name", "polarization", "temperature_form", "coefficients",
-                "wavelength_range_um", "temperature_range_C"}
-    check_keys(MaterialFileError, doc, required, {"mid_ir_absorptive", "notes"}, "material")
-
-    def field(key, kind, default=None):
-        return _value(doc.get(key, default), kind, f"material.{key}")
-
-    def bounds(key):
-        pair = [_value(v, float, f"material.{key}[{i}]") for i, v in enumerate(field(key, list))]
+    :class:`MaterialFileError` naming the key.  The keys are those
+    :func:`material_to_json` writes; ``mid_ir_absorptive`` and ``notes``
+    may be omitted, and then take their :class:`SellmeierModel` defaults."""
+    fields = json_fields(MaterialFileError, doc, "material", **_MATERIAL)
+    fields["coefficients"] = {k: _value(v, float, f"material.coefficients.{k}")
+                              for k, v in fields["coefficients"].items()}
+    for key in ("wavelength_range_um", "temperature_range_C"):
+        pair = [_value(v, float, f"material.{key}[{i}]") for i, v in enumerate(fields[key])]
         if len(pair) != 2 or not pair[0] < pair[1]:
             raise MaterialFileError(f"material.{key} must be a [low, high] pair with low < high")
-        return tuple(pair)
-
-    return SellmeierModel(
-        name=field("name", str),
-        polarization=field("polarization", str),
-        temperature_form=field("temperature_form", str),
-        coefficients={k: _value(v, float, f"material.coefficients.{k}")
-                      for k, v in field("coefficients", dict).items()},
-        wavelength_range_um=bounds("wavelength_range_um"),
-        temperature_range_C=bounds("temperature_range_C"),
-        mid_ir_absorptive=field("mid_ir_absorptive", bool, False),
-        notes=field("notes", str, ""),
-    )
+        fields[key] = tuple(pair)
+    return SellmeierModel(**fields)
 
 
 def material_to_json(model: SellmeierModel) -> str:

@@ -7,7 +7,7 @@ instead (:func:`screen`), :func:`masked_cells` can record why and
 :func:`mask_counts` tallies the record.
 
 Device and material files share one reader (:func:`read_json`) and one
-set of checks (:func:`check_keys`, :func:`json_value`); each names the
+set of checks (:func:`json_fields`, :func:`json_value`); each names the
 file error class it raises.
 """
 
@@ -127,16 +127,27 @@ def json_value(error: type[ConverterError], value, kind: type, path: str):
     return float(value) if kind is float else value
 
 
-def check_keys(error: type[ConverterError], doc, required: set, optional: set, where: str) -> None:
-    """Raise ``error`` unless ``doc`` is a JSON object with every
-    ``required`` key and no key outside ``required | optional``."""
+def json_fields(error: type[ConverterError], doc, where: str, required: dict, optional: dict,
+                prefix: str | None = None) -> dict:
+    """The keys ``doc``, a JSON object named ``where``, holds, in its
+    order, with their values checked.  ``required`` and ``optional`` map
+    each key ``doc`` must or may hold to its :func:`json_value` kind
+    (``None``: any), checked in that order and named ``prefix + key``
+    (``where + "."`` by default).  An omitted key stays out, so the
+    constructor the values go to applies its own default."""
     json_value(error, doc, dict, where)
-    unknown = set(doc) - required - optional
+    unknown = doc.keys() - required.keys() - optional.keys()
     if unknown:
         raise error(f"unknown key(s) {sorted(unknown)} in {where}")
-    missing = required - set(doc)
+    missing = required.keys() - doc.keys()
     if missing:
         raise error(f"missing key(s) {sorted(missing)} in {where}")
+    prefix = f"{where}." if prefix is None else prefix
+    values = dict(doc)  # each value replaced in place, so the keys keep the file's order
+    for key, kind in (*required.items(), *optional.items()):
+        if kind is not None and key in values:
+            values[key] = json_value(error, values[key], kind, prefix + key)
+    return values
 
 
 # The reasons of the current masked_cells block, if one is open.

@@ -209,27 +209,32 @@ def index_map(geometry: WaveguideGeometry, lam: Wavelength, temp_C: float) -> tu
     removes the staircase error of binary sampling at the core boundary.
     Returns (n, x_um, y_um, n_core, n_clad_max).
     """
+    return _index_map(geometry, lam, temp_C)[:5]
+
+
+def _index_map(geometry: WaveguideGeometry, lam: Wavelength, temp_C: float):
+    """:func:`index_map`'s tuple followed by what :func:`_separable_tops`
+    reuses: n_sub and the area weights ``(fx, fy, f_sub)``."""
     n_core = sellmeier_index(geometry.core_material, lam, temp_C)
     n_sub = sellmeier_index(geometry.substrate_material, lam, temp_C)
     n_sup = geometry.superstrate_index
     x, y, fx, fy, f_sub = _area_weights(geometry)
     f_core = np.outer(fy, fx)
-    f_sub = np.broadcast_to(f_sub[:, None], f_core.shape)
-    f_sup = 1.0 - f_core - f_sub
-    n2 = f_core * n_core**2 + f_sub * n_sub**2 + f_sup * n_sup**2
-    return np.sqrt(n2), x, y, n_core, max(n_sub, n_sup)
+    f_sup = 1.0 - f_core - f_sub[:, None]
+    n2 = f_core * n_core**2 + f_sub[:, None] * n_sub**2 + f_sup * n_sup**2
+    return np.sqrt(n2), x, y, n_core, max(n_sub, n_sup), n_sub, (fx, fy, f_sub)
 
 
-def _separable_tops(geometry: WaveguideGeometry, lam: Wavelength, temp_C: float) -> tuple[float, float]:
+def _separable_tops(geometry: WaveguideGeometry, lam: Wavelength, n_core: float, n_sub: float, weights) -> tuple[float, float]:
     """Top eigenvalues of the x-even and the x-odd block of the separable
     stencil: the 5-point stencil of :func:`_stencil` with n^2 replaced by
     n_x^2(x) + n_y^2(y) - n_core^2.
 
     n_x^2 = fx n_core^2 + (1 - fx) n_sup^2 and n_y^2 = fy n_core^2 +
     f_sub n_sub^2 + (1 - fy - f_sub) n_sup^2 are the area-weighted
-    profiles through the core, with the weights of :func:`index_map`.
-    The operator is a sum of a tridiagonal x and a tridiagonal y operator,
-    so its eigenvalues are sums of theirs.  The x profile is mirror
+    profiles through the core, from the indices and the weights
+    ``(fx, fy, f_sub)`` :func:`_index_map` returned.  The operator is a
+    sum of a tridiagonal x and a tridiagonal y operator, so its eigenvalues are sums of theirs.  The x profile is mirror
     symmetric, so the top x eigenvector is even and the second is odd
     (they alternate, by Sturm oscillation): the x-even block's top is the
     top x eigenvalue plus the top y eigenvalue, the x-odd block's the
@@ -237,10 +242,8 @@ def _separable_tops(geometry: WaveguideGeometry, lam: Wavelength, temp_C: float)
     """
     from scipy.linalg import eigh_tridiagonal  # deferred: only eigen-solves need it
 
-    n2_core = sellmeier_index(geometry.core_material, lam, temp_C) ** 2
-    n2_sub = sellmeier_index(geometry.substrate_material, lam, temp_C) ** 2
-    n2_sup = geometry.superstrate_index**2
-    _, _, fx, fy, f_sub = _area_weights(geometry)
+    n2_core, n2_sub, n2_sup = n_core**2, n_sub**2, geometry.superstrate_index**2
+    fx, fy, f_sub = weights
     k0 = 2.0 * math.pi / lam.um
 
     def top_eigenvalues(n2, h, wanted):
@@ -413,7 +416,7 @@ def solve_modes(
             f"count must be >= 1 and <= {even_size - 2}, the x-even block's "
             f"{even_size} cells less 2; got {count}"
         )
-    n, x, y, n_core, n_clad = index_map(geometry, lam, temp_C)
+    n, x, y, n_core, n_clad, n_sub, weights = _index_map(geometry, lam, temp_C)
     if n_core <= n_clad:
         warnings.warn("no index contrast; no guided modes", ModeShortfallWarning)
         return []
@@ -423,7 +426,7 @@ def solve_modes(
     blocks = _parity_blocks(n, hx, hy, k0, count)
     sigma0 = (k0 * n_core) ** 2
     pbtrf, pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
-    tops = _separable_tops(geometry, lam, temp_C)
+    tops = _separable_tops(geometry, lam, n_core, n_sub, weights)
     pairs = []
     # The odd block holds at most count - 1 of the top modes: mode 1 is even.
     for odd, (block, k, top) in enumerate(zip(blocks, (count, count - 1), tops)):

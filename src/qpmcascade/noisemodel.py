@@ -231,6 +231,18 @@ def thermal_sfg_mismatch(section: SectionSpec, pump: Wavelength, output_nm, temp
     return delta_k(ProcessKind.SFG, driver_nm, pump.nm, temp, section)
 
 
+def _thermal_sfg_grid_mismatch(section: SectionSpec, pump: Wavelength, lam_grid_nm, temp_C=None):
+    """The grid as a float array and :func:`thermal_sfg_mismatch` on it,
+    evaluated once (:func:`qpmcascade.qpm.grid_mismatch`).  The grid must
+    be non-empty and strictly increasing."""
+    lam = np.asarray(list(lam_grid_nm), dtype=float)
+    if lam.size == 0:
+        raise DomainError("wavelength grid is empty")
+    if not np.all(np.diff(lam) > 0):
+        raise DomainError("wavelength grid must be strictly increasing")
+    return lam, grid_mismatch(lambda out_nm: thermal_sfg_mismatch(section, pump, out_nm, temp_C), lam)
+
+
 def solve_thermal_sfg_output(
     section: SectionSpec,
     pump: Wavelength,
@@ -274,12 +286,7 @@ def thermal_sfg_lineshape(
     """
     if z_panels < 256:
         raise DomainError("z discretization must use at least 256 panels")
-    lam = np.asarray(list(lam_grid_nm), dtype=float)
-    if lam.size == 0:
-        raise DomainError("wavelength grid is empty")
-    if not np.all(np.diff(lam) > 0):
-        raise DomainError("wavelength grid must be strictly increasing")
-    dk = grid_mismatch(lambda out_nm: thermal_sfg_mismatch(section, pump, out_nm, temp_C), lam)
+    lam, dk = _thermal_sfg_grid_mismatch(section, pump, lam_grid_nm, temp_C)
     intensity = weighted_sinc2_sum(dk, section.length_mm, weights, z_panels)
     if planck_temperature_K is not None:
         driver_nm = spectral.output_nm(ProcessKind.DFG, lam, pump.nm)

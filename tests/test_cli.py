@@ -630,6 +630,15 @@ class TestErrorHandling:
             assert "0.9x" in err
             assert not out.exists()
 
+    def test_malformed_fit_data_row_is_named_by_line(self, tmp_path, capsys):
+        data = tmp_path / "scan.csv"
+        data.write_text("# pump scan\nwavelength_nm,intensity\n2152.0,0.5\n2152.5,abc\n")
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--model", "sinc2_scan", "--data", str(data), "-o", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "code=domain_error, msg=line 4 is not two numbers: '2152.5,abc'\n")
+        assert not out.exists()
+
     def test_initial_missing_a_parameter_exits_three(self, tmp_path, capsys):
         data = tmp_path / "eff.csv"
         x = np.linspace(1e-3, 0.225, 20)

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from qpmcascade.conversion import budget_transmission
 from qpmcascade.device import device_from_dict, load_device, reference_device_path
-from qpmcascade.dispersion import material_to_json, builtin_material
+from qpmcascade.dispersion import SellmeierModel, builtin_material, material_from_dict, material_to_json
 from qpmcascade.errors import ConverterError, DeviceFileError, DomainError
-from qpmcascade.qpm import phase_mismatch, phasematch_map, solve_poling_period
+from qpmcascade.modesolver import ModeSolverIndexProvider, WaveguideGeometry
+from qpmcascade.qpm import SectionSpec, phase_mismatch, phasematch_map, solve_poling_period
 from qpmcascade.spectral import ProcessKind, Wavelength
 
 
@@ -251,6 +252,68 @@ def _explicit_period_doc(*blocks) -> dict:
         section["poling_period_um"] = period
         section["index_provider"] = block
     return doc
+
+
+class TestKeysTheReferenceDeviceOmits:
+    """Keys the shipped device does not hold: each is checked like the
+    others when present, and each takes its dataclass default when absent."""
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("poling_period_um", "12.96", "sections[1].poling_period_um must be a number, got '12.96'"),
+        ("poling_period_um", None, "sections[1].poling_period_um must be a number, got None"),
+        ("expansion_per_C", True, "sections[1].expansion_per_C must be a number, got True"),
+        ("expansion_per_C", [1.54e-5], "sections[1].expansion_per_C must be a number, got [1.54e-05]"),
+        ("expansion_ref_C", math.nan, "sections[1].expansion_ref_C must be a finite number, got nan"),
+        ("expansion_ref_C", "25", "sections[1].expansion_ref_C must be a number, got '25'"),
+    ])
+    def test_section_key_of_wrong_kind_is_named(self, tmp_path, key, value, message):
+        doc = _explicit_period_doc(*[{"kind": "bulk", "material": "lithium_niobate_e"}] * 2)
+        doc["sections"][1][key] = value
+        with pytest.raises(DeviceFileError) as exc:
+            device_from_dict(doc, tmp_path)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("value, message", [
+        (1.5, "sections[0].index_provider.mode must be an integer, got 1.5"),
+        ("2", "sections[0].index_provider.mode must be an integer, got '2'"),
+        (True, "sections[0].index_provider.mode must be an integer, got True"),
+    ])
+    def test_modesolver_mode_of_wrong_kind_is_named(self, tmp_path, value, message):
+        doc = _explicit_period_doc({"kind": "modesolver", "mode": value}, {"kind": "modesolver"})
+        with pytest.raises(DeviceFileError) as exc:
+            device_from_dict(doc, tmp_path)
+        assert str(exc.value) == message
+
+    def test_solved_section_with_non_positive_qpm_order_names_it(self, tmp_path):
+        doc = reference_doc()
+        doc["sections"][0]["qpm_order"] = 0
+        with pytest.raises(DomainError, match=r"^qpm_order must be an odd positive integer, got 0$"):
+            device_from_dict(doc, tmp_path)
+
+    def test_device_without_optional_keys_loads_the_defaults(self, tmp_path):
+        doc = _explicit_period_doc({"kind": "modesolver"}, {"kind": "bulk", "material": "lithium_niobate_e"})
+        for section in doc["sections"]:
+            del section["qpm_order"]
+        required = ("core_width_um", "core_height_um", "core_material", "substrate_material")
+        doc["geometry"] = {key: doc["geometry"][key] for key in required}
+        device = device_from_dict(doc, tmp_path)
+        niobate, tantalate = device.materials["lithium_niobate_e"], device.materials["lithium_tantalate_e"]
+        assert device.geometry == WaveguideGeometry(10.0, 8.0, niobate, tantalate)
+        assert device.step1.index_provider.default_mode == ModeSolverIndexProvider(device.geometry).default_mode
+        assert device.step1 == SectionSpec("step1", 20.0, 12.96, 59.26, device.step1.index_provider)
+        assert device.step2 == SectionSpec("step2", 20.0, 25.65, 59.26, device.step2.index_provider)
+        doc["sections"][0]["index_provider"] = doc["sections"][1]["index_provider"]
+        del doc["geometry"]
+        assert device_from_dict(doc, tmp_path).geometry is None
+
+    def test_material_without_optional_keys_loads_the_defaults(self):
+        doc = json.loads(material_to_json(builtin_material("lithium_niobate_e")))
+        del doc["mid_ir_absorptive"], doc["notes"]
+        expected = SellmeierModel(
+            doc["name"], doc["polarization"], doc["temperature_form"], doc["coefficients"],
+            tuple(doc["wavelength_range_um"]), tuple(doc["temperature_range_C"]),
+        )
+        assert material_from_dict(doc) == expected
 
 
 class TestSharedProviders:

@@ -546,13 +546,13 @@ def test_separable_estimate_is_below_each_block_top(
         lithium_niobate, lithium_tantalate, core_w, core_h, margin_w, margin_h, superstrate, nx, ny
     )
     lam = Wavelength(lam_nm)
-    n, _, _, n_core, _ = modesolver.index_map(geometry, lam, TEMP)
+    n, _, _, n_core, _, n_sub, weights = modesolver._index_map(geometry, lam, TEMP)
     k0 = 2.0 * math.pi / lam.um
     hx, hy = geometry.window_width_um / nx, geometry.window_height_um / ny
     a_mat = modesolver._helmholtz_matrix(n, hx, hy, k0)
     sigma0 = (k0 * n_core) ** 2
     wide = sigma0 + 8.0 / hx**2 + 8.0 / hy**2
-    for parity, sign, estimate in zip(("even", "odd"), (1, -1), modesolver._separable_tops(geometry, lam, TEMP)):
+    for parity, sign, estimate in zip(("even", "odd"), (1, -1), modesolver._separable_tops(geometry, lam, n_core, n_sub, weights)):
         top = parity_block_top(a_mat, nx, sigma0, wide, sign)
         assert estimate <= top
         shift = estimate + modesolver._SHIFT_GAP * (sigma0 - estimate)
