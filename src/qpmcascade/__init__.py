@@ -7,7 +7,6 @@ from .conversion import (
     NoiseReport,
     Spectrum,
     StepEfficiencyModel,
-    budget_loss,
     budget_transmission,
     cascade_efficiency,
     convert_spectrum,
@@ -22,7 +21,6 @@ from .dispersion import (
     BulkIndexProvider,
     SellmeierModel,
     builtin_material,
-    group_and_phase_terms,
     load_material,
     sellmeier_index,
 )
@@ -72,14 +70,9 @@ from .qpm import (
 )
 from .spectral import (
     C_NM_THZ,
-    Frequency,
     ProcessKind,
     Wavelength,
     dfg_target,
-    frequency_to_wavelength,
-    sfg_output,
-    shg_output,
-    wavelength_to_frequency,
 )
 
 __version__ = "0.1.0"

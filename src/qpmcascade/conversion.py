@@ -133,10 +133,6 @@ def budget_transmission(budget: LossBudget) -> float:
     return total
 
 
-def budget_loss(budget: LossBudget) -> float:
-    return 1.0 - budget_transmission(budget)
-
-
 def external_from_internal(eta_internal: float, budget: LossBudget) -> float:
     """External efficiency after all out-coupling and filter losses."""
     if not 0.0 <= eta_internal <= 1.0:

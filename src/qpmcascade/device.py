@@ -198,7 +198,9 @@ def _build_geometry(doc: dict, materials: Mapping[str, SellmeierModel]) -> Waveg
 
 
 def _build_provider(doc: dict, materials, geometry: WaveguideGeometry | None, where: str):
-    kind = _value(doc.get("kind"), str, f"{where}.kind")
+    if "kind" not in doc:
+        raise DeviceFileError(f"missing key(s) ['kind'] in {where}")
+    kind = _value(doc["kind"], str, f"{where}.kind")
     if kind not in _PROVIDERS:
         raise DeviceFileError(f"{where}: unknown index_provider kind {kind!r}")
     fields = _fields(doc, where, **_PROVIDERS[kind])

@@ -144,8 +144,8 @@ class SellmeierModel:
         object.__setattr__(self, "temperature_range_C", tuple(self.temperature_range_C))
 
     def index_unchecked(self, lam_um, temp_C):
-        """Evaluate the raw formula without range validation (used for
-        finite-difference probes a hair outside the declared ranges).
+        """Evaluate the raw formula without range validation;
+        :func:`sellmeier_index` checks the ranges first and then calls this.
         Elementwise on arrays; NaN inputs give NaN.  Where the inputs are
         not NaN, an index outside (1, 4) (a broken coefficient table)
         raises :class:`NumericError` naming the first such (n, lam, T)."""
@@ -184,7 +184,7 @@ def sellmeier_index(model: SellmeierModel, lam, temp_C):
     against ``temp_C``.  A scalar call raises :class:`RangeError` naming
     the violated bound; an array call masks it (NaN).  The index is
     checked by :meth:`SellmeierModel.index_unchecked`, the one (1, 4)
-    check, which also covers :func:`group_and_phase_terms`' probes.
+    check.
     """
     lam_um = (lam.nm if isinstance(lam, Wavelength) else lam) * 1e-3
     if is_array(lam_um) or is_array(temp_C):
@@ -192,26 +192,6 @@ def sellmeier_index(model: SellmeierModel, lam, temp_C):
     lam_um = _in_range(model, "wavelength_um", lam_um, *model.wavelength_range_um)
     temp_C = _in_range(model, "temperature_C", temp_C, *model.temperature_range_C)
     return model.index_unchecked(lam_um, temp_C)
-
-
-def group_and_phase_terms(
-    model: SellmeierModel, lam: Wavelength, temp_C: float, rel_step: float = 1e-6
-) -> dict[str, float]:
-    """Index and first derivatives {n, dn_dlam_per_nm, dn_dT_per_C}.
-
-    Derivatives are central finite differences with relative step
-    ``rel_step``; probe points may overhang the declared range edges by
-    that hair, the formula itself is smooth there.
-    """
-    n = sellmeier_index(model, lam, temp_C)
-    lam_um = lam.um
-    h_lam = lam_um * rel_step
-    h_t = max(abs(temp_C), 1.0) * rel_step
-    lam_up, lam_down, t_up, t_down = model.index_unchecked(
-        lam_um + np.array([h_lam, -h_lam, 0.0, 0.0]), temp_C + np.array([0.0, 0.0, h_t, -h_t])
-    ).tolist()
-    dn_dlam_um = (lam_up - lam_down) / (2.0 * h_lam)
-    return {"n": n, "dn_dlam_per_nm": dn_dlam_um * 1e-3, "dn_dT_per_C": (t_up - t_down) / (2.0 * h_t)}
 
 
 class BulkIndexProvider:
@@ -301,11 +281,14 @@ def builtin_material_names() -> list[str]:
     return sorted(p.name.removesuffix(".json") for p in root.iterdir() if p.name.endswith(".json"))
 
 
+@functools.cache
 def builtin_material(name: str) -> SellmeierModel:
     """Load a material shipped with the package, e.g. ``lithium_niobate_e``.
 
     Only a name :func:`builtin_material_names` lists is accepted, so a
     name cannot reach a file outside the package's ``materials`` folder.
+    Each name's file is read once per process: the model is frozen, so
+    every caller shares one instance.  A refused name is not cached.
     """
     names = builtin_material_names()
     if name not in names:

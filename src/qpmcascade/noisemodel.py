@@ -48,7 +48,7 @@ from . import spectral
 from .conversion import Spectrum
 from .errors import DomainError, is_array
 from .qpm import SectionSpec, _first_roots, delta_k, grid_mismatch
-from .spectral import ProcessKind, Wavelength, sfg_output, shg_output
+from .spectral import ProcessKind, Wavelength
 
 # Second radiation constant h*c/kB in um*K.
 C2_UM_K = 14387.7688
@@ -309,15 +309,8 @@ class ParasiticProcess:
     power_law: int
 
     def __post_init__(self):
-        if self.kind not in ("SHG_pump", "thermal_SFG", "other"):
+        if self.kind not in ("SHG_pump", "thermal_SFG"):
             raise DomainError(f"unknown parasitic kind {self.kind!r}")
-        if self.kind != "other":
-            drivers, out = tuple(map(Wavelength, self.drivers_nm)), Wavelength(self.output_nm)
-            if len(drivers) != 2 or spectral.energy_residual(ProcessKind.SFG, *drivers, out) > 1e-9:
-                raise DomainError(
-                    f"{self.kind}: output {self.output_nm} nm is not energy-consistent "
-                    f"with drivers {self.drivers_nm}"
-                )
 
     def to_dict(self) -> dict:
         return {
@@ -344,7 +337,7 @@ def enumerate_parasitics(
     if window_nm[0] >= window_nm[1]:
         raise DomainError("detection window must be a non-empty [low, high] pair")
     found: list[ParasiticProcess] = []
-    shg_nm = shg_output(pump).nm
+    shg_nm = spectral.output_nm(ProcessKind.SHG, pump.nm, pump.nm)
     if window_nm[0] <= shg_nm <= window_nm[1]:
         found.append(
             ParasiticProcess(
@@ -357,11 +350,10 @@ def enumerate_parasitics(
     thermal_nm = solve_thermal_sfg_output(step2, pump, window_nm, temp_C=temp_C)
     if thermal_nm is not None:
         driver_nm = spectral.output_nm(ProcessKind.DFG, thermal_nm, pump.nm)
-        out = sfg_output(Wavelength(driver_nm), pump)
         found.append(
             ParasiticProcess(
                 kind="thermal_SFG",
-                output_nm=out.nm,
+                output_nm=spectral.output_nm(ProcessKind.SFG, driver_nm, pump.nm),
                 drivers_nm=(driver_nm, pump.nm),
                 power_law=1,
             )

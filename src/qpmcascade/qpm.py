@@ -34,7 +34,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import DesignError, DomainError, NoSolutionError, is_array, mask_counts, masked_cells
-from .spectral import ProcessKind, Wavelength, dfg_target, output_nm, process_output
+from .spectral import ProcessKind, Wavelength, dfg_target, output_nm
 
 TWO_PI = 2.0 * math.pi
 
@@ -100,7 +100,7 @@ class ProcessSpec:
     """A three-wave process bound to one section.
 
     ``lam_out`` is not an argument: it is the energy-conserving output
-    :func:`~qpmcascade.spectral.process_output` of (kind, lam_in,
+    :func:`~qpmcascade.spectral.output_nm` of (kind, lam_in,
     lam_pump), so a triple with no output (a DFG pump shorter than its
     signal, unequal SHG inputs) raises :class:`DomainError` here.  At the
     point :func:`degenerate_operating_point` returns, :func:`phase_mismatch`
@@ -114,7 +114,9 @@ class ProcessSpec:
     lam_out: Wavelength = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "lam_out", process_output(self.kind, self.lam_in, self.lam_pump))
+        object.__setattr__(
+            self, "lam_out", Wavelength(output_nm(self.kind, self.lam_in.nm, self.lam_pump.nm))
+        )
 
     @classmethod
     def dfg(cls, lam_signal: Wavelength, lam_pump: Wavelength, section: SectionSpec) -> "ProcessSpec":

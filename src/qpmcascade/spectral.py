@@ -47,39 +47,12 @@ class Wavelength:
         return C_NM_THZ / self.nm
 
 
-@dataclass(frozen=True, order=True)
-class Frequency:
-    """An optical frequency in terahertz. Strictly positive and finite."""
-
-    thz: float
-
-    def __post_init__(self):
-        value = float(self.thz)
-        if not math.isfinite(value) or value <= 0.0:
-            raise DomainError(f"frequency must be a positive finite number, got {self.thz!r}")
-        object.__setattr__(self, "thz", value)
-
-    @property
-    def nm(self) -> float:
-        return C_NM_THZ / self.thz
-
-
 class ProcessKind(Enum):
     """Three-wave mixing process family. SHG is the degenerate SFG case."""
 
     DFG = "DFG"
     SFG = "SFG"
     SHG = "SHG"
-
-
-def wavelength_to_frequency(lam: Wavelength) -> Frequency:
-    """Convert a vacuum wavelength to optical frequency, f = c / lam."""
-    return Frequency(C_NM_THZ / lam.nm)
-
-
-def frequency_to_wavelength(freq: Frequency) -> Wavelength:
-    """Convert an optical frequency to vacuum wavelength, lam = c / f."""
-    return Wavelength(C_NM_THZ / freq.thz)
 
 
 def output_nm(kind: ProcessKind, lam_in, lam_pump):
@@ -115,31 +88,3 @@ def dfg_target(lam_signal: Wavelength, lam_pump: Wavelength) -> Wavelength:
     """Target wavelength of difference frequency generation; requires
     lam_pump > lam_signal, otherwise no difference frequency exists."""
     return Wavelength(output_nm(ProcessKind.DFG, lam_signal.nm, lam_pump.nm))
-
-
-def sfg_output(lam_a: Wavelength, lam_b: Wavelength) -> Wavelength:
-    """Output wavelength of sum frequency generation, symmetric in its inputs."""
-    return Wavelength(output_nm(ProcessKind.SFG, lam_a.nm, lam_b.nm))
-
-
-def shg_output(lam: Wavelength) -> Wavelength:
-    """Second harmonic output; the degenerate SFG case."""
-    return sfg_output(lam, lam)
-
-
-def process_output(kind: ProcessKind, lam_in: Wavelength, lam_pump: Wavelength) -> Wavelength:
-    """Energy-conserving output wavelength for a process of the given kind
-    (see :func:`output_nm`)."""
-    return Wavelength(output_nm(kind, lam_in.nm, lam_pump.nm))
-
-
-def energy_residual(
-    kind: ProcessKind, lam_in: Wavelength, lam_pump: Wavelength, lam_out: Wavelength
-) -> float:
-    """Relative energy-conservation violation of a wavelength triple.
-
-    Returns |1/lam_out - 1/lam_expected| * lam_expected, i.e. the relative
-    error in photon energy of the stated output.
-    """
-    expected = process_output(kind, lam_in, lam_pump)
-    return abs(1.0 / lam_out.nm - 1.0 / expected.nm) * expected.nm

@@ -890,6 +890,13 @@ class TestInputFileRefusals:
         assert err.startswith(f"code={error}, msg=") and message in err
         assert err.count("\n") == 1
 
+    def test_provider_without_kind_is_a_missing_key(self, tmp_path):
+        device = copy.deepcopy(DEVICE_DOC)
+        del device["sections"][0]["index_provider"]["kind"]
+        code, err, written = solve_device_on(tmp_path, device)
+        assert (code, written) == (3, False)
+        assert err == "code=device_file_error, msg=missing key(s) ['kind'] in sections[0].index_provider\n"
+
     def test_zero_thermal_expansion_factor_exits_three(self, tmp_path):
         # 1 + (-0.01 / C) * (125 C - 25 C) = 0 would divide the solved period by zero
         device = with_leaf(DEVICE_DOC, ("sections", 0, "expansion_per_C"), -0.01)

@@ -12,7 +12,6 @@ from qpmcascade.conversion import (
     NoiseCounts,
     Spectrum,
     StepEfficiencyModel,
-    budget_loss,
     budget_transmission,
     cascade_efficiency,
     convert_spectrum,
@@ -151,7 +150,6 @@ class TestLossBudget:
     def test_reference_budget_product(self):
         transmission = budget_transmission(DEVICE_BUDGET)
         assert transmission == pytest.approx(0.1457, abs=2e-4)
-        assert budget_loss(DEVICE_BUDGET) == pytest.approx(0.854, abs=1e-3)
 
     def test_empty_budget_is_unity(self):
         assert budget_transmission(LossBudget.from_pairs([])) == 1.0

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpmcascade import dispersion
 from qpmcascade.conversion import budget_transmission
 from qpmcascade.device import device_from_dict, load_device, reference_device_path
 from qpmcascade.dispersion import SellmeierModel, builtin_material, material_from_dict, material_to_json
-from qpmcascade.errors import ConverterError, DeviceFileError, DomainError
+from qpmcascade.errors import ConverterError, DeviceFileError, DomainError, MaterialFileError
 from qpmcascade.modesolver import ModeSolverIndexProvider, WaveguideGeometry
 from qpmcascade.qpm import SectionSpec, phase_mismatch, phasematch_map, solve_poling_period
 from qpmcascade.spectral import ProcessKind, Wavelength
@@ -344,6 +345,45 @@ class TestSharedProviders:
         # Per T row: the signal once, then per cell the intermediate, the
         # target and the pump, each solved once for both sections.
         assert len(fake_solves) == 2 * (1 + 3 * 2)
+
+
+class TestBuiltinMaterialCache:
+    @pytest.fixture
+    def material_reads(self, monkeypatch):
+        """Each source the material reader opens from here on, with no
+        built-in material cached at the start."""
+        reads = []
+        read_json = dispersion.read_json
+
+        def counted(error, source):
+            reads.append(source)
+            return read_json(error, source)
+
+        builtin_material.cache_clear()
+        monkeypatch.setattr(dispersion, "read_json", counted)
+        return reads
+
+    def test_second_load_reads_no_material_file(self, material_reads):
+        first = load_device(reference_device_path())
+        assert len(material_reads) == 2
+        second = load_device(reference_device_path())
+        assert len(material_reads) == 2
+        assert list(second.materials) == list(first.materials)
+        for name, model in first.materials.items():
+            assert second.materials[name] is model
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_name_outside_the_shipped_list_opens_no_file(self, material_reads, tmp_path, warm):
+        if warm:
+            load_device(reference_device_path())
+            material_reads.clear()
+        doc = reference_doc()
+        doc["materials"] = ["builtin:../devices/reference_device", "builtin:lithium_tantalate_e"]
+        path = tmp_path / "device.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MaterialFileError, match="no built-in material '../devices/reference_device'"):
+            load_device(path)
+        assert material_reads == []
 
 
 @settings(max_examples=30, deadline=None)

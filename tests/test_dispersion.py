@@ -10,7 +10,6 @@ from qpmcascade.dispersion import (
     SellmeierModel,
     builtin_material,
     builtin_material_names,
-    group_and_phase_terms,
     load_material,
     material_to_json,
     save_material,
@@ -187,29 +186,6 @@ class TestArrayEvaluation:
         lam = np.array([1064.0, 1550.0])
         bulk = BulkIndexProvider(lithium_niobate).effective_index(lam, 25.0)
         assert bulk.tolist() == [sellmeier_index(lithium_niobate, x, 25.0) for x in lam.tolist()]
-
-
-class TestDerivatives:
-    def test_constant_model_has_zero_derivatives(self, constant_material):
-        terms = group_and_phase_terms(constant_material, Wavelength(1500.0), 25.0)
-        assert terms["n"] == 2.0
-        assert terms["dn_dlam_per_nm"] == 0.0
-        assert terms["dn_dT_per_C"] == 0.0
-
-    def test_thermo_optic_positive(self, lithium_niobate):
-        terms = group_and_phase_terms(lithium_niobate, Wavelength(1561.6), 59.0)
-        assert terms["dn_dT_per_C"] > 0
-
-    def test_step_halving_convergence(self, lithium_niobate):
-        lam, temp = Wavelength(1561.6), 59.0
-        coarse = group_and_phase_terms(lithium_niobate, lam, temp, rel_step=1e-6)
-        fine = group_and_phase_terms(lithium_niobate, lam, temp, rel_step=5e-7)
-        for key in ("dn_dlam_per_nm", "dn_dT_per_C"):
-            assert abs(fine[key] - coarse[key]) / abs(fine[key]) < 1e-6
-
-    def test_range_errors_propagate(self, lithium_niobate):
-        with pytest.raises(RangeError):
-            group_and_phase_terms(lithium_niobate, Wavelength(50.0), 25.0)
 
 
 class _ShiftedIndexProvider(BulkIndexProvider):

@@ -459,17 +459,22 @@ class TestEnumerateParasitics:
         _, step2 = solved_sections
         assert enumerate_parasitics(step2, PUMP, (400.0, 500.0)) == []
 
-    def test_energy_consistency_enforced(self):
-        with pytest.raises(DomainError):
-            ParasiticProcess(
-                kind="SHG_pump", output_nm=1000.0, drivers_nm=(2152.9, 2152.9), power_law=2
-            )
-        with pytest.raises(DomainError):
-            ParasiticProcess(
-                kind="thermal_SFG", output_nm=1000.0, drivers_nm=(4000.0, 4000.0, 4000.0), power_law=1
-            )
-        ParasiticProcess(kind="SHG_pump", output_nm=1076.45, drivers_nm=(2152.9, 2152.9), power_law=2)
-        ParasiticProcess(kind="other", output_nm=1000.0, drivers_nm=(2152.9, 2152.9), power_law=2)
+    @settings(max_examples=12, deadline=None)
+    @given(pump_nm=st.floats(2100.0, 2200.0), temp_C=st.floats(40.0, 80.0))
+    def test_rows_conserve_energy(self, reference_device, pump_nm, temp_C):
+        """Each row's output is the SFG of its two drivers, to 1e-9 of the
+        output photon energy; pump SHG goes as the squared pump power."""
+        found = enumerate_parasitics(reference_device.step2, Wavelength(pump_nm), (1000.0, 1700.0), temp_C)
+        assert [p.kind for p in found] == ["SHG_pump", "thermal_SFG"]
+        for p in found:
+            d1, d2 = p.drivers_nm
+            assert abs(1.0 / p.output_nm - 1.0 / d1 - 1.0 / d2) * p.output_nm <= 1e-9
+            assert p.power_law == {"SHG_pump": 2, "thermal_SFG": 1}[p.kind]
+
+    @pytest.mark.parametrize("kind", ["other", "SFG"])
+    def test_unknown_kind_refused(self, kind):
+        with pytest.raises(DomainError, match="unknown parasitic kind"):
+            ParasiticProcess(kind=kind, output_nm=1076.45, drivers_nm=(2152.9, 2152.9), power_law=2)
 
     def test_window_validation(self, solved_sections):
         _, step2 = solved_sections
