@@ -222,7 +222,7 @@ def _cmd_fit(args, device):
     if args.data.suffix != ".csv":
         raise DomainError("fit expects a CSV data file")
     x, y = read_xy_csv(args.data)
-    if args.initial:
+    if args.initial is not None:
         missing = [name for name in model.parameter_names if name not in args.initial]
         if missing:
             raise DomainError(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -119,10 +119,6 @@ class LossBudget:
                 )
             checked.append((str(label), t))
         object.__setattr__(self, "entries", tuple(checked))
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[str, float]]) -> "LossBudget":
-        return cls(entries=tuple(pairs))
 
 
 def budget_transmission(budget: LossBudget) -> float:
@@ -233,10 +229,8 @@ class Spectrum:
     def __len__(self):
         return self.wavelength_nm.size
 
-    def to_csv(self, path: str | Path, header_lines: Sequence[str] = ()) -> None:
-        lines = [f"# {h}" for h in header_lines]
-        lines.append("wavelength_nm,intensity")
-        lines.extend(csv_rows(self.wavelength_nm, self.intensity))
+    def to_csv(self, path: str | Path) -> None:
+        lines = ["wavelength_nm,intensity", *csv_rows(self.wavelength_nm, self.intensity)]
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @classmethod
@@ -247,13 +241,19 @@ class Spectrum:
 def read_xy_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """The two numeric columns of a CSV file, as (x, y) float arrays.
 
+    The file is read as UTF-8, after a byte-order mark if it has one;
+    bytes that do not decode raise :class:`DomainError` naming the file.
     Blank lines, ``#`` comments and a ``wavelength_nm,intensity`` header
     are skipped; a row that is not two numbers raises :class:`DomainError`
     naming its 1-based line number.  The values are not otherwise checked.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{str(path)!r}: not UTF-8 text: {exc}") from None
     xs: list[float] = []
     ys: list[float] = []
-    for number, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -77,7 +77,7 @@ from .dispersion import (
 )
 from .errors import DeviceFileError, json_fields, json_value, read_json
 from .modesolver import ModeSolverIndexProvider, WaveguideGeometry
-from .qpm import ProcessSpec, SectionSpec, delta_k, qpm_transfer, solve_poling_period
+from .qpm import SectionSpec, delta_k, qpm_transfer, solve_poling_period
 from .spectral import ProcessKind, Wavelength, dfg_target, output_nm
 
 
@@ -127,13 +127,6 @@ class TwoStepDevice:
     def target(self) -> Wavelength:
         """Step-2 output wavelength at the operating pump."""
         return dfg_target(self.intermediate, self.pump)
-
-    def step1_process(self, pump: Wavelength | None = None) -> ProcessSpec:
-        return ProcessSpec.dfg(self.signal, pump or self.pump, self.step1)
-
-    def step2_process(self, pump: Wavelength | None = None) -> ProcessSpec:
-        p = pump or self.pump
-        return ProcessSpec.dfg(dfg_target(self.signal, p), p, self.step2)
 
     def cascade_transfer(
         self,
@@ -277,7 +270,7 @@ def device_from_dict(doc: dict, base_dir: Path, sha256: str = "") -> TwoStepDevi
         signal=signal,
         pump=pump,
         coupling=coupling,
-        loss_budget=LossBudget.from_pairs([(item["label"], item["transmission"]) for item in items]),
+        loss_budget=LossBudget(tuple((item["label"], item["transmission"]) for item in items)),
         materials=materials,
         geometry=geometry,
         source_sha256=sha256,

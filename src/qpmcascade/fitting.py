@@ -43,6 +43,7 @@ _REL_STEP = 1e-6
 _STALL_LIMIT = 3
 _REL_DECREASE = 1e-10
 _STEP_NORM = 1e-12
+_MAX_ITERATIONS = 500
 # Most (lattice point, sample) pairs auto_initial scores in one evaluate call.
 _LATTICE_BLOCK = 1 << 15
 
@@ -81,7 +82,15 @@ class FitModel:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of one fit; ``converged`` is False after an iteration cap."""
+    """Outcome of one fit.
+
+    ``converged`` is True when the stop rule of the module docstring fired,
+    not when the cost is known to be at a minimum: the rule counts a
+    rejected step as a stalled iteration.  On the noiseless 51-point
+    thermal line that CI fits with ``lineshape_eq2`` it fires after 3
+    iterations at rms 0.144.  ``converged`` is False after the cap of 500
+    iterations.
+    """
 
     model: FitModel
     parameters: np.ndarray
@@ -161,7 +170,6 @@ def fit(
     x: Sequence[float],
     y: Sequence[float],
     initial: Sequence[float],
-    max_iterations: int = 500,
 ) -> FitResult:
     """Levenberg-Marquardt fit of ``model`` to (x, y).
 
@@ -171,8 +179,8 @@ def fit(
     parameter vectors (:class:`FitModel`), as each Jacobian is one call on
     all of its perturbed vectors; one that does not raises
     :class:`DomainError`.  A singular normal matrix raises
-    :class:`RankDeficiencyError`; hitting the iteration cap returns a
-    result flagged not converged rather than raising.
+    :class:`RankDeficiencyError`; hitting the cap of 500 iterations
+    returns a result flagged not converged rather than raising.
     """
     p = np.asarray(list(initial), dtype=float)
     n_par = len(model.parameter_names)
@@ -211,7 +219,7 @@ def fit(
     iterations = 0
     trace = [cost]
     jac = _jacobian(batch_residuals, p, r, model.bounds)
-    while iterations < max_iterations:
+    while iterations < _MAX_ITERATIONS:
         iterations += 1
         a_mat = jac.T @ jac
         grad = jac.T @ r

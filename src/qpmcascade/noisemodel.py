@@ -19,14 +19,14 @@ form up to discretization error.
 :func:`weighted_sinc2_sum` evaluates that midpoint rule without one sine
 per panel.  Panel m (counted from the output end) has L - z_m =
 (2m-1) L/(2P), so its sinc^2 angle is (2m-1) phi with phi = dk L/(4P).
-Writing m - 1 = q a + b with q = ceil(sqrt(P)) splits the angle into
-A_a + B_b, and sin^2(A+B) = sin^2 A cos^2 B + 2 sin A cos A sin B cos B
-+ cos^2 A sin^2 B turns the sum for each polynomial degree into three
-bilinear forms against one fixed q x q matrix.  The 2q angles take their
-sine and cosine from one tangent of the half angle, t = tan(theta/2):
-sin theta = 2t/(1+t^2), cos theta = (1-t^2)/(1+t^2).  That is 2q
-half-angle tangents per sample instead of P sines.  It is the same sum,
-to rounding.
+The panel count is fixed at P = q^2 = 1024, and writing m - 1 = q a + b
+with q = 32 splits the angle into A_a + B_b.  Then sin^2(A+B) =
+sin^2 A cos^2 B + 2 sin A cos A sin B cos B + cos^2 A sin^2 B turns the
+sum for each polynomial degree into three bilinear forms against one
+fixed q x q matrix.  The 2q angles take their sine and cosine from one
+tangent of the half angle, t = tan(theta/2): sin theta = 2t/(1+t^2),
+cos theta = (1-t^2)/(1+t^2).  That is 2q half-angle tangents per sample
+instead of P sines.  It is the same sum, to rounding.
 
 Only the section owning the phase-matched grating generates thermal
 noise: :func:`enumerate_parasitics` checks step 2 by design, because the
@@ -83,31 +83,32 @@ def lineshape_analytic(delta_k_per_mm, length_mm):
 
 # Largest scratch array of weighted_sinc2_sum, in float64 elements (256 KB).
 _BLOCK_ELEMENTS = 1 << 15
+# Midpoint panels of weighted_sinc2_sum, P = q^2: fixed, so fits are reproducible.
+_Q = 32
+_PANELS = _Q * _Q
 
 
 @functools.lru_cache(maxsize=16)
-def _panel_split(panels: int, degrees: tuple[int, ...]):
+def _panel_split(degrees: tuple[int, ...]):
     """Fixed factors of the panel-split midpoint sum (module docstring).
 
-    Returns q; the half-angle multipliers of A_a = 2qa phi and
+    Returns the half-angle multipliers of A_a = 2qa phi and
     B_b = (2b+1) phi, that is qa and b + 1/2; one q x q matrix per degree,
-    V_j[a, b] = (1 - u_m)^j / (2m-1)^2 with u_m = (2m-1)/(2P), zero past
-    m = P; and the phi = 0 limits sum_m (1 - u_m)^j.
+    V_j[a, b] = (1 - u_m)^j / (2m-1)^2 with u_m = (2m-1)/(2P); and the
+    phi = 0 limits sum_m (1 - u_m)^j.
     """
-    q = math.isqrt(panels - 1) + 1
-    odd = 2.0 * np.arange(1, q * q + 1) - 1.0
-    base = 1.0 - odd / (2.0 * panels)
+    odd = 2.0 * np.arange(1, _PANELS + 1) - 1.0
+    base = 1.0 - odd / (2.0 * _PANELS)
     # Each degree's powers on their own: numpy's power over a column of
     # exponents rounds (1 - u)^2 differently with (0, 2) than with (0, 1, 2).
     powers = np.stack([base**j for j in degrees])
-    powers[:, panels:] = 0.0
-    forms = (powers / (odd * odd)).reshape(len(degrees), q, q)
-    half_steps = np.concatenate([q * np.arange(q, dtype=float), np.arange(q) + 0.5])
-    return q, half_steps, forms, powers.sum(axis=1)
+    forms = (powers / (odd * odd)).reshape(len(degrees), _Q, _Q)
+    half_steps = np.concatenate([_Q * np.arange(_Q, dtype=float), np.arange(_Q) + 0.5])
+    return half_steps, forms, powers.sum(axis=1)
 
 
-def weighted_sinc2_sum(dk, length, weights: Sequence, panels: int = 1024) -> np.ndarray:
-    """Midpoint sum  sum_k w(z_k) sinc^2(dk (L - z_k)/2) dz  over ``panels``
+def weighted_sinc2_sum(dk, length, weights: Sequence) -> np.ndarray:
+    """Midpoint sum  sum_k w(z_k) sinc^2(dk (L - z_k)/2) dz  over P = 1024
     panels of dz = L/P, with w(z) = sum_j weights[j] z^j.
 
     ``dk`` (rad/mm), ``length`` (mm) and every weight coefficient
@@ -117,21 +118,18 @@ def weighted_sinc2_sum(dk, length, weights: Sequence, panels: int = 1024) -> np.
     shape, and degrees whose coefficients are all zero are skipped.  Each
     degree is reduced on its own, so an element's result does not depend
     on which other degrees its batch holds: a batch row is bitwise the
-    row called alone (at q = 16 and 32; see the batch test).  Each
-    sample takes 2q half-angle tangents, q = ceil(sqrt(P)), and no sine or
-    cosine.  Whether numpy runs float64 ``tan`` as SIMD code depends on
-    the host: with numpy 2.4 on an AVX-512 Xeon, ``tan`` over 835k
-    elements took 0.9 ms and ``sin`` or ``cos`` 12 ms each.  Where ``tan``
-    is scalar too, the saving is half the transcendental calls.  At
-    |phi| P < 1e-9 the sum takes its phi = 0 limit, which every sinc^2
+    row called alone.  Each sample takes 2q = 64 half-angle tangents and
+    no sine or cosine.  Whether numpy runs float64 ``tan`` as SIMD code
+    depends on the host: with numpy 2.4 on an AVX-512 Xeon, ``tan`` over
+    835k elements took 0.9 ms and ``sin`` or ``cos`` 12 ms each.  Where
+    ``tan`` is scalar too, the saving is half the transcendental calls.
+    At |phi| P < 1e-9 the sum takes its phi = 0 limit, which every sinc^2
     factor has reached to rounding.
 
-    ``panels`` must be an integer >= 1 and every length positive.
+    Every length must be positive.
     """
     if len(weights) == 0:
         raise DomainError("need at least one weight coefficient")
-    if not isinstance(panels, (int, np.integer)) or panels < 1:
-        raise DomainError(f"panel count must be an integer >= 1, got {panels!r}")
     operands = [np.asarray(v, dtype=float) for v in (dk, length, *weights)]
     if not np.all(operands[1] > 0):
         raise DomainError("length must be positive")
@@ -147,7 +145,8 @@ def weighted_sinc2_sum(dk, length, weights: Sequence, panels: int = 1024) -> np.
     def part(v, block):
         return v if v.size == 1 else v.flat[block]
 
-    q, half_steps, forms, limits = _panel_split(panels, degrees)
+    q = _Q
+    half_steps, forms, limits = _panel_split(degrees)
     out = np.empty(dk.size)
     rows = max(1, min(dk.size, _BLOCK_ELEMENTS // (3 * len(degrees) * q)))
     # One block's scratch, reused by every block.
@@ -158,8 +157,8 @@ def weighted_sinc2_sum(dk, length, weights: Sequence, panels: int = 1024) -> np.
     for lo in range(0, dk.size, rows):
         block = slice(lo, lo + rows)
         span = part(length, block)
-        phi = dk[block] * span / (4.0 * panels)
-        limit = np.abs(phi) * panels < 1e-9
+        phi = dk[block] * span / (4.0 * _PANELS)
+        limit = np.abs(phi) * _PANELS < 1e-9
         phi = np.where(limit, 1.0, phi)
         n = phi.size
         # With t = tan(angle/2) and r = 1/(1 + t^2): sin = 2tr, cos = 2r - 1.
@@ -186,16 +185,15 @@ def weighted_sinc2_sum(dk, length, weights: Sequence, panels: int = 1024) -> np.
             sums[i, :n] /= phi * phi
             sums[i, :n][limit] = limits[i]
         total = sum(part(coeffs[j], block) * span**j * sums[i, :n] for i, j in enumerate(degrees))
-        out[block] = total * span / panels
+        out[block] = total * span / _PANELS
     return out.reshape(shape)
 
 
 def planck_weight(lam, temperature_K: float, band_center: Wavelength):
     """Planck spectral radiance at ``lam`` normalized to 1 at ``band_center``.
 
-    B_lam ~ lam^-5 / (exp(c2/(lam T)) - 1).  ``lam`` is a
-    :class:`Wavelength` (returns a float) or an array of wavelengths in nm
-    (returns an array).  The flat approximation (weight identically 1) is
+    B_lam ~ lam^-5 / (exp(c2/(lam T)) - 1), elementwise on an array of
+    wavelengths in nm.  The flat approximation (weight identically 1) is
     the package default for thermal seeding; Planck weighting is opt-in
     via ``thermal_sfg_lineshape``.
     """
@@ -213,8 +211,6 @@ def planck_weight(lam, temperature_K: float, band_center: Wavelength):
         raise DomainError(
             f"Planck radiance at {band_center.nm} nm underflows at {temperature_K} K"
         )
-    if isinstance(lam, Wavelength):
-        return float(radiance(lam.um) / reference)
     return radiance(np.asarray(lam, dtype=float) * 1e-3) / reference
 
 
@@ -269,25 +265,21 @@ def thermal_sfg_lineshape(
     weights: tuple[float, ...] = (1.0,),
     temp_C: float | None = None,
     planck_temperature_K: float | None = None,
-    z_panels: int = 1024,
 ) -> Spectrum:
     """Thermal-SFG noise line over a wavelength grid for one section.
 
     I(lam) = sum_z w(z) sinc^2( dk(lam) (L-z)/2 ) dz  with
-    w(z) = sum_j weights[j] z^j over ``z_panels`` midpoint panels
+    w(z) = sum_j weights[j] z^j over 1024 midpoint panels
     (:func:`weighted_sinc2_sum`), where dk is :func:`thermal_sfg_mismatch`
     evaluated once on the whole grid (:func:`qpmcascade.qpm.grid_mismatch`).
     With ``planck_temperature_K`` set, the flat-seed assumption is replaced
     by Planck weighting of the mid-infrared driver, normalized at the
     driver of the central grid wavelength.
 
-    The grid must be non-empty and strictly increasing, and ``z_panels``
-    at least 256.
+    The grid must be non-empty and strictly increasing.
     """
-    if z_panels < 256:
-        raise DomainError("z discretization must use at least 256 panels")
     lam, dk = _thermal_sfg_grid_mismatch(section, pump, lam_grid_nm, temp_C)
-    intensity = weighted_sinc2_sum(dk, section.length_mm, weights, z_panels)
+    intensity = weighted_sinc2_sum(dk, section.length_mm, weights)
     if planck_temperature_K is not None:
         driver_nm = spectral.output_nm(ProcessKind.DFG, lam, pump.nm)
         center_driver = Wavelength(driver_nm[driver_nm.size // 2])

@@ -144,20 +144,12 @@ def delta_k(kind: ProcessKind, lam_in, lam_pump, temp_C, section: SectionSpec):
     return k_out - k_in - k_pump - grating
 
 
-def phase_mismatch(
-    process: ProcessSpec,
-    temp_C: float | None = None,
-    lam_pump: Wavelength | None = None,
-) -> float:
-    """delta_k in rad/mm at the given temperature and pump wavelength.
-
-    The output wavelength is recomputed from (lam_in, pump) so that the
-    evaluated triple always conserves energy, whatever pump is probed.
-    """
+def phase_mismatch(process: ProcessSpec, temp_C: float | None = None) -> float:
+    """delta_k in rad/mm of the process at the given temperature (default:
+    its section's)."""
     section = process.section
     temp = section.temperature_C if temp_C is None else temp_C
-    pump = process.lam_pump if lam_pump is None else lam_pump
-    return delta_k(process.kind, process.lam_in.nm, pump.nm, temp, section)
+    return delta_k(process.kind, process.lam_in.nm, process.lam_pump.nm, temp, section)
 
 
 def qpm_transfer(delta_k_per_mm, length_mm: float):

@@ -64,8 +64,8 @@ def test_criterion_01_energy_conservation_chain():
 
 
 def test_criterion_02_loss_budget_arithmetic():
-    budget = LossBudget.from_pairs(
-        [("out_coupling", 0.922), ("free_space", 0.947), ("fiber", 0.826), ("filter", 0.202)]
+    budget = LossBudget(
+        (("out_coupling", 0.922), ("free_space", 0.947), ("fiber", 0.826), ("filter", 0.202))
     )
     loss = 1.0 - budget_transmission(budget)
     external = external_from_internal(0.205, budget)
@@ -130,7 +130,7 @@ def test_criterion_05_analytic_lineshape_oracle():
 def test_criterion_06_weighted_lineshape_identity():
     length = 20.0
     grid = np.linspace(1545.0, 1555.0, 101)
-    intensity = weighted_sinc2_sum(0.2 * (grid - 1550.0), length, (length, -2.0, 1.0 / length), 1024)
+    intensity = weighted_sinc2_sum(0.2 * (grid - 1550.0), length, (length, -2.0, 1.0 / length))
     worst = max(
         abs(value - lineshape_analytic(0.2 * (lam - 1550.0), length))
         / lineshape_analytic(0.2 * (lam - 1550.0), length)
@@ -189,7 +189,7 @@ def test_criterion_08_qpm_solver_round_trips(device):
         worst_period = max(worst_period, abs(phase_mismatch(process, temp_C=temp)))
         root = solve_phasematched_pump(section, ProcessKind.DFG, signal, temp_C=temp)
         worst_pump = max(
-            worst_pump, abs(phase_mismatch(process, temp_C=temp, lam_pump=root))
+            worst_pump, abs(phase_mismatch(ProcessSpec.dfg(signal, root, section), temp_C=temp))
         )
     temp, pump_nm, t1, t2 = degenerate_operating_point(
         device.step1, device.step2, device.signal, (40.0, 100.0), (2100.0, 2200.0)

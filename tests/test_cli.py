@@ -485,6 +485,38 @@ PROVENANCE_RUNS = {
 }
 
 
+# Every file-valued option of every subcommand.
+FILE_OPTIONS = [(sub, "--device") for sub in PROVENANCE_RUNS if sub not in ("noise", "fit")] + [
+    ("convert-spectrum", "--input"), ("fit", "--data")]
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not UTF-8"])
+@pytest.mark.parametrize("sub, option", FILE_OPTIONS)
+def test_unreadable_input_file_exits_three(tmp_path, capsys, sub, option, kind):
+    """A file option naming a missing path, a directory or a file that is
+    not UTF-8 (here UTF-16, as spreadsheets may export) exits 3 with one
+    ``code=..., msg=...`` line naming the file, and writes no artifact."""
+    inputs, outputs = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    outputs.mkdir()
+    argv = PROVENANCE_RUNS[sub][0](inputs)
+    bad = inputs / ("bad.json" if option == "--device" else "bad.csv")
+    if kind == "directory":
+        bad.mkdir()
+    elif kind == "not UTF-8":
+        bad.write_bytes("\ufeffwavelength_nm,intensity\n600.0,1.0\n".encode("utf-16-le"))
+    argv[argv.index(option) + 1] = str(bad)
+    code = main(argv + ["-o", str(outputs / "artifact")])
+    err = capsys.readouterr().err
+    if kind != "not UTF-8":
+        expected = "io_error"
+    else:
+        expected = "device_file_error" if option == "--device" else "domain_error"
+    assert code == 3
+    assert re.fullmatch(f"code={expected}, msg=[^\n]*{re.escape(repr(str(bad)))}[^\n]*\n", err), err
+    assert list(outputs.iterdir()) == []
+
+
 class TestProvenance:
     @pytest.mark.parametrize("sub", list(PROVENANCE_RUNS))
     def test_entries_in_order(self, tmp_path, sub):
@@ -650,6 +682,16 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("code=domain_error, msg=")
         assert "eta_nor" in err
+        assert not out.exists()
+
+    def test_empty_initial_exits_three(self, tmp_path, capsys):
+        out = tmp_path / "fit.json"
+        code = main(["fit", "--model", "saturation", "--data", saturation_data(tmp_path),
+                     "--initial", "", "-o", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "code=domain_error, msg=--initial omits parameter(s) eta_max, eta_nor "
+            "of model 'saturation'\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("extra, name", [

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -27,13 +28,13 @@ from qpmcascade.conversion import (
 from qpmcascade.errors import DomainError
 from qpmcascade.qpm import qpm_transfer
 
-DEVICE_BUDGET = LossBudget.from_pairs(
-    [
+DEVICE_BUDGET = LossBudget(
+    (
         ("out_coupling", 0.922),
         ("free_space_optics", 0.947),
         ("fiber_coupling", 0.826),
         ("tunable_filter", 0.202),
-    ]
+    )
 )
 
 
@@ -152,25 +153,25 @@ class TestLossBudget:
         assert transmission == pytest.approx(0.1457, abs=2e-4)
 
     def test_empty_budget_is_unity(self):
-        assert budget_transmission(LossBudget.from_pairs([])) == 1.0
+        assert budget_transmission(LossBudget(())) == 1.0
 
     def test_single_entry(self):
-        assert budget_transmission(LossBudget.from_pairs([("pump_coupling", 0.745)])) == 0.745
+        assert budget_transmission(LossBudget((("pump_coupling", 0.745),))) == 0.745
 
     def test_permutation_invariant(self):
         entries = [("a", 0.9), ("b", 0.5), ("c", 0.7)]
         rng = np.random.default_rng(6)
-        reference = budget_transmission(LossBudget.from_pairs(entries))
+        reference = budget_transmission(LossBudget(tuple(entries)))
         for _ in range(10):
             shuffled = list(entries)
             rng.shuffle(shuffled)
-            assert budget_transmission(LossBudget.from_pairs(shuffled)) == pytest.approx(
+            assert budget_transmission(LossBudget(tuple(shuffled))) == pytest.approx(
                 reference, rel=1e-15
             )
 
     def test_entry_validation_names_label(self):
         with pytest.raises(DomainError, match="mystery_element"):
-            LossBudget.from_pairs([("mystery_element", 1.4)])
+            LossBudget((("mystery_element", 1.4),))
 
 
 class TestExternalInternal:
@@ -178,7 +179,7 @@ class TestExternalInternal:
         assert external_from_internal(0.205, DEVICE_BUDGET) == pytest.approx(0.030, abs=1e-3)
 
     def test_identity_on_empty_budget(self):
-        empty = LossBudget.from_pairs([])
+        empty = LossBudget(())
         assert external_from_internal(0.37, empty) == 0.37
 
     def test_inverse_direction(self):
@@ -249,7 +250,7 @@ class TestSpectrum:
     def test_csv_round_trip(self, tmp_path):
         spectrum = Spectrum(np.array([600.0, 601.0, 602.5]), np.array([0.1, 2.0, 0.4]))
         path = tmp_path / "spec.csv"
-        spectrum.to_csv(path, header_lines=["test spectrum"])
+        spectrum.to_csv(path)
         loaded = Spectrum.from_csv(path)
         assert np.array_equal(loaded.wavelength_nm, spectrum.wavelength_nm)
         assert np.array_equal(loaded.intensity, spectrum.intensity)
@@ -276,6 +277,19 @@ class TestSpectrum:
         with pytest.raises(DomainError) as exc:
             read_xy_csv(path)
         assert str(exc.value) == f"line 2 is not two numbers: {row!r}"
+
+    def test_reader_skips_a_byte_order_mark(self, tmp_path):
+        # spreadsheets export UTF-8 CSV with a BOM before the header
+        path = tmp_path / "exported.csv"
+        path.write_bytes("\ufeffwavelength_nm,intensity\n600.0,1.0\n601.0,2.0\n".encode("utf-8"))
+        x, y = read_xy_csv(path)
+        assert x.tolist() == [600.0, 601.0] and y.tolist() == [1.0, 2.0]
+
+    def test_reader_refuses_undecodable_bytes_naming_the_file(self, tmp_path):
+        path = tmp_path / "utf16.csv"
+        path.write_bytes("\ufeffwavelength_nm,intensity\n600.0,1.0\n".encode("utf-16-le"))
+        with pytest.raises(DomainError, match=f"^{re.escape(repr(str(path)))}: not UTF-8 text: "):
+            read_xy_csv(path)
 
 
 class TestConvertSpectrum:

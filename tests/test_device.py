@@ -12,7 +12,7 @@ from qpmcascade.device import device_from_dict, load_device, reference_device_pa
 from qpmcascade.dispersion import SellmeierModel, builtin_material, material_from_dict, material_to_json
 from qpmcascade.errors import ConverterError, DeviceFileError, DomainError, MaterialFileError
 from qpmcascade.modesolver import ModeSolverIndexProvider, WaveguideGeometry
-from qpmcascade.qpm import SectionSpec, phase_mismatch, phasematch_map, solve_poling_period
+from qpmcascade.qpm import ProcessSpec, SectionSpec, phase_mismatch, phasematch_map, solve_poling_period
 from qpmcascade.spectral import ProcessKind, Wavelength
 
 
@@ -42,8 +42,9 @@ class TestLoadReferenceDevice:
 
     def test_phase_matched_at_operating_point(self, reference_device):
         # both periods are solved on the chain, step 2 at step 1's output
-        assert abs(phase_mismatch(reference_device.step1_process())) <= 1e-9
-        assert abs(phase_mismatch(reference_device.step2_process())) <= 1e-9
+        device = reference_device
+        assert abs(phase_mismatch(ProcessSpec.dfg(device.signal, device.pump, device.step1))) <= 1e-9
+        assert abs(phase_mismatch(ProcessSpec.dfg(device.intermediate, device.pump, device.step2))) <= 1e-9
 
     def test_budget_and_coupling(self, reference_device):
         assert budget_transmission(reference_device.loss_budget) == pytest.approx(0.1457, abs=2e-4)
@@ -401,5 +402,7 @@ def test_solved_sections_phase_match_on_the_chain(tmp_path_factory, pump_nm, tem
         section["solve_at"] = {"T_C": temp}
         section["expansion_per_C"] = expansion_per_C
     device = device_from_dict(doc, tmp_path_factory.getbasetemp())
-    for process, temp in zip((device.step1_process(), device.step2_process()), temps):
+    processes = (ProcessSpec.dfg(device.signal, device.pump, device.step1),
+                 ProcessSpec.dfg(device.intermediate, device.pump, device.step2))
+    for process, temp in zip(processes, temps):
         assert abs(phase_mismatch(process, temp_C=temp)) <= 1e-9

@@ -148,10 +148,11 @@ class TestFitCore:
         with pytest.raises(DomainError, match="model 'scalar_only' does not evaluate a batch"):
             fit(model, x, np.zeros_like(x), np.array([0.0]))
 
-    def test_iteration_cap_returns_unconverged(self, sinc2_model):
+    def test_iteration_cap_returns_unconverged(self, sinc2_model, monkeypatch):
+        monkeypatch.setattr(fitting, "_MAX_ITERATIONS", 2)
         rng = np.random.default_rng(5)
         y = sinc2_model.evaluate(SCAN_TRUTH, SCAN_X) + rng.normal(0, 0.05, SCAN_X.size)
-        result = fit(sinc2_model, SCAN_X, y, np.array([0.5, 2152.0, 5.0, 0.0]), max_iterations=2)
+        result = fit(sinc2_model, SCAN_X, y, np.array([0.5, 2152.0, 5.0, 0.0]))
         assert not result.converged
         assert result.iterations == 2
 

@@ -16,7 +16,7 @@ import qpmcascade
 from qpmcascade.cli import main
 from qpmcascade.device import device_from_dict, reference_device_path
 from qpmcascade.modesolver import solve_modes
-from qpmcascade.qpm import phase_mismatch
+from qpmcascade.qpm import ProcessSpec, phase_mismatch
 from qpmcascade.spectral import Wavelength
 
 DEVICE = str(reference_device_path())
@@ -45,7 +45,7 @@ def test_device_with_modesolver_provider(tmp_path):
     # period solved against guided-mode indices: below-bulk n_eff shifts it
     assert device.step1.poling_period_um != pytest.approx(12.9613, abs=1e-3)
     assert 1.0 < device.step1.poling_period_um < 50.0
-    assert abs(phase_mismatch(device.step1_process())) < 1e-9
+    assert abs(phase_mismatch(ProcessSpec.dfg(device.signal, device.pump, device.step1))) < 1e-9
 
 
 def test_cli_lineshape_weights_and_planck(tmp_path):

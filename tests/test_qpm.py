@@ -169,8 +169,7 @@ class TestSolvePhasematchedPump:
         step1, _ = solved_sections
         root = solve_phasematched_pump(step1, ProcessKind.DFG, SIGNAL)
         assert abs(root.nm - PUMP.nm) < 1e-6
-        process = ProcessSpec.dfg(SIGNAL, PUMP, step1)
-        assert abs(phase_mismatch(process, lam_pump=root)) < 1e-9
+        assert abs(phase_mismatch(ProcessSpec.dfg(SIGNAL, root, step1))) < 1e-9
 
     def test_temperature_shift_moves_root_continuously(self, solved_sections):
         step1, _ = solved_sections
@@ -197,7 +196,7 @@ class TestSolvePhasematchedPump:
             process = ProcessSpec.dfg(signal, pump_true, section)
             assert abs(phase_mismatch(process, temp_C=temp)) < 1e-9
             root = solve_phasematched_pump(section, ProcessKind.DFG, signal, temp_C=temp)
-            assert abs(phase_mismatch(process, temp_C=temp, lam_pump=root)) < 1e-9
+            assert abs(phase_mismatch(ProcessSpec.dfg(signal, root, section), temp_C=temp)) < 1e-9
 
 
 class TestPhasematchMap:
