@@ -22,6 +22,7 @@ import shlex
 import sys
 import tempfile
 import warnings
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -36,13 +37,12 @@ from .conversion import (
     convert_spectrum,
     csv_rows,
     noise_report,
-    noise_report_to_dict,
     read_xy_csv,
     step_efficiency,
 )
 from .device import load_device
 from .errors import ConverterError, DomainError, mask_counts, masked_cells
-from .fitting import auto_initial, fit, goodness, registry_model
+from .fitting import auto_initial, fit, registry_model
 from .modesolver import ModeShortfallWarning, field_to_csv_rows, solve_modes
 from .noisemodel import (
     _thermal_sfg_grid_mismatch,
@@ -180,7 +180,7 @@ def _cmd_noise(args, device):
         bandwidth_GHz=args.bw_ghz,
         external_transmission=args.transmission,
     )
-    return noise_report_to_dict(noise_report(counts), counts), {}
+    return {**asdict(noise_report(counts)), "inputs": asdict(counts)}, {}
 
 
 def _cmd_lineshape(args, device):
@@ -219,8 +219,6 @@ def _cmd_fit(args, device):
     if unknown:
         raise DomainError(f"--fixed accepts only L, got {', '.join(unknown)}")
     model = registry_model(args.model, length_mm=fixed.get("L", 20.0))
-    if args.data.suffix != ".csv":
-        raise DomainError("fit expects a CSV data file")
     x, y = read_xy_csv(args.data)
     if args.initial is not None:
         missing = [name for name in model.parameter_names if name not in args.initial]
@@ -238,7 +236,7 @@ def _cmd_fit(args, device):
         initial = auto_initial(model, x, y)
     result = fit(model, x, y, initial)
     report = result.as_dict()
-    report["rms"] = goodness(result, x, y)["rms"]
+    report["rms"] = math.sqrt(result.residual_norm / x.size)
     report["constants"] = dict(model.constants)
     return report, {}
 
@@ -262,7 +260,7 @@ def _cmd_solve_device(args, device):
         ],
         "coupling": dict(device.coupling),
         "budget_transmission": budget_transmission(device.loss_budget),
-        "parasitics": [p.to_dict() for p in parasitics],
+        "parasitics": [asdict(p) for p in parasitics],
     }
     return doc, {}
 
@@ -359,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="registry model name")
     p.add_argument("--data", type=Path, required=True, help="CSV with x,y columns")
     p.add_argument("--initial", type=_assignments, default=None, help="name=value,... start point")
-    p.add_argument("--fixed", type=_assignments, default=None, help="fixed section length, L=20 (mm)")
+    p.add_argument("--fixed", type=_assignments, default=None,
+                   help="fixed section length, L=20 (mm); only saturation reads it")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("solve-device", help="solve periods and report the operating point")

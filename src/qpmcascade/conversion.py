@@ -16,7 +16,7 @@ product of the two step efficiencies at the shared pump power.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -122,11 +122,8 @@ class LossBudget:
 
 
 def budget_transmission(budget: LossBudget) -> float:
-    """Product of all entry transmissions; 1.0 for an empty budget."""
-    total = 1.0
-    for _, t in budget.entries:
-        total *= t
-    return total
+    """Product of all entry transmissions, in entry order; 1.0 for an empty budget."""
+    return math.prod((t for _, t in budget.entries), start=1.0)
 
 
 def external_from_internal(eta_internal: float, budget: LossBudget) -> float:
@@ -193,11 +190,6 @@ def noise_report(counts: NoiseCounts) -> NoiseReport:
         external_nsd_cps_per_GHz=external,
         internal_nsd_cps_per_GHz=internal,
     )
-
-
-def noise_report_to_dict(report: NoiseReport, counts: NoiseCounts) -> dict:
-    """JSON-ready report with the input echoed back."""
-    return {**asdict(report), "inputs": asdict(counts)}
 
 
 # --- spectra ------------------------------------------------------------------

@@ -44,7 +44,8 @@ may be omitted:
                     window_height_um: numbers, default 30.0 and 24.0
 
 A material named by ``material``, ``core_material`` or
-``substrate_material`` must be one the ``materials`` list loaded.
+``substrate_material`` must be one the ``materials`` list loaded; no two
+entries of that list may load materials of the same name.
 
 The operating point is stated once, by the top-level ``signal_nm`` and
 ``pump_nm``.  Each section states either an explicit ``poling_period_um``
@@ -162,6 +163,7 @@ class TwoStepDevice:
 
 
 def _load_materials(entries: list, base_dir: Path) -> dict[str, SellmeierModel]:
+    """The listed materials by name; two entries may not share a name."""
     loaded: dict[str, SellmeierModel] = {}
     for i, entry in enumerate(entries):
         entry = _value(entry, str, f"materials[{i}]")
@@ -169,6 +171,12 @@ def _load_materials(entries: list, base_dir: Path) -> dict[str, SellmeierModel]:
             model = builtin_material(entry.removeprefix("builtin:"))
         else:
             model = load_material(base_dir / entry)
+        if model.name in loaded:
+            # Every earlier entry added one name, so a name's position is its entry's.
+            earlier = list(loaded).index(model.name)
+            raise DeviceFileError(
+                f"materials[{earlier}] and materials[{i}] are both named {model.name!r}"
+            )
         loaded[model.name] = model
     if not loaded:
         raise DeviceFileError("materials must be a non-empty list")

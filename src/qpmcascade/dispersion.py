@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -148,26 +147,19 @@ class SellmeierModel:
         :func:`sellmeier_index` checks the ranges first and then calls this.
         Elementwise on arrays; NaN inputs give NaN.  Where the inputs are
         not NaN, an index outside (1, 4) (a broken coefficient table)
-        raises :class:`NumericError` naming the first such (n, lam, T)."""
+        raises :class:`NumericError` naming the first such (n, lam, T).
+        Scalar inputs give a ``float``."""
         form = TEMPERATURE_FORMS[self.temperature_form]
-        if not (is_array(lam_um) or is_array(temp_C)):
-            n2 = form(self.coefficients, lam_um, temp_C)
-            n = math.sqrt(n2) if n2 >= 0.0 else math.nan
-            if not 1.0 < n < 4.0:
-                raise self._broken(n, lam_um, temp_C)
-            return n
         with np.errstate(divide="ignore", invalid="ignore"):
             n = np.sqrt(form(self.coefficients, lam_um, temp_C))
         bad = ~((1.0 < n) & (n < 4.0)) & ~np.isnan(lam_um + temp_C)
         if bad.any():
             at = np.unravel_index(np.argmax(bad), bad.shape)
-            raise self._broken(*(np.broadcast_to(v, bad.shape)[at] for v in (n, lam_um, temp_C)))
-        return n
-
-    def _broken(self, n, lam_um, temp_C) -> NumericError:
-        return NumericError(
-            f"material {self.name!r}: index {n} outside (1, 4) at lam={lam_um} um, T={temp_C} C"
-        )
+            n, lam_um, temp_C = (np.broadcast_to(v, bad.shape)[at] for v in (n, lam_um, temp_C))
+            raise NumericError(
+                f"material {self.name!r}: index {n} outside (1, 4) at lam={lam_um} um, T={temp_C} C"
+            )
+        return n if is_array(lam_um) or is_array(temp_C) else float(n)
 
 
 def _in_range(model: SellmeierModel, quantity: str, value, low: float, high: float):

@@ -304,14 +304,6 @@ class ParasiticProcess:
         if self.kind not in ("SHG_pump", "thermal_SFG"):
             raise DomainError(f"unknown parasitic kind {self.kind!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "output_nm": self.output_nm,
-            "drivers_nm": list(self.drivers_nm),
-            "power_law": self.power_law,
-        }
-
 
 def enumerate_parasitics(
     step2: SectionSpec,
@@ -329,7 +321,7 @@ def enumerate_parasitics(
     if window_nm[0] >= window_nm[1]:
         raise DomainError("detection window must be a non-empty [low, high] pair")
     found: list[ParasiticProcess] = []
-    shg_nm = spectral.output_nm(ProcessKind.SHG, pump.nm, pump.nm)
+    shg_nm = spectral.output_nm(ProcessKind.SFG, pump.nm, pump.nm)
     if window_nm[0] <= shg_nm <= window_nm[1]:
         found.append(
             ParasiticProcess(

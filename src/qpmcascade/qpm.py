@@ -5,7 +5,7 @@ Sign conventions (collinear, scalar, all quantities per millimeter):
 * wavevector k(lam) = 2*pi*n_eff(lam, T) / lam, in rad/mm,
 * grating vector G = 2*pi*m / period, with m the (odd) QPM order,
 * DFG:        delta_k = k_in - k_out - k_pump - G,
-* SFG / SHG:  delta_k = k_out - k_in - k_pump - G.
+* SFG:        delta_k = k_out - k_in - k_pump - G.
 
 With normal dispersion both bulk mismatches are positive, so a positive
 poling period always exists.  Conversion is proportional to
@@ -102,7 +102,7 @@ class ProcessSpec:
     ``lam_out`` is not an argument: it is the energy-conserving output
     :func:`~qpmcascade.spectral.output_nm` of (kind, lam_in,
     lam_pump), so a triple with no output (a DFG pump shorter than its
-    signal, unequal SHG inputs) raises :class:`DomainError` here.  At the
+    signal) raises :class:`DomainError` here.  At the
     point :func:`degenerate_operating_point` returns, :func:`phase_mismatch`
     of each step's process is at most 1e-9 rad/mm.
     """

@@ -11,7 +11,8 @@ wavelengths (proportional to photon energy):
 
 * DFG:  1/lam_target = 1/lam_signal - 1/lam_pump
 * SFG:  1/lam_out    = 1/lam_a + 1/lam_b
-* SHG:  degenerate SFG with lam_a = lam_b
+
+SHG is the SFG of two equal inputs, lam_a = lam_b; it has no kind of its own.
 """
 
 from __future__ import annotations
@@ -48,19 +49,18 @@ class Wavelength:
 
 
 class ProcessKind(Enum):
-    """Three-wave mixing process family. SHG is the degenerate SFG case."""
+    """Three-wave mixing process family."""
 
     DFG = "DFG"
     SFG = "SFG"
-    SHG = "SHG"
 
 
 def output_nm(kind: ProcessKind, lam_in, lam_pump):
     """Energy-conserving output wavelength (nm) of a process; elementwise.
 
     ``lam_in`` must be positive and finite, as a :class:`Wavelength`;
-    DFG needs lam_pump > lam_in (the signal); SFG sums its two inputs;
-    SHG needs them equal.  See :func:`qpmcascade.errors.screen`.
+    DFG needs lam_pump > lam_in (the signal); SFG sums its two inputs.
+    See :func:`qpmcascade.errors.screen`.
     """
     lam_in = screen(
         lam_in, (lam_in > 0.0) & (lam_in < math.inf), DomainError.code,
@@ -74,12 +74,7 @@ def output_nm(kind: ProcessKind, lam_in, lam_pump):
             ),
         )
         return 1.0 / (1.0 / lam_in - 1.0 / lam_pump)
-    if kind is ProcessKind.SHG:
-        lam_pump = screen(
-            lam_pump, lam_pump == lam_in, DomainError.code,
-            lambda: DomainError(f"SHG inputs must be degenerate, got {lam_in} nm and {lam_pump} nm"),
-        )
-    elif kind is not ProcessKind.SFG:
+    if kind is not ProcessKind.SFG:
         raise DomainError(f"unknown process kind {kind!r}")
     return 1.0 / (1.0 / lam_in + 1.0 / lam_pump)
 

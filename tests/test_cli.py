@@ -394,6 +394,29 @@ class TestFitCommand:
         )
         assert not out.exists()
 
+    def test_data_file_of_any_name_gives_the_same_artifact(self, tmp_path):
+        x = np.linspace(2151.9, 2153.9, 41)
+        text = "\n".join(f"{a!r},{b!r}" for a, b in zip(x.tolist(), np.sinc(x - 2152.9).tolist()))
+        artifacts = []
+        for name in ("scan.csv", "scan.txt"):
+            (tmp_path / name).write_text(text)
+            out = tmp_path / f"{name}.json"
+            assert main(["fit", "--model", "sinc2_scan", "--data", str(tmp_path / name), "-o", str(out)]) == 0
+            artifacts.append([line for line in strip_timestamp(out.read_text()).splitlines()
+                              if '"command"' not in line])
+        assert artifacts[0] == artifacts[1]
+
+    def test_rms_is_the_root_mean_square_of_the_fit_residual_norm(self, tmp_path):
+        x = np.linspace(2151.9, 2153.9, 41)
+        y = np.sinc(x - 2152.9) ** 2 + 0.01 * np.cos(7.0 * x)
+        data = tmp_path / "scan.csv"
+        data.write_text("\n".join(f"{a!r},{b!r}" for a, b in zip(x.tolist(), y.tolist())))
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--model", "sinc2_scan", "--data", str(data), "-o", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["rms"] > 0.0
+        assert doc["rms"] == math.sqrt(doc["residual_norm"] / x.size)
+
     def test_data_outside_the_center_bounds_fits_from_the_automatic_guess(self, tmp_path):
         # x on 50-70 lies below sinc2_scan's centre bounds (100, 20e3); the
         # automatic guess keeps its centres inside them, so fit() takes it
@@ -892,6 +915,17 @@ class TestInputFileRefusals:
         assert (code, written) == (3, False)
         assert err == (f"code=material_file_error, msg=material.name must be a string, got 5 "
                        f"(in {str(bad)!r})\n")
+
+    def test_repeated_material_name_exits_three_naming_both_entries(self, tmp_path):
+        """A material file that reuses a loaded name would replace that
+        material in every section that names it."""
+        (tmp_path / "other_ln.json").write_text(json.dumps(with_leaf(MATERIAL_DOC, ("coefficients", "a1"), 5.0)))
+        device = with_leaf(DEVICE_DOC, ("materials",), [*DEVICE_DOC["materials"], "other_ln.json"])
+        code, err, written = solve_device_on(tmp_path, device)
+        assert (code, written) == (3, False)
+        assert err == (
+            "code=device_file_error, msg=materials[0] and materials[2] are both named 'lithium_niobate_e'\n"
+        )
 
     @pytest.mark.parametrize("escape", ["../devices/reference_device", "ABSOLUTE"])
     def test_builtin_name_outside_the_shipped_list_exits_three(self, tmp_path, escape):

@@ -20,7 +20,6 @@ from qpmcascade.conversion import (
     external_from_internal,
     internal_from_external,
     noise_report,
-    noise_report_to_dict,
     read_xy_csv,
     spectrum_fwhm,
     step_efficiency,
@@ -228,16 +227,6 @@ class TestNoiseReport:
     def test_non_finite_figures_rejected(self, total, dark, bandwidth):
         with pytest.raises(DomainError, match="finite"):
             NoiseCounts(total, dark, 0.72, bandwidth, 0.1457)
-
-    def test_report_dict_is_the_dataclass_fields(self):
-        counts = NoiseCounts(142.0, 135.0, 0.72, 4.0, 0.1457)
-        doc = noise_report_to_dict(noise_report(counts), counts)
-        assert list(doc) == [
-            "pump_induced_cps", "external_nsd_cps_per_GHz", "internal_nsd_cps_per_GHz", "inputs",
-        ]
-        assert list(doc["inputs"]) == [
-            "total_cps", "dark_cps", "detector_efficiency", "bandwidth_GHz", "external_transmission",
-        ]
 
 
 class TestSpectrum:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -164,6 +165,13 @@ class TestArrayEvaluation:
         with pytest.raises(NumericError) as array:
             model.index_unchecked(np.array([np.nan, 1.5]), 25.0)
         assert str(scalar.value) == str(array.value) == message
+
+    @pytest.mark.parametrize("lam_um, temp_C", [(math.nan, 25.0), (1.5, math.nan)])
+    def test_scalar_nan_input_gives_a_nan_float(self, lithium_niobate, lam_um, temp_C):
+        """A scalar call runs the array code, so a NaN input gives NaN as
+        an array element does, not a refusal."""
+        n = lithium_niobate.index_unchecked(lam_um, temp_C)
+        assert type(n) is float and math.isnan(n)
 
     @settings(max_examples=40, deadline=None)
     @given(lam=st.lists(st.one_of(st.floats(500.0, 3400.0), st.floats(3600.0, 9000.0)),

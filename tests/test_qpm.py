@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpmcascade import qpm
@@ -81,10 +81,11 @@ def test_transfer_is_a_fraction(dk, lengths):
     temp=st.floats(20.0, 250.0),
     order=st.sampled_from([1, 3, 5]),
 )
+@example(kind=ProcessKind.SFG, lam_in=2152.9, ratio=1.0, temp=59.26, order=1)  # pump SHG
 def test_solved_period_phase_matches(ln_provider, kind, lam_in, ratio, temp, order):
     """|delta_k| <= 1e-9 rad/mm at (T, pump) on a section poled with the
-    period solve_poling_period returns there, for DFG, SFG and SHG."""
-    pump = lam_in if kind is ProcessKind.SHG else lam_in * ratio
+    period solve_poling_period returns there, for DFG and SFG."""
+    pump = lam_in * ratio
     period = solve_poling_period(kind, Wavelength(lam_in), Wavelength(pump), temp, ln_provider, order)
     section = SectionSpec("step1", 20.0, period, temp, ln_provider, qpm_order=order)
     assert abs(delta_k(kind, lam_in, pump, temp, section)) <= 1e-9
@@ -120,8 +121,6 @@ class TestProcessSpec:
         step1, _ = solved_sections
         with pytest.raises(DomainError, match="DFG requires lam_pump > lam_signal"):
             ProcessSpec.dfg(PUMP, SIGNAL, step1)
-        with pytest.raises(DomainError, match="SHG inputs must be degenerate"):
-            ProcessSpec(ProcessKind.SHG, SIGNAL, PUMP, step1)
 
     def test_factory_builds_consistent_triple(self, solved_sections):
         step1, _ = solved_sections
