@@ -8,7 +8,6 @@ from .conversion import (
     Spectrum,
     StepEfficiencyModel,
     budget_transmission,
-    cascade_efficiency,
     convert_spectrum,
     external_from_internal,
     internal_from_external,
@@ -36,7 +35,7 @@ from .errors import (
     RangeError,
     RankDeficiencyError,
 )
-from .fitting import FitModel, FitResult, auto_initial, fit, goodness, model_registry, registry_model
+from .fitting import FitModel, FitResult, auto_initial, fit, model_registry, registry_model
 from .modesolver import (
     ModeShortfallWarning,
     ModeSolution,

@@ -4,8 +4,10 @@ Subcommands bind device, material and data files to the library and emit
 CSV/JSON artifacts.  All numeric output is deterministic for fixed inputs;
 every artifact starts with a provenance header (tool version, device file
 hash, command line) whose timestamp line is the only run-dependent part.
-Artifacts are written atomically (temp file + rename), so a failing run
-never leaves a partial file.
+Artifacts are written atomically: every file of a run goes to a temp file
+first, and the temp files are renamed over their paths only when all of
+them are written, so a failing run never leaves a partial file and leaves
+the ``-o`` path as it found it.
 
 Exit codes: 0 success, 2 usage error, 3 domain/range/file error (with a
 single machine-parseable line ``code=<code>, msg=<text>`` on stderr).
@@ -43,7 +45,7 @@ from .conversion import (
 from .device import load_device
 from .errors import ConverterError, DomainError, mask_counts, masked_cells
 from .fitting import auto_initial, fit, registry_model
-from .modesolver import ModeShortfallWarning, field_to_csv_rows, solve_modes
+from .modesolver import ModeShortfallWarning, ModeSolution, solve_modes
 from .noisemodel import (
     _thermal_sfg_grid_mismatch,
     enumerate_parasitics,
@@ -97,16 +99,31 @@ def _assignments(text: str) -> dict[str, float]:
     return out
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
+def _atomic_write(files: list[tuple[Path, str]]) -> None:
+    """Write each ``(path, text)``: every text to a temp file beside its
+    path, then the renames in list order.
+
+    A temp file gets the mode a new file would, 0o666 less the umask,
+    before its rename.  An OSError names the path, not its temp file.
+    """
+    umask = os.umask(0)
+    os.umask(umask)
+    temps = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for path, text in files:
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+            temps.append(tmp)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+            os.chmod(tmp, 0o666 & ~umask)
+        for (path, _), tmp in zip(files, temps):
+            os.replace(tmp, path)
+    except BaseException as exc:
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 
@@ -117,7 +134,8 @@ def _write_artifact(args, argv: list[str], device, result: tuple) -> None:
     extras[, dump])``.  ``extras`` is an ordered dict of deterministic
     provenance entries that follow the device hash; a CSV header renders
     each as ``name=<json>``.  ``dump``, a ``(path, rows)`` pair, is a plain
-    CSV file written after the artifact, so a failed artifact leaves none.
+    CSV file; it is renamed into place before the artifact, so a run whose
+    dump fails leaves the artifact path untouched.
     """
     command = f"qpmcascade {shlex.join(argv)}"
     sha = {"device_sha256": device.source_sha256} if device is not None else {}
@@ -138,9 +156,7 @@ def _write_artifact(args, argv: list[str], device, result: tuple) -> None:
         prov = {"tool": "qpmcascade", "version": __version__, "subcommand": args.subcommand,
                 "command": command, **sha, **extras, "generated": generated}
         text = json.dumps({"provenance": prov, **doc}, indent=2) + "\n"
-    _atomic_write(args.output, text)
-    for path, rows in dumps:
-        _atomic_write(path, "\n".join(rows) + "\n")
+    _atomic_write([*((path, "\n".join(rows) + "\n") for path, rows in dumps), (args.output, text)])
 
 
 # --- subcommand implementations ------------------------------------------------
@@ -204,7 +220,7 @@ def _cmd_lineshape(args, device):
 
 
 def _cmd_convert_spectrum(args, device):
-    spectrum = Spectrum.from_csv(args.input)
+    spectrum = Spectrum(*read_xy_csv(args.input))
     with masked_cells() as why:
         transfer = device.cascade_transfer()
         converted, dropped = convert_spectrum(spectrum, transfer, device.map_to_target)
@@ -283,8 +299,14 @@ def _cmd_modes(args, device):
         ],
     }
     if args.field_dump and solutions:
-        return doc, {}, (args.field_dump, field_to_csv_rows(solutions[0]))
+        return doc, {}, (args.field_dump, _field_rows(solutions[0]))
     return doc, {}
+
+
+def _field_rows(solution: ModeSolution) -> list[str]:
+    """A mode field as 'x_um,y_um,amplitude' rows (header included), y outer."""
+    rows = csv_rows(solution.x_um[None, :], solution.y_um[:, None], solution.field)
+    return ["x_um,y_um,amplitude"] + rows
 
 
 # --- parser ---------------------------------------------------------------------

@@ -87,19 +87,6 @@ def step_efficiency(model: StepEfficiencyModel, pump_W, delta_k_per_mm=0.0):
     return float(eta) if eta.ndim == 0 else eta
 
 
-def cascade_efficiency(
-    step1: StepEfficiencyModel,
-    step2: StepEfficiencyModel,
-    pump_W,
-    delta_k1_per_mm=0.0,
-    delta_k2_per_mm=0.0,
-):
-    """Two-step efficiency: the product of both steps at the shared pump."""
-    return step_efficiency(step1, pump_W, delta_k1_per_mm) * step_efficiency(
-        step2, pump_W, delta_k2_per_mm
-    )
-
-
 # --- loss budget ------------------------------------------------------------
 
 
@@ -221,14 +208,6 @@ class Spectrum:
     def __len__(self):
         return self.wavelength_nm.size
 
-    def to_csv(self, path: str | Path) -> None:
-        lines = ["wavelength_nm,intensity", *csv_rows(self.wavelength_nm, self.intensity)]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "Spectrum":
-        return cls(*read_xy_csv(path))
-
 
 def read_xy_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """The two numeric columns of a CSV file, as (x, y) float arrays.
@@ -285,23 +264,22 @@ def csv_rows(*columns) -> list[str]:
 def convert_spectrum(
     spectrum: Spectrum,
     transfer: Callable[[np.ndarray], np.ndarray],
-    map_wavelength: Callable[[np.ndarray], np.ndarray] | None = None,
+    map_wavelength: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[Spectrum, int]:
     """Push a spectrum through a device transfer curve.
 
     Output intensity is input intensity times ``transfer`` evaluated at the
     input wavelength; the output abscissa is ``map_wavelength`` of each
-    input sample (identity when omitted) and must stay monotonic.  Both
-    callables must be elementwise: each is called once, on the whole
-    wavelength array, and an exception it raises propagates.  Samples
-    where either returns a non-finite value (an array evaluation masks an
-    invalid input with NaN) are dropped; the second return value counts
-    them.
+    input sample and must stay monotonic.  Both callables must be
+    elementwise: each is called once, on the whole wavelength array, and
+    an exception it raises propagates.  Samples where either returns a
+    non-finite value (an array evaluation masks an invalid input with NaN)
+    are dropped; the second return value counts them.
     """
     lam = spectrum.wavelength_nm
     eta, mapped = (
         np.broadcast_to(np.asarray(func(lam), dtype=float), lam.shape)
-        for func in (transfer, map_wavelength or (lambda x: x))
+        for func in (transfer, map_wavelength)
     )
     kept = np.isfinite(eta) & np.isfinite(mapped)
     if not kept.any():

@@ -115,7 +115,6 @@ class TwoStepDevice:
     pump: Wavelength
     coupling: Mapping[str, float]
     loss_budget: LossBudget
-    materials: Mapping[str, SellmeierModel]
     geometry: WaveguideGeometry | None = None
     source_sha256: str = ""
 
@@ -279,7 +278,6 @@ def device_from_dict(doc: dict, base_dir: Path, sha256: str = "") -> TwoStepDevi
         pump=pump,
         coupling=coupling,
         loss_budget=LossBudget(tuple((item["label"], item["transmission"]) for item in items)),
-        materials=materials,
         geometry=geometry,
         source_sha256=sha256,
     )

@@ -264,10 +264,6 @@ def load_material(path: str | Path) -> SellmeierModel:
     return _read_material(Path(path))
 
 
-def save_material(model: SellmeierModel, path: str | Path) -> None:
-    Path(path).write_text(material_to_json(model), encoding="utf-8")
-
-
 def builtin_material_names() -> list[str]:
     root = resources.files("qpmcascade").joinpath("materials")
     return sorted(p.name.removesuffix(".json") for p in root.iterdir() if p.name.endswith(".json"))

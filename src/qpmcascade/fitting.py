@@ -282,16 +282,6 @@ def _standard_errors(
     return np.sqrt(diag)
 
 
-def goodness(result: FitResult, x: Sequence[float], y: Sequence[float]) -> dict:
-    """Per-point residuals of a fit against data, read as fit reads it, and their RMS."""
-    x, y = _read_data(x, y, 1)
-    per_point = y - result.model.evaluate(result.parameters, x)
-    return {
-        "rms": float(np.sqrt((per_point @ per_point) / x.size)),
-        "residuals": per_point,
-    }
-
-
 # --- model registry -----------------------------------------------------------
 
 

@@ -103,7 +103,6 @@ from functools import partial
 
 import numpy as np
 
-from .conversion import csv_rows
 from .dispersion import SellmeierModel, sellmeier_index
 from .errors import CapabilityError, DomainError, NumericError, RangeError, is_array, screen
 from .qpm import _first_roots
@@ -202,19 +201,15 @@ def _area_weights(geometry: WaveguideGeometry):
     return x, y, fx, fy, f_sub
 
 
-def index_map(geometry: WaveguideGeometry, lam: Wavelength, temp_C: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+def index_map(geometry: WaveguideGeometry, lam: Wavelength, temp_C: float):
     """Sampled refractive index n(x, y) on cell centers.
 
     n^2 is area-averaged over each cell (exact rectangle overlaps), which
     removes the staircase error of binary sampling at the core boundary.
-    Returns (n, x_um, y_um, n_core, n_clad_max).
+    Returns (n, x_um, y_um, n_core, n_clad_max, n_sub, (fx, fy, f_sub)):
+    the last two are what :func:`_separable_tops` reuses, the substrate
+    index and the area weights of :func:`_area_weights`.
     """
-    return _index_map(geometry, lam, temp_C)[:5]
-
-
-def _index_map(geometry: WaveguideGeometry, lam: Wavelength, temp_C: float):
-    """:func:`index_map`'s tuple followed by what :func:`_separable_tops`
-    reuses: n_sub and the area weights ``(fx, fy, f_sub)``."""
     n_core = sellmeier_index(geometry.core_material, lam, temp_C)
     n_sub = sellmeier_index(geometry.substrate_material, lam, temp_C)
     n_sup = geometry.superstrate_index
@@ -233,7 +228,7 @@ def _separable_tops(geometry: WaveguideGeometry, lam: Wavelength, n_core: float,
     n_x^2 = fx n_core^2 + (1 - fx) n_sup^2 and n_y^2 = fy n_core^2 +
     f_sub n_sub^2 + (1 - fy - f_sub) n_sup^2 are the area-weighted
     profiles through the core, from the indices and the weights
-    ``(fx, fy, f_sub)`` :func:`_index_map` returned.  The operator is a
+    ``(fx, fy, f_sub)`` :func:`index_map` returned.  The operator is a
     sum of a tridiagonal x and a tridiagonal y operator, so its eigenvalues are sums of theirs.  The x profile is mirror
     symmetric, so the top x eigenvector is even and the second is odd
     (they alternate, by Sturm oscillation): the x-even block's top is the
@@ -416,7 +411,7 @@ def solve_modes(
             f"count must be >= 1 and <= {even_size - 2}, the x-even block's "
             f"{even_size} cells less 2; got {count}"
         )
-    n, x, y, n_core, n_clad, n_sub, weights = _index_map(geometry, lam, temp_C)
+    n, x, y, n_core, n_clad, n_sub, weights = index_map(geometry, lam, temp_C)
     if n_core <= n_clad:
         warnings.warn("no index contrast; no guided modes", ModeShortfallWarning)
         return []
@@ -602,9 +597,3 @@ class ModeSolverIndexProvider:
 
     def __repr__(self):
         return f"ModeSolverIndexProvider(default_mode={self.default_mode})"
-
-
-def field_to_csv_rows(solution: ModeSolution) -> list[str]:
-    """Flatten a mode field to 'x_um,y_um,amplitude' rows (header included), y outer."""
-    rows = csv_rows(solution.x_um[None, :], solution.y_um[:, None], solution.field)
-    return ["x_um,y_um,amplitude"] + rows

@@ -184,8 +184,12 @@ def weighted_sinc2_sum(dk, length, weights: Sequence) -> np.ndarray:
             np.einsum("nfb,nfb->n", bilinear.reshape(n, 3, q), right, out=sums[i, :n])
             sums[i, :n] /= phi * phi
             sums[i, :n][limit] = limits[i]
-        total = sum(part(coeffs[j], block) * span**j * sums[i, :n] for i, j in enumerate(degrees))
-        out[block] = total * span / _PANELS
+        # Weights near the float limit overflow here.  The inf or nan that
+        # results is the answer (a Spectrum refuses it); numpy's warning
+        # would only add lines to the CLI's one-line error.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = sum(part(coeffs[j], block) * span**j * sums[i, :n] for i, j in enumerate(degrees))
+            out[block] = total * span / _PANELS
     return out.reshape(shape)
 
 

@@ -5,7 +5,9 @@ import io
 import itertools
 import json
 import math
+import os
 import re
+import stat
 from collections import Counter
 
 import numpy as np
@@ -19,13 +21,14 @@ from qpmcascade.conversion import (
     Spectrum,
     StepEfficiencyModel,
     budget_transmission,
-    cascade_efficiency,
     convert_spectrum,
+    csv_rows,
     step_efficiency,
 )
 from qpmcascade.device import load_device, reference_device_path
 from qpmcascade.dispersion import builtin_material, builtin_material_names, material_to_json
 from qpmcascade.errors import ConverterError, RangeError
+from qpmcascade.fitting import registry_model
 from qpmcascade.modesolver import solve_modes
 from qpmcascade.noisemodel import lineshape_analytic, thermal_sfg_lineshape, thermal_sfg_mismatch
 from qpmcascade.qpm import grid_mismatch, phasematch_map, tuning_curve
@@ -198,7 +201,7 @@ class TestEfficiencyCommand:
         for power in np.linspace(0.0, 2.5, 37):
             eta1 = step_efficiency(model1, power)
             eta2 = step_efficiency(model2, power)
-            total = cascade_efficiency(model1, model2, power)
+            total = eta1 * eta2
             rows.append(f"{float(power)!r},{eta1!r},{eta2!r},{total!r},{total * transmission!r}")
         assert_rows(out, "pump_W,eta_step1,eta_step2,eta_internal,eta_external", rows)
 
@@ -270,7 +273,7 @@ class TestConvertSpectrumCommand:
         lam = np.linspace(636.0, 638.4, 481)
         intensity = np.exp(-((lam - 637.2) ** 2) / (2.0 * 0.5**2))
         source = tmp_path / "input.csv"
-        Spectrum(lam, intensity).to_csv(source)
+        write_spectrum(source, lam, intensity)
         out = tmp_path / "converted.csv"
         code = main(["convert-spectrum", "--device", DEVICE, "--input", str(source),
                      "-o", str(out)])
@@ -283,7 +286,7 @@ class TestConvertSpectrumCommand:
     def test_masked_samples_name_each_dropped_sample_error(self, tmp_path):
         lam = np.linspace(300.0, 2500.0, 401)
         source = tmp_path / "input.csv"
-        Spectrum(lam, np.ones_like(lam)).to_csv(source)
+        write_spectrum(source, lam, np.ones_like(lam))
         out = tmp_path / "converted.csv"
         assert main(["convert-spectrum", "--device", DEVICE, "--input", str(source),
                      "-o", str(out)]) == 0
@@ -311,7 +314,7 @@ class TestConvertSpectrumCommand:
         lam = np.linspace(600.0, 950.0, 401)
         intensity = 1.0 / (1.0 + ((lam - 637.2) / 0.8) ** 2) + 0.3 * np.exp(-0.5 * ((lam - 690.0) / 35.0) ** 2)
         source = tmp_path / "input.csv"
-        Spectrum(lam, intensity).to_csv(source)
+        write_spectrum(source, lam, intensity)
         out = tmp_path / "converted.csv"
         assert main(["convert-spectrum", "--device", DEVICE, "--input", str(source),
                      "-o", str(out)]) == 0
@@ -325,8 +328,6 @@ class TestConvertSpectrumCommand:
 
 class TestFitCommand:
     def test_saturation_round_trip(self, tmp_path):
-        from qpmcascade.fitting import registry_model
-
         model = registry_model("saturation", length_mm=20.0)
         x = np.linspace(1e-4, 0.225, 150)
         y = model.evaluate(np.array([0.95, 0.04]), x)
@@ -416,6 +417,8 @@ class TestFitCommand:
         doc = json.loads(out.read_text())
         assert doc["rms"] > 0.0
         assert doc["rms"] == math.sqrt(doc["residual_norm"] / x.size)
+        residuals = y - registry_model("sinc2_scan").evaluate(list(doc["parameters"].values()), x)
+        assert doc["rms"] == math.sqrt(residuals @ residuals / x.size)
 
     def test_data_outside_the_center_bounds_fits_from_the_automatic_guess(self, tmp_path):
         # x on 50-70 lies below sinc2_scan's centre bounds (100, 20e3); the
@@ -475,7 +478,7 @@ NOISE_ARGV = ["noise", "--total", "142", "--dark", "135", "--det-eff", "0.72",
 
 
 def write_spectrum(path, x, y) -> str:
-    Spectrum(x, y).to_csv(path)
+    path.write_text("\n".join(["wavelength_nm,intensity", *csv_rows(x, y)]) + "\n", encoding="utf-8")
     return str(path)
 
 
@@ -573,6 +576,58 @@ class TestProvenance:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestArtifactFiles:
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_artifact_gets_the_mode_of_a_new_file(self, tmp_path, umask):
+        """A written and then an overwritten artifact both have mode 0o666
+        less the umask, the mode ``touch`` gives a new file."""
+        out = tmp_path / "noise.json"
+        previous = os.umask(umask)
+        try:
+            for _ in range(2):
+                assert main([*NOISE_ARGV, "-o", str(out)]) == 0
+                assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+        finally:
+            os.umask(previous)
+
+    def test_failed_field_dump_leaves_the_artifact_path_as_it_was(self, tmp_path, capsys):
+        out = tmp_path / "modes.json"
+        dump = tmp_path / "missing" / "field.csv"
+        argv = ["modes", "--device", DEVICE, "--lam", "1561.62", "--t", "59.26", "--count", "1",
+                "--field-dump", str(dump), "-o", str(out)]
+        error = f"code=io_error, msg=[Errno 2] No such file or directory: {str(dump)!r}\n"
+        assert main(argv) == 3
+        assert capsys.readouterr().err == error
+        assert list(tmp_path.iterdir()) == []
+        out.write_text("earlier artifact\n")
+        assert main(argv) == 3
+        assert capsys.readouterr().err == error
+        assert out.read_text() == "earlier artifact\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_io_error_names_the_requested_path(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "map.csv"
+        assert main(["map", "--device", DEVICE, "--t", "50:60:2", "--pump", "2150:2156:2",
+                     "-o", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"code=io_error, msg=[Errno 2] No such file or directory: {str(out)!r}\n"
+        )
+
+
+@pytest.mark.parametrize("weights", ["1e308,1e308,1e308", "1e308,-1e308,1e308", "1e308"])
+def test_overflowing_weights_exit_three_with_one_line_and_no_warning(tmp_path, capsys, recwarn,
+                                                                     weights):
+    out = tmp_path / "line.csv"
+    code = main(["lineshape", "--device", DEVICE, "--grid", "1550:1565:31",
+                 f"--weights={weights}", "-o", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "code=domain_error, msg=spectrum intensities must be finite and non-negative\n"
+    )
+    assert [str(w.message) for w in recwarn] == []
+    assert not out.exists()
+
+
 @pytest.fixture
 def fresh_parser():
     """Drop the cached argument parser before and after the test."""
@@ -614,7 +669,7 @@ class TestParserReuse:
     def test_fit_initial_does_not_leak(self, tmp_path, fresh_parser):
         data = tmp_path / "eff.csv"
         x = np.linspace(1e-3, 0.225, 40)
-        Spectrum(x, 0.9 * np.sin(np.sqrt(0.04 * x) * 20.0) ** 2).to_csv(data)
+        write_spectrum(data, x, 0.9 * np.sin(np.sqrt(0.04 * x) * 20.0) ** 2)
         plain = ["fit", "--model", "saturation", "--data", str(data), "--fixed", "L=20"]
         out = tmp_path / "fit.json"
         first = self.artifact(plain, out)
@@ -697,7 +752,7 @@ class TestErrorHandling:
     def test_initial_missing_a_parameter_exits_three(self, tmp_path, capsys):
         data = tmp_path / "eff.csv"
         x = np.linspace(1e-3, 0.225, 20)
-        Spectrum(x, 0.9 * np.sin(np.sqrt(0.04 * x) * 20.0) ** 2).to_csv(data)
+        write_spectrum(data, x, 0.9 * np.sin(np.sqrt(0.04 * x) * 20.0) ** 2)
         out = tmp_path / "fit.json"
         code = main(["fit", "--model", "saturation", "--data", str(data),
                      "--initial", "eta_max=0.9", "-o", str(out)])
@@ -725,7 +780,7 @@ class TestErrorHandling:
     def test_fit_unknown_name_exits_three(self, tmp_path, capsys, extra, name):
         data = tmp_path / "eff.csv"
         x = np.linspace(1e-3, 0.225, 20)
-        Spectrum(x, 0.9 * np.sin(np.sqrt(0.04 * x) * 20.0) ** 2).to_csv(data)
+        write_spectrum(data, x, 0.9 * np.sin(np.sqrt(0.04 * x) * 20.0) ** 2)
         out = tmp_path / "fit.json"
         code = main(["fit", "--model", "saturation", "--data", str(data), *extra, "-o", str(out)])
         assert code == 3

@@ -196,7 +196,8 @@ class TestDeviceFileValidation:
         device_path = tmp_path / "device.json"
         device_path.write_text(json.dumps(doc))
         device = load_device(device_path)
-        assert "lithium_niobate_e" in device.materials
+        loaded = device.step1.index_provider.model
+        assert loaded == material and loaded is not material  # read from mats/, not the built-in
 
     def test_refuses_offset_provider_kind(self, tmp_path):
         doc = reference_doc()
@@ -299,7 +300,7 @@ class TestKeysTheReferenceDeviceOmits:
         required = ("core_width_um", "core_height_um", "core_material", "substrate_material")
         doc["geometry"] = {key: doc["geometry"][key] for key in required}
         device = device_from_dict(doc, tmp_path)
-        niobate, tantalate = device.materials["lithium_niobate_e"], device.materials["lithium_tantalate_e"]
+        niobate, tantalate = builtin_material("lithium_niobate_e"), builtin_material("lithium_tantalate_e")
         assert device.geometry == WaveguideGeometry(10.0, 8.0, niobate, tantalate)
         assert device.step1.index_provider.default_mode == ModeSolverIndexProvider(device.geometry).default_mode
         assert device.step1 == SectionSpec("step1", 20.0, 12.96, 59.26, device.step1.index_provider)
@@ -369,9 +370,10 @@ class TestBuiltinMaterialCache:
         assert len(material_reads) == 2
         second = load_device(reference_device_path())
         assert len(material_reads) == 2
-        assert list(second.materials) == list(first.materials)
-        for name, model in first.materials.items():
-            assert second.materials[name] is model
+        for device in (first, second):
+            assert device.step1.index_provider.model is device.geometry.core_material
+        assert second.geometry.core_material is first.geometry.core_material
+        assert second.geometry.substrate_material is first.geometry.substrate_material
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_name_outside_the_shipped_list_opens_no_file(self, material_reads, tmp_path, warm):

@@ -13,7 +13,6 @@ from qpmcascade.dispersion import (
     builtin_material_names,
     load_material,
     material_to_json,
-    save_material,
     sellmeier_index,
 )
 from qpmcascade.errors import MaterialFileError, NumericError, RangeError, masked_cells
@@ -244,7 +243,7 @@ class TestMaterialFiles:
         for name in builtin_material_names():
             model = builtin_material(name)
             path = tmp_path / f"{name}.json"
-            save_material(model, path)
+            path.write_text(material_to_json(model), encoding="utf-8")
             raw = path.read_bytes()
             assert material_to_json(load_material(path)).encode() == raw
 

@@ -13,7 +13,6 @@ from qpmcascade.fitting import (
     FitModel,
     auto_initial,
     fit,
-    goodness,
     model_registry,
     registry_model,
 )
@@ -391,57 +390,6 @@ def test_batched_jacobian_is_the_per_vector_jacobian(name, case):
     assert batched.flags.c_contiguous
 
 
-class TestGoodness:
-    def test_perfect_fit_rms_zero(self, sinc2_model):
-        y = sinc2_model.evaluate(SCAN_TRUTH, SCAN_X)
-        result = fit(sinc2_model, SCAN_X, y, SCAN_TRUTH)
-        assert goodness(result, SCAN_X, y)["rms"] == pytest.approx(0.0, abs=1e-12)
-
-    def test_constant_offset_rms_one(self):
-        model = FitModel(
-            name="const",
-            parameter_names=("c",),
-            bounds=((-10.0, 10.0),),
-            evaluate=lambda p, x: p[0] + 0.0 * x,
-        )
-        x = np.linspace(0.0, 1.0, 25)
-        result = fit(model, x, np.zeros_like(x), np.array([0.0]))
-        shifted = goodness(result, x, np.ones_like(x))
-        assert np.sqrt(np.mean(shifted["residuals"] ** 2)) == pytest.approx(1.0)
-
-    def test_rms_invariant_under_permutation(self, sinc2_model):
-        rng = np.random.default_rng(12)
-        y = sinc2_model.evaluate(SCAN_TRUTH, SCAN_X) + rng.normal(0, 0.01, SCAN_X.size)
-        result = fit(sinc2_model, SCAN_X, y, auto_initial(sinc2_model, SCAN_X, y))
-        order = rng.permutation(SCAN_X.size)
-        direct = goodness(result, SCAN_X, y)["residuals"]
-        shuffled = goodness(result, SCAN_X[order], y[order])["residuals"]
-        assert np.sqrt(np.mean(direct**2)) == pytest.approx(np.sqrt(np.mean(shuffled**2)))
-
-    def test_empty_data_rejected(self, sinc2_model):
-        y = sinc2_model.evaluate(SCAN_TRUTH, SCAN_X)
-        result = fit(sinc2_model, SCAN_X, y, SCAN_TRUTH)
-        with pytest.raises(DomainError):
-            goodness(result, [], [])
-
-    def test_rms_is_that_of_the_returned_residuals_on_other_data(self):
-        model = FitModel(
-            name="const",
-            parameter_names=("c",),
-            bounds=((-10.0, 10.0),),
-            evaluate=lambda p, x: p[0] + 0.0 * x,
-        )
-        x = np.linspace(0.0, 1.0, 25)
-        result = fit(model, x, np.zeros_like(x), np.array([0.0]))
-        shifted = goodness(result, x, np.ones_like(x))
-        assert shifted["rms"] == np.sqrt(np.mean(shifted["residuals"] ** 2)) == 1.0
-
-    def test_rms_on_the_fits_own_data_is_its_residual_norm(self, sinc2_model):
-        y = sinc2_model.evaluate(SCAN_TRUTH, SCAN_X) + np.random.default_rng(3).normal(0, 0.01, SCAN_X.size)
-        result = fit(sinc2_model, SCAN_X, y, auto_initial(sinc2_model, SCAN_X, y))
-        assert goodness(result, SCAN_X, y)["rms"] == np.sqrt(result.residual_norm / SCAN_X.size)
-
-
 def _refusal(call, x, y) -> str:
     with pytest.raises(DomainError) as exc:
         call(x, y)
@@ -449,18 +397,15 @@ def _refusal(call, x, y) -> str:
 
 
 class TestDataRefusals:
-    """fit, auto_initial and goodness read (x, y) through one reader, so
-    each refuses bad data with the same message."""
+    """fit and auto_initial read (x, y) through one reader, so each
+    refuses bad data with the same message."""
 
     @pytest.fixture(scope="class")
     def calls(self):
         model = registry_model("sinc2_scan")
-        y = model.evaluate(SCAN_TRUTH, SCAN_X)
-        result = fit(model, SCAN_X, y, SCAN_TRUTH)
         return {
             "fit": lambda x, y: fit(model, x, y, SCAN_TRUTH),
             "auto_initial": lambda x, y: auto_initial(model, x, y),
-            "goodness": lambda x, y: goodness(result, x, y),
         }
 
     @pytest.mark.parametrize("column, index, value", [
@@ -479,7 +424,6 @@ class TestDataRefusals:
         assert messages == {
             "fit": "need 5 or more matched data points, got 201 x and 200 y",
             "auto_initial": "need 1 or more matched data points, got 201 x and 200 y",
-            "goodness": "need 1 or more matched data points, got 201 x and 200 y",
         }
 
 

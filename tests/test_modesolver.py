@@ -14,7 +14,6 @@ from qpmcascade.modesolver import (
     ModeShortfallWarning,
     ModeSolverIndexProvider,
     WaveguideGeometry,
-    field_to_csv_rows,
     marcatili_index,
     solve_modes,
 )
@@ -88,7 +87,7 @@ def full_matrix_modes(geometry, lam, count):
     the same sigma and a start vector from the same seed."""
     from scipy.sparse.linalg import eigsh
 
-    n, _, _, n_core, n_clad = modesolver.index_map(geometry, lam, TEMP)
+    n, _, _, n_core, n_clad, _, _ = modesolver.index_map(geometry, lam, TEMP)
     k0 = 2.0 * math.pi / lam.um
     a_mat = modesolver._helmholtz_matrix(
         n,
@@ -486,7 +485,7 @@ def test_parity_split_matches_the_full_matrix(
         lithium_niobate, lithium_tantalate, core_w, core_h, margin_w, margin_h, superstrate, nx, ny
     )
     lam = Wavelength(lam_nm)
-    n, _, _, n_core, n_clad = modesolver.index_map(geometry, lam, TEMP)
+    n, _, _, n_core, n_clad, _, _ = modesolver.index_map(geometry, lam, TEMP)
     k0 = 2.0 * math.pi / lam.um
     a_mat = modesolver._helmholtz_matrix(
         n, geometry.window_width_um / nx, geometry.window_height_um / ny, k0
@@ -546,7 +545,7 @@ def test_separable_estimate_is_below_each_block_top(
         lithium_niobate, lithium_tantalate, core_w, core_h, margin_w, margin_h, superstrate, nx, ny
     )
     lam = Wavelength(lam_nm)
-    n, _, _, n_core, _, n_sub, weights = modesolver._index_map(geometry, lam, TEMP)
+    n, _, _, n_core, _, n_sub, weights = modesolver.index_map(geometry, lam, TEMP)
     k0 = 2.0 * math.pi / lam.um
     hx, hy = geometry.window_width_um / nx, geometry.window_height_um / ny
     a_mat = modesolver._helmholtz_matrix(n, hx, hy, k0)
@@ -717,10 +716,3 @@ class TestModeSolverProvider:
             ("capability_error", [True, False]),
             ("lithium_niobate_e temperature_C", [False, True]),
         ]
-
-
-def test_field_dump_shape(default_geometry):
-    sol = solve_modes(default_geometry, LAM, TEMP, count=1)[0]
-    rows = field_to_csv_rows(sol)
-    assert rows[0] == "x_um,y_um,amplitude"
-    assert len(rows) == 1 + 64 * 64
